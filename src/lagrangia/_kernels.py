@@ -1,179 +1,98 @@
 """Numeric kernels for the multilinear form: evaluation, gradient, ascent.
 
-Two interchangeable backends. The default compiles the hot loops with
-numba; setting LAGRANGIA_NO_NUMBA=1 (or running without numba installed)
-selects a pure-numpy path instead. Both are importable side by side for
-equivalence tests and benchmarks; the module-level names eval_poly,
-link_grad, ascent_loop point at the active backend.
+One numpy backend, general in the uniformity r and the vertex count n
+(edge lists of any arity on up to 64 vertices; no dense n^r tensor).
 
 Conventions: x is a float64 weight vector, edges an (m, r) int64 array
-of 0-based vertex indices. The ascent loop implements the growth
-transform x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
-nonnegative-coefficient homogeneous forms; it reports the worst
-per-iteration gain so callers can assert monotonicity held.
+of 0-based vertex indices. The gradient is one scatter of leave-one-out
+products: r - 1 gather index arrays, fixed per edge array, pick for
+every (edge, position) slot the weights of the other members of that
+edge; their elementwise product is summed into the slot's vertex with
+``np.bincount``. No weight is ever divided out, so coordinates at 0 stay
+exact.
+
+The ascent loop implements the growth transform (Baum-Eagon)
+x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
+nonnegative-coefficient homogeneous forms. Each step evaluates one
+gradient and nothing else: by Euler's identity sum_i x_i g_i = r * P(x),
+the update's normaliser is also r times the value of the current point,
+so the per-step gains come for free. The loop reports the worst
+per-iteration gain so callers can assert monotonicity held, and returns
+the compensated ``eval_poly`` of the point it returns.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("LAGRANGIA_NO_NUMBA", "").strip()
-NUMBA_DISABLED = _FLAG not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("disabled by LAGRANGIA_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # noqa: ANN002 - decorator shim
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
+BACKEND = "numpy"
 
 
-# --- pure-numpy backend ----------------------------------------------------
-
-def eval_poly_numpy(x: np.ndarray, edges: np.ndarray) -> float:
+def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
     """Sum over edges of the product of member weights, compensated."""
     if edges.shape[0] == 0:
         return 0.0
     return math.fsum(np.prod(x[edges], axis=1))
 
 
-def link_grad_numpy(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Gradient of the form: per vertex, the sum of leave-one-out products.
+def _grad_plan(edges: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scatter targets and the r - 1 leave-one-out gather arrays.
 
-    Prefix/suffix products keep zero weights exact: dividing the full
-    product back out would poison coordinates sitting at 0.
+    Slot (k, j) of the flattened edge array is vertex edges[k, j]; the
+    i-th gather array holds, for that slot, the i-th other member of
+    edge k in column order.
     """
-    n = x.shape[0]
-    out = np.zeros(n)
-    if edges.shape[0] == 0:
-        return out
-    w = x[edges]
-    r = w.shape[1]
-    pre = np.ones_like(w)
-    suf = np.ones_like(w)
-    for j in range(1, r):
-        pre[:, j] = pre[:, j - 1] * w[:, j - 1]
-    for j in range(r - 2, -1, -1):
-        suf[:, j] = suf[:, j + 1] * w[:, j + 1]
-    np.add.at(out, edges, pre * suf)
-    return out
+    r = edges.shape[1]
+    gathers = []
+    for i in range(r - 1):
+        cols = [i if i < j else i + 1 for j in range(r)]
+        gathers.append(np.ascontiguousarray(edges[:, cols]).ravel())
+    return edges.ravel(), gathers
 
 
-def ascent_loop_numpy(
+def _grad(x: np.ndarray, flat: np.ndarray, gathers: list[np.ndarray]) -> np.ndarray:
+    if flat.shape[0] == 0:
+        return np.zeros(x.shape[0])
+    loo = x[gathers[0]]
+    for idx in gathers[1:]:
+        loo *= x[idx]
+    return np.bincount(flat, weights=loo, minlength=x.shape[0])
+
+
+def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Gradient of the form: per vertex, the sum of leave-one-out products."""
+    return _grad(x, *_grad_plan(edges))
+
+
+def ascent_loop(
     x: np.ndarray, edges: np.ndarray, max_iters: int, tol: float
 ) -> tuple[np.ndarray, float, int, float]:
-    """Growth-transform iterations; returns (x, value, iters, worst_gain)."""
+    """Growth-transform iterations; returns (x, value, iters, worst_gain).
+
+    Stops after max_iters steps, when a step gains less than tol (a
+    negative tol disables this stop), or when the gradient vanishes on
+    the support. value is eval_poly at the returned x.
+    """
+    flat, gathers = _grad_plan(edges)
+    r = edges.shape[1]
     x = x.copy()
-    val = eval_poly_numpy(x, edges)
+    g = _grad(x, flat, gathers)
+    denom = (x * g).sum()
+    val = denom / r
     worst = 0.0
     it = 0
-    while it < max_iters:
-        g = link_grad_numpy(x, edges)
-        xg = x * g
-        denom = xg.sum()
-        if denom <= 0.0:
-            break
-        x = xg / denom
+    while it < max_iters and denom > 0.0:
+        x = x * g / denom
         x /= x.sum()
-        new_val = eval_poly_numpy(x, edges)
+        g = _grad(x, flat, gathers)
+        denom = (x * g).sum()
+        new_val = denom / r
         gain = new_val - val
         worst = min(worst, gain)
         val = new_val
         it += 1
         if gain < tol:
             break
-    return x, val, it, worst
-
-
-# --- numba backend ---------------------------------------------------------
-# Same arithmetic, explicit loops; compiled lazily on first call.
-
-@njit(cache=True)
-def eval_poly_jit(x, edges):
-    s = 0.0
-    c = 0.0
-    for k in range(edges.shape[0]):
-        p = 1.0
-        for j in range(edges.shape[1]):
-            p *= x[edges[k, j]]
-        y = p - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-@njit(cache=True)
-def link_grad_jit(x, edges):
-    n = x.shape[0]
-    r = edges.shape[1]
-    out = np.zeros(n)
-    pre = np.empty(r)
-    suf = np.empty(r)
-    for k in range(edges.shape[0]):
-        pre[0] = 1.0
-        for j in range(1, r):
-            pre[j] = pre[j - 1] * x[edges[k, j - 1]]
-        suf[r - 1] = 1.0
-        for j in range(r - 2, -1, -1):
-            suf[j] = suf[j + 1] * x[edges[k, j + 1]]
-        for j in range(r):
-            out[edges[k, j]] += pre[j] * suf[j]
-    return out
-
-
-@njit(cache=True)
-def ascent_loop_jit(x, edges, max_iters, tol):
-    x = x.copy()
-    n = x.shape[0]
-    val = eval_poly_jit(x, edges)
-    worst = 0.0
-    it = 0
-    while it < max_iters:
-        g = link_grad_jit(x, edges)
-        denom = 0.0
-        for i in range(n):
-            denom += x[i] * g[i]
-        if denom <= 0.0:
-            break
-        s = 0.0
-        for i in range(n):
-            x[i] = x[i] * g[i] / denom
-            s += x[i]
-        for i in range(n):
-            x[i] /= s
-        new_val = eval_poly_jit(x, edges)
-        gain = new_val - val
-        if gain < worst:
-            worst = gain
-        val = new_val
-        it += 1
-        if gain < tol:
-            break
-    return x, val, it, worst
-
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    eval_poly = eval_poly_jit
-    link_grad = link_grad_jit
-    ascent_loop = ascent_loop_jit
-else:
-    BACKEND = "numpy"
-    eval_poly = eval_poly_numpy
-    link_grad = link_grad_numpy
-    ascent_loop = ascent_loop_numpy
+    return x, eval_poly(x, edges), it, worst

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 verified pass, 1 verified fail, 2 indeterminate or
-vacuous verdict, 3 usage error, 4 input/output error.  Identical
+vacuous verdict, 3 usage error, 4 input/output error, 5 internal error
+(a bug, never a verdict).  Identical
 configuration (flags plus LAGRANGIA_SEED) produces byte-identical
 structured output.
 """
@@ -51,6 +52,10 @@ EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
+
+# --parallelism above this many workers per core is a usage error
+MAX_WORKERS_PER_CPU = 4
 
 _VERDICT_EXIT = {
     "pass": EXIT_PASS,
@@ -87,6 +92,12 @@ class RunConfig:
             raise CliUsageError("tolerances must be positive")
         if self.verify.parallelism < 1:
             raise CliUsageError("parallelism must be at least 1")
+        limit = MAX_WORKERS_PER_CPU * (os.cpu_count() or 1)
+        if self.verify.parallelism > limit:
+            raise CliUsageError(
+                f"parallelism {self.verify.parallelism} exceeds {limit}"
+                f" ({MAX_WORKERS_PER_CPU} per cpu)"
+            )
 
 
 _VERIFIERS = {
@@ -469,6 +480,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

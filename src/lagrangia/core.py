@@ -310,6 +310,17 @@ def format_edge_list(g: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_header(r: int, n: int, m: int, lineno: int) -> tuple[int, int, int]:
+    # Bounded before any edge is read: vertex ids become bit shifts.
+    if r < 2:
+        raise EdgeListFormatError(f"uniformity r must be >= 2, got {r}", lineno)
+    if not r <= n <= MAX_VERTICES:
+        raise EdgeListFormatError(f"need {r} <= n <= {MAX_VERTICES}, got n={n}", lineno)
+    if not 0 <= m <= binomial(n, r):
+        raise EdgeListFormatError(f"need 0 <= m <= C({n}, {r}), got m={m}", lineno)
+    return r, n, m
+
+
 def parse_edge_list(text: str) -> Hypergraph:
     header: tuple[int, int, int] | None = None
     masks: dict[int, int] = {}  # mask -> first line seen
@@ -326,7 +337,7 @@ def parse_edge_list(text: str) -> Hypergraph:
         if header is None:
             if len(values) != 3:
                 raise EdgeListFormatError("header must be 'r n m'", lineno)
-            header = (values[0], values[1], values[2])
+            header = _check_header(*values, lineno)
             continue
         r, n, m = header
         if len(values) != r:

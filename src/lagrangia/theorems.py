@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -67,7 +68,8 @@ class VerifyOptions:
     the slack demanded before a strict inequality counts as confirmed;
     max_ground caps the ground-set size admitted to exhaustive
     enumeration; seed feeds per-instance optimizer seeds; parallelism
-    fans instances out over processes when greater than one.
+    fans instances out over processes when greater than one (capped at
+    the cpu count and the number of instances).
     """
 
     tol: float = 1e-7
@@ -213,14 +215,20 @@ def _solve_task(task: tuple[Hypergraph, OptOptions]) -> OptResult:
     return lagrangian(g, opt)
 
 
+def _pool_size(requested: int, tasks: int) -> int:
+    """Workers worth starting: no more than requested, cores, or tasks."""
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
+
+
 def _map_lagrangian(graphs: Sequence[Hypergraph], opts: VerifyOptions) -> list[OptResult]:
     tasks = [
         (g, replace(opts.opt, seed=_instance_seed(opts.seed, i)))
         for i, g in enumerate(graphs)
     ]
-    if opts.parallelism <= 1 or len(tasks) < 2:
+    workers = _pool_size(opts.parallelism, len(tasks))
+    if workers == 1:
         return [_solve_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=opts.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves input order, so merged reports stay deterministic
         return list(pool.map(_solve_task, tasks))
 

@@ -10,6 +10,7 @@ import pytest
 from lagrangia.cli import (
     EXIT_FAIL,
     EXIT_INDETERMINATE,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
@@ -19,6 +20,7 @@ from lagrangia.cli import (
     main,
     parse_args,
 )
+from lagrangia import _kernels
 from lagrangia.theorems import TheoremReport
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
@@ -238,6 +240,19 @@ def test_io_errors_exit_4(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
+    # An ascent that reports a decrease trips the monotonicity assertion.
+    def decreasing(x, edges, max_iters, tol):
+        return x.copy(), _kernels.eval_poly(x, edges), 1, -1e-3
+
+    monkeypatch.setattr(_kernels, "ascent_loop", decreasing)
+    code, out, err = run_main(capsys, "lagrangian", "--colex", "3", "13")
+    assert code == EXIT_INTERNAL
+    assert code != EXIT_FAIL
+    assert "internal error" in err and "decreased the objective" in err
+    assert out == ""
+
+
 def test_negative_tolerance_rejected(capsys):
     code, _, err = run_main(capsys, "verify", "pz18", "--t", "5", "--tol", "-1")
     assert code == EXIT_USAGE
@@ -315,6 +330,16 @@ def test_parse_args_builds_config():
 def test_parse_args_rejects_bad_parallelism():
     with pytest.raises(CliUsageError):
         parse_args(["verify", "pz18", "--t", "5", "--parallelism", "0"])
+
+
+def test_parse_args_bounds_parallelism_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    verify = ["verify", "pz18", "--t", "5"]
+    assert parse_args(verify).verify.parallelism == 2
+    assert parse_args(verify + ["--parallelism", "8"]).verify.parallelism == 8
+    for absurd in ("9", "100000000"):
+        with pytest.raises(CliUsageError, match="exceeds 8"):
+            parse_args(verify + ["--parallelism", absurd])
 
 
 # ------------------------------------------------------- determinism

@@ -293,3 +293,41 @@ class TestEdgeListFormat:
         n = rng.randint(3, 9)
         g = random_graph(rng, 3, n, min(m, binomial(n, 3)))
         assert parse_edge_list(format_edge_list(g)).edges == g.edges
+
+
+# Near-miss edge-list text: small and absurd integers, junk tokens,
+# comments and blank lines, so the fuzzer reaches the per-edge checks.
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["0", "64", "65", "10" * 30, "9" * 5000, "x", "1.5", "-", "#", "٣"]),
+)
+_LINES = st.lists(_TOKENS, max_size=6).map(" ".join)
+_EDGE_TEXT = st.lists(_LINES, max_size=12).map("\n".join)
+
+
+class TestEdgeListFuzz:
+    """Any text parses to a Hypergraph or raises EdgeListFormatError."""
+
+    @staticmethod
+    def check(text):
+        try:
+            g = parse_edge_list(text)
+        except EdgeListFormatError:
+            return
+        assert isinstance(g, Hypergraph)
+        assert parse_edge_list(format_edge_list(g)).edges == g.edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        self.check(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EDGE_TEXT)
+    def test_near_miss_text(self, text):
+        self.check(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2, 70), st.integers(-2, 70), st.integers(-2, 50), _EDGE_TEXT)
+    def test_any_header(self, r, n, m, body):
+        self.check(f"{r} {n} {m}\n{body}")

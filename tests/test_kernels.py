@@ -1,16 +1,13 @@
-"""Backend equivalence: the numba and numpy kernel paths must agree."""
+"""The numpy kernels against plain-Python sums over edges, and ascent invariants."""
 
-import os
+import math
 import random
-import subprocess
-import sys
+from itertools import combinations
 
 import numpy as np
-import pytest
 
 from lagrangia import _kernels
-from lagrangia.core import Hypergraph, binomial
-from itertools import combinations
+from lagrangia.core import binomial
 
 
 def random_case(rng, r, n, m):
@@ -20,72 +17,96 @@ def random_case(rng, r, n, m):
     return x / x.sum(), edges
 
 
+def cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        r = rng.randint(2, min(4, n))
+        yield random_case(rng, r, n, rng.randint(1, binomial(n, r)))
+
+
+def python_value(x, edges):
+    return math.fsum(math.prod(float(x[v]) for v in e) for e in edges.tolist())
+
+
+def python_grad(x, edges):
+    out = [[] for _ in range(x.shape[0])]
+    for e in edges.tolist():
+        for v in e:
+            out[v].append(math.prod(float(x[u]) for u in e if u != v))
+    return [math.fsum(terms) for terms in out]
+
+
 class TestBackendEquivalence:
+    """The numpy backend against a plain-Python reference."""
+
     def test_eval_matches(self):
-        rng = random.Random(61)
-        for _ in range(50):
-            n = rng.randint(3, 9)
-            r = rng.randint(2, min(4, n))
-            x, edges = random_case(rng, r, n, rng.randint(1, binomial(n, r)))
-            a = _kernels.eval_poly_numpy(x, edges)
-            b = _kernels.eval_poly_jit(x, edges)
-            assert abs(a - b) <= 1e-15
+        for x, edges in cases(61, 60):
+            assert abs(_kernels.eval_poly(x, edges) - python_value(x, edges)) <= 1e-15
 
     def test_grad_matches(self):
-        rng = random.Random(67)
-        for _ in range(50):
-            n = rng.randint(3, 9)
-            r = rng.randint(2, min(4, n))
-            x, edges = random_case(rng, r, n, rng.randint(1, binomial(n, r)))
-            a = _kernels.link_grad_numpy(x, edges)
-            b = _kernels.link_grad_jit(x, edges)
-            assert np.allclose(a, b, atol=1e-15, rtol=0)
+        for x, edges in cases(67, 60):
+            got = _kernels.link_grad(x, edges)
+            assert got.shape == x.shape
+            assert np.allclose(got, python_grad(x, edges), atol=1e-15, rtol=0)
+
+    def test_every_arity_and_size_covered(self):
+        seen = {(edges.shape[1], x.shape[0]) for x, edges in cases(67, 60)}
+        assert {r for r, _ in seen} == {2, 3, 4}
+        assert {n for _, n in seen} == set(range(3, 10))
 
     def test_ascent_matches(self):
-        rng = random.Random(71)
-        for _ in range(20):
-            n = rng.randint(3, 8)
-            x, edges = random_case(rng, 3, n, rng.randint(1, binomial(n, 3)))
-            xa, va, ia, wa = _kernels.ascent_loop_numpy(x.copy(), edges, 500, 1e-12)
-            xb, vb, ib, wb = _kernels.ascent_loop_jit(x.copy(), edges, 500, 1e-12)
-            assert ia == ib
-            assert abs(va - vb) <= 1e-13
-            assert np.allclose(xa, xb, atol=1e-13, rtol=0)
+        # Fixed-length runs (tol < 0 disables the gain stop) of the plain
+        # growth transform x_i <- x_i g_i / sum_j x_j g_j.
+        for x, edges in cases(71, 20):
+            xr, val, iters, _ = _kernels.ascent_loop(x, edges, 60, -1.0)
+            y = [float(v) for v in x]
+            for _ in range(60):
+                g = python_grad(np.asarray(y), edges)
+                denom = math.fsum(a * b for a, b in zip(y, g))
+                y = [a * b / denom for a, b in zip(y, g)]
+            assert iters == 60
+            assert np.allclose(xr, y, atol=1e-13, rtol=0)
+            assert abs(val - python_value(np.asarray(y), edges)) <= 1e-13
 
     def test_zero_weight_coordinates_stay_exact(self):
         # Leave-one-out products must not divide by a zero weight.
         x = np.array([0.5, 0.5, 0.0, 0.0])
         edges = np.asarray([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
-        for grad in (_kernels.link_grad_numpy, _kernels.link_grad_jit):
-            g = grad(x, edges)
-            assert g[2] == 0.25 and g[3] == 0.25
-            assert g[0] == 0.0 and g[1] == 0.0
+        g = _kernels.link_grad(x, edges)
+        assert g[2] == 0.25 and g[3] == 0.25
+        assert g[0] == 0.0 and g[1] == 0.0
 
     def test_empty_edge_set(self):
         x = np.array([0.5, 0.5])
         edges = np.empty((0, 2), dtype=np.int64)
-        assert _kernels.eval_poly_numpy(x, edges) == 0.0
-        assert _kernels.eval_poly_jit(x, edges) == 0.0
-        _, val, iters, worst = _kernels.ascent_loop_jit(x, edges, 100, 1e-12)
+        assert _kernels.eval_poly(x, edges) == 0.0
+        assert np.array_equal(_kernels.link_grad(x, edges), np.zeros(2))
+        _, val, iters, worst = _kernels.ascent_loop(x, edges, 100, 1e-12)
         assert val == 0.0 and iters == 0 and worst == 0.0
 
 
-class TestBackendSelection:
-    def test_active_backend_is_numba_here(self):
-        if os.environ.get("LAGRANGIA_NO_NUMBA", "").strip() in ("", "0"):
-            assert _kernels.BACKEND == "numba"
-            assert _kernels.HAS_NUMBA
+class TestAscentLoop:
+    def test_returns_value_of_returned_point(self):
+        for x, edges in cases(73, 30):
+            for tol in (1e-12, -1.0):
+                x0 = x.copy()
+                xr, val, iters, worst = _kernels.ascent_loop(x, edges, 500, tol)
+                assert np.array_equal(x, x0)  # the input is not modified
+                assert val == _kernels.eval_poly(xr, edges)
+                assert type(iters) is int and 0 <= iters <= 500
+                assert worst >= -1e-14
+                assert abs(xr.sum() - 1.0) <= 1e-12
 
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, LAGRANGIA_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from lagrangia import _kernels; print(_kernels.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+    def test_value_never_below_start(self):
+        for x, edges in cases(79, 30):
+            _, val, _, _ = _kernels.ascent_loop(x, edges, 500, 1e-12)
+            assert val >= _kernels.eval_poly(x, edges) - 1e-14
+
+    def test_negative_tol_runs_every_iteration(self):
+        for x, edges in cases(83, 10):
+            _, _, iters, _ = _kernels.ascent_loop(x, edges, 37, -1.0)
+            assert iters == 37
 
     def test_monotone_gain_tracking(self):
         rng = random.Random(73)

@@ -31,7 +31,8 @@ from lagrangia.theorems import (
     verify_theorem1,
     verify_theorem2,
 )
-from lagrangia.theorems import _clique_free_universe, _instance_seed
+from lagrangia import theorems
+from lagrangia.theorems import _clique_free_universe, _instance_seed, _pool_size
 
 FAST = VerifyOptions(opt=OptOptions(random_starts=2))
 
@@ -379,6 +380,18 @@ def test_parallel_matches_serial():
     serial = verify_pz18(5, FAST)
     parallel = verify_pz18(5, VerifyOptions(parallelism=2, opt=FAST.opt))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_pool_size_clamped_by_cpus_and_tasks(monkeypatch):
+    # Arithmetic only: no process pool is started.
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert _pool_size(64, 11) == 2
+    assert _pool_size(10**9, 11) == 2
+    assert _pool_size(64, 1) == 1
+    assert _pool_size(1, 11) == 1
+    assert _pool_size(2, 0) == 1
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert _pool_size(64, 11) == 1
 
 
 def test_seed_changes_report_seed_field_only_in_metadata():
