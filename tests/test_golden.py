@@ -1,0 +1,99 @@
+"""Golden report bytes for every verifier.
+
+Each case runs one verifier at its smallest valid t (seed 0,
+parallelism 1, two random starts) and compares ``to_json()`` with the
+file of the same name under ``tests/golden/``. The ``stub-`` cases
+replace the Lagrangian solver with a deterministic stand-in whose
+values break every solving claim, so each kind of violation,
+indeterminate and out-of-scope record is locked too.
+
+The files were written by the code before the verifiers were rebuilt
+over shared helpers; regenerate them only for a deliberate change of
+report bytes, with ``python tests/test_golden.py``.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lagrangia import theorems
+from lagrangia.lagrangian import DEFAULT_OPTIONS, OptResult
+
+GOLDEN = Path(__file__).parent / "golden"
+
+OPTS = theorems.VerifyOptions(
+    seed=0, parallelism=1, opt=replace(DEFAULT_OPTIONS, random_starts=2)
+)
+
+# name -> (verifier, positional arguments, VerifyOptions overrides)
+CASES = {
+    "colex-plateau-t5": (theorems.verify_colex_plateau, (5,), {}),
+    "theorem1-t5": (theorems.verify_theorem1, (5,), {}),
+    "theorem1-t5-margin1": (theorems.verify_theorem1, (5,), {"margin": 1.0}),
+    "pz18-t5": (theorems.verify_pz18, (5,), {}),
+    "tal9-t4": (theorems.lemma_tal9_audit, (4,), {}),
+    "theorem2-t6": (theorems.verify_theorem2, (6,), {}),
+    "corollary-t6": (theorems.verify_corollary, (6,), {}),
+    "k4-t4": (theorems.proposition_k4_check, (4,), {}),
+    "bp-t3-p4": (theorems.bp_check, (3, 4), {}),
+    "theorem43-t5-a1": (theorems.theorem43_check, (5, 1), {}),
+    "lemmaeq-t6": (theorems.lemmaeq_dichotomy_audit, (6,), {}),
+    "witness-r3-t5": (theorems.witness_report, (3, 5), {}),
+}
+
+# Solving verifiers under the stub, at t where it yields violations.
+STUB_CASES = {
+    "stub-colex-plateau-t5": (theorems.verify_colex_plateau, (5,), {}),
+    "stub-theorem1-t5": (theorems.verify_theorem1, (5,), {}),
+    "stub-pz18-t5": (theorems.verify_pz18, (5,), {}),
+    "stub-tal9-t5": (theorems.lemma_tal9_audit, (5,), {}),
+    "stub-theorem2-t8": (theorems.verify_theorem2, (8,), {}),
+    "stub-theorem43-t7-a1": (theorems.theorem43_check, (7, 1), {}),
+    "stub-lemmaeq-t6": (theorems.lemmaeq_dichotomy_audit, (6,), {}),
+}
+
+
+def stub_lagrangian(g, opts=None):
+    """Weight 1/2 on vertex 1, the rest spread over the other non-isolated
+    vertices, and a value no claim survives."""
+    others = [v for v in g.non_isolated() if v != 1]
+    x = np.zeros(g.n)
+    x[0] = 0.5 if others else 1.0
+    for v in others:
+        x[v - 1] = 0.5 / len(others)
+    return OptResult(
+        value=0.5 + (sum(g.edges) % 7) / 100,
+        weighting=x,
+        support=(1, *others),
+        kkt_residual=0.0,
+        edge_cover_ok=True,
+        method="stub",
+        iterations=0,
+    )
+
+
+def _report_json(case) -> str:
+    verifier, args, overrides = case
+    return verifier(*args, replace(OPTS, **overrides)).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    assert _report_json(CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(STUB_CASES))
+def test_stub_report_matches_golden(name, monkeypatch):
+    monkeypatch.setattr(theorems, "lagrangian", stub_lagrangian)
+    assert _report_json(STUB_CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, case in sorted(CASES.items()):
+        (GOLDEN / f"{name}.json").write_text(_report_json(case))
+    theorems.lagrangian = stub_lagrangian
+    for name, case in sorted(STUB_CASES.items()):
+        (GOLDEN / f"{name}.json").write_text(_report_json(case))
