@@ -165,18 +165,19 @@ def _kkt_residual(
     return float(np.max(np.abs(grad[mask] - target)))
 
 
-def _pairs_covered(g: Hypergraph, support: Sequence[int]) -> bool:
-    """Whether every support pair lies inside some edge."""
-    needed = {frozenset(p) for p in combinations(sorted(support), 2)}
-    if not needed:
-        return True
+def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, int] | None:
+    """The first support pair, in lexicographic order, inside no edge.
+
+    One pass over the edges, discarding the pairs each edge covers.
+    """
+    ordered = sorted(support)
+    needed = set(combinations(ordered, 2))
     for edge_bits in g.edges:
-        verts = [v for v in support if edge_bits >> (v - 1) & 1]
-        for p in combinations(verts, 2):
-            needed.discard(frozenset(p))
         if not needed:
-            return True
-    return False
+            return None
+        verts = [v for v in ordered if edge_bits >> (v - 1) & 1]
+        needed.difference_update(combinations(verts, 2))
+    return min(needed, default=None)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -296,7 +297,7 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
         weighting=x,
         support=support,
         kkt_residual=_kkt_residual(x, edges, value, g.r),
-        edge_cover_ok=_pairs_covered(g, support),
+        edge_cover_ok=_find_uncovered_pair(g, support) is None,
         method="ascent",
         iterations=total_iters,
     )
@@ -334,14 +335,6 @@ def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResul
         res = ascend(g, x0, opts)
         best = res if best is None else _better(best, res)
     return best
-
-
-def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, int] | None:
-    for i, j in combinations(sorted(support), 2):
-        bits = (1 << (i - 1)) | (1 << (j - 1))
-        if not any(mask & bits == bits for mask in g.edges):
-            return i, j
-    return None
 
 
 def minimize_support(
@@ -421,7 +414,7 @@ def _closed_form_result(g: Hypergraph, value: float, support: Sequence[int]) -> 
         weighting=x,
         support=support,
         kkt_residual=_kkt_residual(x, edges, value, g.r) if support else 0.0,
-        edge_cover_ok=_pairs_covered(g, support),
+        edge_cover_ok=_find_uncovered_pair(g, support) is None,
         method="closed-form",
         iterations=0,
     )
@@ -491,7 +484,7 @@ def certify(g: Hypergraph, res: OptResult, tol: float = 1e-8) -> CertificateRepo
     for i in support:
         residual = max(residual, abs(link_value(g, i, x) - g.r * value))
     kkt_ok = residual <= tol
-    cover_ok = _pairs_covered(g, support)
+    cover_ok = _find_uncovered_pair(g, support) is None
     lc = is_left_compressed(g)
     monotone_ok = None
     difference_ok = None

@@ -126,18 +126,24 @@ def _initial_segment_clique(g: Hypergraph, t: int) -> bool:
     )
 
 
-def _max_clique_size(g: Hypergraph, stop_at: int | None = None) -> int:
-    """Branch-and-bound maximum clique; stops early at ``stop_at``.
+def _max_cliques(
+    g: Hypergraph, stop_at: int | None = None
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Branch-and-bound clique number and every maximum clique, ascending.
 
     A clique of size k extends by vertex v only if every (r-1)-subset
     of the clique forms an edge with v, which is an O(1) bitmask lookup
-    per subset.
+    per subset. A branch is cut only when it cannot reach the best size,
+    so ties are visited too; depth-first order over ascending candidates
+    meets equal-size cliques in lexicographic order. Stops early once
+    the best size reaches ``stop_at``.
     """
     r = g.r
     edges = g.edges
     best = r - 1
+    found: list[tuple[int, ...]] = []
     if not edges:
-        return best
+        return best, found
     verts = list(g.non_isolated())
 
     def can_extend(clique: tuple[int, ...], v: int) -> bool:
@@ -147,13 +153,15 @@ def _max_clique_size(g: Hypergraph, stop_at: int | None = None) -> int:
         return all(edge_mask(sub) | bit in edges for sub in combinations(clique, r - 1))
 
     def rec(clique: tuple[int, ...], cands: list[int]) -> bool:
-        nonlocal best
+        nonlocal best, found
         if len(clique) > best:
-            best = len(clique)
+            best, found = len(clique), [clique]
             if stop_at is not None and best >= stop_at:
                 return True
+        elif len(clique) == best:
+            found.append(clique)
         for idx, v in enumerate(cands):
-            if len(clique) + (len(cands) - idx) <= best:
+            if len(clique) + (len(cands) - idx) < best:
                 break
             grown = clique + (v,)
             nxt = [w for w in cands[idx + 1 :] if can_extend(grown, w)]
@@ -162,25 +170,17 @@ def _max_clique_size(g: Hypergraph, stop_at: int | None = None) -> int:
         return False
 
     rec((), verts)
-    return best
+    return best, found
 
 
 def clique_number(g: Hypergraph) -> int:
     """Largest t with every r-subset of some t-set present; r-1 if no edges."""
-    return _max_clique_size(g)
+    return _max_cliques(g)[0]
 
 
 def maximum_cliques(g: Hypergraph) -> list[tuple[int, ...]]:
     """All vertex sets attaining the clique number, ascending; [] if no edges."""
-    if not g.edges:
-        return []
-    size = _max_clique_size(g)
-    verts = g.non_isolated()
-    out = []
-    for sub in combinations(verts, size):
-        if all(edge_mask(c) in g.edges for c in combinations(sub, g.r)):
-            out.append(sub)
-    return out
+    return _max_cliques(g)[1]
 
 
 def contains_clique(g: Hypergraph, t: int) -> bool:
@@ -196,7 +196,7 @@ def contains_clique(g: Hypergraph, t: int) -> bool:
         return False
     if is_left_compressed(g):
         return _initial_segment_clique(g, t)
-    return _max_clique_size(g, stop_at=t) >= t
+    return _max_cliques(g, stop_at=t)[0] >= t
 
 
 # ---------------------------------------------------------------------------

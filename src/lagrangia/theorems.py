@@ -18,8 +18,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, groupby
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -166,8 +166,8 @@ def _make_report(
     search_space: str,
     opts: VerifyOptions,
     instances: int,
-    violations: list[dict],
-    indeterminate: list[dict],
+    violations: Sequence[dict] = (),
+    indeterminate: Sequence[dict] = (),
     *,
     vacuous: bool = False,
     notes: Iterable[str] = (),
@@ -220,21 +220,47 @@ def _pool_size(requested: int, tasks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
-def _map_lagrangian(graphs: Sequence[Hypergraph], opts: VerifyOptions) -> list[OptResult]:
+def _left_compressed(
+    t: int,
+    ms: Iterable[int],
+    keep: Callable[[Hypergraph], bool] | None = None,
+    universe: Sequence[Edge] | None = None,
+) -> list[tuple[int, Hypergraph]]:
+    """(m, g) for every left-compressed 3-graph on [t] with m in ms (and
+    inside universe, when given) that keep accepts, in enumeration order."""
+    return [
+        (m, g)
+        for m in ms
+        for g in enumerate_left_compressed(t, 3, m, universe=universe)
+        if keep is None or keep(g)
+    ]
+
+
+def _map_lagrangian(
+    instances: Sequence[tuple[int, Hypergraph]], opts: VerifyOptions
+) -> list[tuple[int, Hypergraph, OptResult]]:
+    """Solve each (m, g); instance i is seeded from (opts.seed, i)."""
     tasks = [
         (g, replace(opts.opt, seed=_instance_seed(opts.seed, i)))
-        for i, g in enumerate(graphs)
+        for i, (_, g) in enumerate(instances)
     ]
     workers = _pool_size(opts.parallelism, len(tasks))
     if workers == 1:
-        return [_solve_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves input order, so merged reports stay deterministic
-        return list(pool.map(_solve_task, tasks))
+        results = [_solve_task(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map preserves input order, so merged reports stay deterministic
+            results = list(pool.map(_solve_task, tasks))
+    return [(m, g, res) for (m, g), res in zip(instances, results)]
 
 
 def _edge_record(g: Hypergraph) -> list[list[int]]:
     return [list(e) for e in g.edge_list()]
+
+
+def _entry(m: int, g: Hypergraph, res: OptResult, **fields) -> dict:
+    """A per-instance record: edge count, edges, solved value, and fields."""
+    return {"m": m, "edges": _edge_record(g), "value": res.value, **fields}
 
 
 def plateau_range(t: int) -> ParamRange:
@@ -262,31 +288,26 @@ def verify_colex_plateau(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     rng = plateau_range(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
-    graphs = [colex_graph(3, m) for m in rng.m_values()]
-    results = _map_lagrangian(graphs, opts)
-    violations: list[dict] = []
-    values = []
-    for m, res in zip(rng.m_values(), results):
-        err = abs(res.value - tf)
-        values.append([m, res.value])
-        if err > opts.tol:
-            violations.append(
-                {
-                    "m": m,
-                    "value": res.value,
-                    "target": tf,
-                    "abs_error": err,
-                    "kkt_residual": res.kkt_residual,
-                }
-            )
+    solved = _map_lagrangian([(m, colex_graph(3, m)) for m in rng.m_values()], opts)
+    violations = [
+        {
+            "m": m,
+            "value": res.value,
+            "target": tf,
+            "abs_error": abs(res.value - tf),
+            "kkt_residual": res.kkt_residual,
+        }
+        for m, _, res in solved
+        if abs(res.value - tf) > opts.tol
+    ]
+    values = [[m, res.value] for m, _, res in solved]
     return _make_report(
         "colex-plateau",
         {"t": t, "m_low": rng.m_low, "m_high": rng.m_high},
         f"colex 3-graphs with m in [{rng.m_low}, {rng.m_high}]",
         opts,
-        len(graphs),
+        len(solved),
         violations,
-        [],
         notes=(f"target {target} shared by every m in the range",),
         extras={"target_exact": str(target), "values": values},
     )
@@ -313,30 +334,18 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     _check_ground(t, opts)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
-    kept: list[tuple[int, Hypergraph]] = []
-    for m in rng.m_values():
-        for g in enumerate_left_compressed(t, 3, m):
-            if not contains_clique(g, t - 1):
-                kept.append((m, g))
-    results = _map_lagrangian([g for _, g in kept], opts)
+    solved = _map_lagrangian(
+        _left_compressed(t, rng.m_values(), lambda g: not contains_clique(g, t - 1)),
+        opts,
+    )
     violations: list[dict] = []
     indeterminate: list[dict] = []
-    closest = None
-    for (m, g), res in zip(kept, results):
+    for m, g, res in solved:
         label = _classify_strict_below(res.value, tf, opts.margin)
-        gap = tf - res.value
-        if closest is None or gap < closest:
-            closest = gap
-        if label == "ok":
-            continue
-        entry = {
-            "m": m,
-            "edges": _edge_record(g),
-            "value": res.value,
-            "target": tf,
-            "kkt_residual": res.kkt_residual,
-        }
-        (violations if label == "violation" else indeterminate).append(entry)
+        if label != "ok":
+            entry = _entry(m, g, res, target=tf, kkt_residual=res.kkt_residual)
+            (violations if label == "violation" else indeterminate).append(entry)
+    closest = min((tf - res.value for _, _, res in solved), default=None)
     return _make_report(
         "theorem1",
         {"t": t, "m_low": rng.m_low, "m_high": rng.m_high},
@@ -345,7 +354,7 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
             f" [{rng.m_low}, {rng.m_high}] and no {t - 1}-clique"
         ),
         opts,
-        len(kept),
+        len(solved),
         violations,
         indeterminate,
         notes=(
@@ -366,27 +375,17 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     _check_ground(t, opts)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
-    kept: list[tuple[int, Hypergraph]] = []
-    for m in rng.m_values():
-        for g in enumerate_left_compressed(t, 3, m):
-            if contains_clique(g, t - 1):
-                kept.append((m, g))
-    results = _map_lagrangian([g for _, g in kept], opts)
+    solved = _map_lagrangian(
+        _left_compressed(t, rng.m_values(), lambda g: contains_clique(g, t - 1)), opts
+    )
     violations: list[dict] = []
     worst = 0.0
-    for (m, g), res in zip(kept, results):
+    for m, g, res in solved:
         err = abs(res.value - tf)
         worst = max(worst, err)
         if err > opts.tol:
             violations.append(
-                {
-                    "m": m,
-                    "edges": _edge_record(g),
-                    "value": res.value,
-                    "target": tf,
-                    "abs_error": err,
-                    "kkt_residual": res.kkt_residual,
-                }
+                _entry(m, g, res, target=tf, abs_error=err, kkt_residual=res.kkt_residual)
             )
     return _make_report(
         "pz18",
@@ -396,9 +395,8 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
             f" [{rng.m_low}, {rng.m_high}] containing a {t - 1}-clique"
         ),
         opts,
-        len(kept),
+        len(solved),
         violations,
-        [],
         extras={"target_exact": str(target), "worst_abs_error": worst},
     )
 
@@ -481,21 +479,13 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
         raise ValueError("need t >= 4")
     _check_ground(t, opts)
     total = binomial(t, 3)
-    all_graphs: list[tuple[int, Hypergraph]] = []
-    for m in range(1, total + 1):
-        for g in enumerate_left_compressed(t, 3, m):
-            all_graphs.append((m, g))
-    results = _map_lagrangian([g for _, g in all_graphs], opts)
-    by_m: dict[int, list[tuple[Hypergraph, OptResult]]] = {}
-    for (m, g), res in zip(all_graphs, results):
-        by_m.setdefault(m, []).append((g, res))
-
+    solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []
     audited = 0
     small_support = 0
     maxima = []
-    for m in range(1, total + 1):
-        batch = by_m[m]
+    for m, group in groupby(solved, key=lambda s: s[0]):
+        batch = [(g, res) for _, g, res in group]
         vmax = max(res.value for _, res in batch)
         maxima.append([m, vmax])
         for g, res in batch:
@@ -512,15 +502,7 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
             cap = math.ceil(Fraction(b) * (1 + Fraction(k - b - 2, k - 3)))
             if deficiency > cap:
                 violations.append(
-                    {
-                        "m": m,
-                        "edges": _edge_record(g),
-                        "k": k,
-                        "b": b,
-                        "deficiency": deficiency,
-                        "cap": cap,
-                        "value": res.value,
-                    }
+                    _entry(m, g, res, k=k, b=b, deficiency=deficiency, cap=cap)
                 )
     return _make_report(
         "tal9",
@@ -529,7 +511,6 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
         opts,
         audited,
         violations,
-        [],
         notes=(
             f"{small_support} maximal instances had minimal support inside [3]"
             " and fall outside the statement",
@@ -563,6 +544,12 @@ def _clique_free_universe(t: int, s: int) -> list[Edge]:
     ]
 
 
+def _clique_free_class(t: int, s: int) -> list[tuple[int, Hypergraph]]:
+    """(m, g) for every left-compressed 3-graph on [t] without an s-clique."""
+    universe = _clique_free_universe(t, s)
+    return _left_compressed(t, range(len(universe) + 1), universe=universe)
+
+
 def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     """Check the Lagrangian cap on left-compressed 3-graphs with clique
     number below floor((t - 2)/2).
@@ -588,47 +575,26 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
             " (the empty graph already has clique number 2); no instances"
         )
     else:
-        universe = _clique_free_universe(t, s)
-        graphs = [
-            g
-            for m in range(0, len(universe) + 1)
-            for g in enumerate_left_compressed(t, 3, m, universe=universe)
+        graphs = _clique_free_class(t, s)
+        if any(clique_number(g) >= s for _, g in graphs):
+            raise AssertionError("restricted universe leaked a clique")
+        solved = _map_lagrangian(graphs, opts)
+        instances = len(solved)
+        violations = [
+            _entry(m, g, res, bound=bf) for m, g, res in solved if res.value > bf + opts.tol
         ]
-        for g in graphs:
-            if clique_number(g) >= s:
-                raise AssertionError("restricted universe leaked a clique")
-        results = _map_lagrangian(graphs, opts)
-        instances = len(graphs)
-        worst = 0.0
-        for g, res in zip(graphs, results):
-            worst = max(worst, res.value)
-            if res.value > bf + opts.tol:
-                violations.append(
-                    {
-                        "m": g.m,
-                        "edges": _edge_record(g),
-                        "value": res.value,
-                        "bound": bf,
-                    }
-                )
-        extras["max_value_in_class"] = worst
-        if all(g.m == 0 for g in graphs):
+        extras["max_value_in_class"] = max([0.0] + [res.value for _, _, res in solved])
+        if all(m == 0 for m, _ in graphs):
             vacuous = True
             notes.append(
                 f"only the edgeless graph has clique number below {s}"
                 f" on [{t}]; the cap holds but bites nothing"
             )
     # Diagnostic: how does the 4-clique-free class compare to the cap?
-    diag_universe = _clique_free_universe(t, 4)
-    diag_graphs = [
-        g
-        for m in range(0, len(diag_universe) + 1)
-        for g in enumerate_left_compressed(t, 3, m, universe=diag_universe)
-    ]
-    diag_results = _map_lagrangian(diag_graphs, opts)
-    diag_max = max(res.value for res in diag_results)
+    diagnostic = _map_lagrangian(_clique_free_class(t, 4), opts)
+    diag_max = max(res.value for _, _, res in diagnostic)
     extras["diagnostic_omega_below_4"] = {
-        "instances": len(diag_graphs),
+        "instances": len(diagnostic),
         "max_value": diag_max,
         "bound": bf,
         "holds": diag_max <= bf + opts.tol,
@@ -644,7 +610,6 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
         opts,
         instances,
         violations,
-        [],
         vacuous=vacuous,
         notes=notes,
         extras=extras,
@@ -680,21 +645,19 @@ def verify_corollary(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
             f"forced clique order {s} is at most the edge arity, so any"
             " graph with an edge satisfies it; the check is structural only"
         )
-    violations: list[dict] = []
-    instances = 0
-    for m in range(m_min, total + 1):
-        for g in enumerate_left_compressed(t, 3, m):
-            instances += 1
-            if not _omega_at_least(g, s):
-                violations.append({"m": m, "edges": _edge_record(g), "required": s})
+    graphs = _left_compressed(t, range(m_min, total + 1))
+    violations = [
+        {"m": m, "edges": _edge_record(g), "required": s}
+        for m, g in graphs
+        if not _omega_at_least(g, s)
+    ]
     return _make_report(
         "corollary",
         {"t": t, "clique_order": s, "m_min": m_min, "m_max": total},
         f"left-compressed 3-graphs on [{t}] with m >= {m_min}",
         opts,
-        instances,
+        len(graphs),
         violations,
-        [],
         vacuous=m_min > total,
         notes=notes,
         extras={"threshold_exact": str(threshold), "threshold": float(threshold)},
@@ -716,33 +679,25 @@ def proposition_k4_check(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
         raise ValueError("need t >= 4")
     _check_ground(t, opts)
     cap = Fraction(2 * t**3, 27)
-    universe = _clique_free_universe(t, 4)
+    graphs = _clique_free_class(t, 4)
     violations: list[dict] = []
-    instances = 0
-    max_m = 0
-    for m in range(0, len(universe) + 1):
-        for g in enumerate_left_compressed(t, 3, m, universe=universe):
-            instances += 1
-            max_m = max(max_m, g.m)
-            problems = []
-            if g.m > cap:
-                problems.append("edge count exceeds the cap")
-            if clique_number(g) >= 4:
-                problems.append("graph contains a 4-clique")
-            if any(e[0] != 1 for e in g.edge_list()):
-                problems.append("an edge misses vertex 1")
-            if problems:
-                violations.append(
-                    {"m": g.m, "edges": _edge_record(g), "problems": problems}
-                )
+    for m, g in graphs:
+        problems = []
+        if m > cap:
+            problems.append("edge count exceeds the cap")
+        if clique_number(g) >= 4:
+            problems.append("graph contains a 4-clique")
+        if any(e[0] != 1 for e in g.edge_list()):
+            problems.append("an edge misses vertex 1")
+        if problems:
+            violations.append({"m": m, "edges": _edge_record(g), "problems": problems})
     return _make_report(
         "k4",
         {"t": t},
         f"left-compressed 3-graphs on [{t}] without a 4-clique",
         opts,
-        instances,
+        len(graphs),
         violations,
-        [],
         notes=(
             "edges missing vertex 1 would dominate {2,3,4} and force the"
             " complete 3-graph on [4], so the enumerated star class is the"
@@ -751,8 +706,8 @@ def proposition_k4_check(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
         extras={
             "cap_exact": str(cap),
             "cap": float(cap),
-            "max_edges_observed": max_m,
-            "universe_size": len(universe),
+            "max_edges_observed": max(m for m, _ in graphs),
+            "universe_size": len(_clique_free_universe(t, 4)),
         },
     )
 
@@ -806,7 +761,6 @@ def bp_check(t: int, p: int = 4, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
         opts,
         1,
         violations,
-        [],
         notes=(
             "compression preserves edge count and clique-freeness, so the"
             " densest left-compressed representative settles the bound",
@@ -826,25 +780,15 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
     _check_ground(t, opts)
     m = binomial(t - 1, 3) + binomial(t - 2, 2) + a
     cap = Fraction(2 * t + 3 * a - 4, 5)
-    kept = [
-        g
-        for g in enumerate_left_compressed(t, 3, m)
-        if contains_clique(g, t - 1) and len(pair_link(g, t - 1, t)) <= cap
+    kept = _left_compressed(
+        t, [m], lambda g: contains_clique(g, t - 1) and len(pair_link(g, t - 1, t)) <= cap
+    )
+    (_, _, target), *solved = _map_lagrangian([(m, colex_graph(3, m))] + kept, opts)
+    violations = [
+        _entry(m, g, res, target=target.value, excess=res.value - target.value)
+        for m, g, res in solved
+        if res.value > target.value + opts.tol
     ]
-    results = _map_lagrangian([colex_graph(3, m)] + kept, opts)
-    target = results[0]
-    violations: list[dict] = []
-    for g, res in zip(kept, results[1:]):
-        if res.value > target.value + opts.tol:
-            violations.append(
-                {
-                    "m": m,
-                    "edges": _edge_record(g),
-                    "value": res.value,
-                    "target": target.value,
-                    "excess": res.value - target.value,
-                }
-            )
     return _make_report(
         "theorem43",
         {"t": t, "a": a, "m": m},
@@ -856,7 +800,6 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         opts,
         len(kept),
         violations,
-        [],
         vacuous=not kept,
         notes=("the colex target value is itself a certified numeric maximum",),
         extras={
@@ -881,17 +824,12 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
     bound = float(theorem2_bound(t))
     _check_ground(t, opts)
     total = binomial(t, 3)
-    graphs = [
-        g
-        for m in range(1, total + 1)
-        for g in enumerate_left_compressed(t, 3, m)
-    ]
-    results = _map_lagrangian(graphs, opts)
+    solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []
     logged: list[dict] = []
     branch_counts = {"spread": 0, "capped": 0, "both": 0}
     zero_tail = 0
-    for g, res in zip(graphs, results):
+    for m, g, res in solved:
         ws = sorted((float(w) for w in res.weighting), reverse=True)
         x1 = ws[0]
         xa = ws[t - 4]  # x_{t-3}, 1-indexed
@@ -907,15 +845,7 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         elif capped_ok:
             branch_counts["capped"] += 1
         else:
-            entry = {
-                "m": g.m,
-                "edges": _edge_record(g),
-                "x1": x1,
-                "x_t_minus_3": xa,
-                "x_t_minus_2": xb,
-                "value": res.value,
-                "bound": bound,
-            }
+            entry = _entry(m, g, res, x1=x1, x_t_minus_3=xa, x_t_minus_2=xb, bound=bound)
             if xb == 0.0:
                 logged.append(entry)
             else:
@@ -933,9 +863,8 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         {"t": t, "m_low": 1, "m_high": total},
         f"left-compressed 3-graphs on [{t}], every nonempty m",
         opts,
-        len(graphs),
+        len(solved),
         violations,
-        [],
         notes=notes,
         extras={
             "bound_exact": str(theorem2_bound(t)),
@@ -953,28 +882,23 @@ def witness_report(r: int, t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theo
     failure to exceed the target surfaces as a violation instead of an
     exception so the report stream stays uniform.
     """
-    space = "explicit crown-plus-spike construction, exact arithmetic"
+    violations: list[dict] = []
+    notes: tuple[str, ...] = ()
+    extras: dict = {}
     try:
         w = counterexample_witness(r, t)
     except ArithmeticError as exc:
-        return _make_report(
-            "witness",
-            {"r": r, "t": t},
-            space,
-            opts,
-            1,
-            [{"reason": str(exc)}],
-            [],
-        )
-    note = f"{float(w.value)} > {float(w.target)} (exact: {w.value} > {w.target})"
+        violations.append({"reason": str(exc)})
+    else:
+        notes = (f"{float(w.value)} > {float(w.target)} (exact: {w.value} > {w.target})",)
+        extras["witness"] = w.to_record()
     return _make_report(
         "witness",
         {"r": r, "t": t},
-        space,
+        "explicit crown-plus-spike construction, exact arithmetic",
         opts,
         1,
-        [],
-        [],
-        notes=(note,),
-        extras={"witness": w.to_record()},
+        violations,
+        notes=notes,
+        extras=extras,
     )
