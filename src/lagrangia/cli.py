@@ -30,7 +30,13 @@ from .core import (
     load_edge_list,
 )
 from .lagrangian import OptOptions, certify, lagrangian
-from .structure import clique_number, compress, enumerate_left_compressed, maximum_cliques
+from .structure import (
+    clique_number,
+    compress,
+    count_left_compressed,
+    enumerate_left_compressed,
+    maximum_cliques,
+)
 from .theorems import (
     DEFAULT_VERIFY,
     VerifyOptions,
@@ -391,15 +397,19 @@ def _cmd_enumerate(config: RunConfig) -> int:
             f"ground set [{t}] exceeds the enumeration guard"
             f" (max_ground={config.verify.max_ground})"
         )
-    graphs = list(enumerate_left_compressed(t, r, m))
+    if config.count_only:
+        graphs, count = None, count_left_compressed(t, r, m)
+    else:
+        graphs = list(enumerate_left_compressed(t, r, m))
+        count = len(graphs)
     if config.fmt == "json":
         rec = _meta(config)
-        rec.update({"t": t, "r": r, "m": m, "count": len(graphs)})
-        if not config.count_only:
+        rec.update({"t": t, "r": r, "m": m, "count": count})
+        if graphs is not None:
             rec["graphs"] = [[list(e) for e in g.edge_list()] for g in graphs]
         _emit(config, _json_dump(rec))
-    elif config.count_only:
-        _emit(config, f"{len(graphs)}\n")
+    elif graphs is None:
+        _emit(config, f"{count}\n")
     else:
         _emit(config, "\n".join(format_edge_list(g) for g in graphs))
     return EXIT_PASS

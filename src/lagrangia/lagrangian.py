@@ -394,7 +394,11 @@ def motzkin_straus(g: Hypergraph) -> Fraction:
         raise ValueError(f"closed form requires a 2-graph, got r={g.r}")
     if not g.edges:
         return Fraction(0)
-    w = clique_number(g)
+    return _motzkin_straus_value(clique_number(g))
+
+
+def _motzkin_straus_value(w: int) -> Fraction:
+    """(1/2)(1 - 1/w), the Lagrangian of a 2-graph with clique number w."""
     return Fraction(w - 1, 2 * w)
 
 
@@ -431,8 +435,9 @@ def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
     if not g.edges:
         return _closed_form_result(g, 0.0, ())
     if g.r == 2:
+        # One clique search gives both the support and the clique number.
         clique = min(maximum_cliques(g))
-        return _closed_form_result(g, float(motzkin_straus(g)), clique)
+        return _closed_form_result(g, float(_motzkin_straus_value(len(clique))), clique)
     active = g.non_isolated()
     if g.m == binomial(len(active), g.r):
         value = float(complete_lagrangian(len(active), g.r))

@@ -6,20 +6,26 @@ coordinatewise dominance order on sorted r-sets, so enumeration is ideal
 (down-set) enumeration and the membership test only needs to look one
 cover step down: covers in dominance order are single-coordinate
 decrements by 1.
+
+The hot paths work on the edge bitmasks a ``Hypergraph`` stores (bit
+v-1 for vertex v). A cover step lowers one set bit whose lower
+neighbour is clear, so the edges one step below ``mask`` are
+``mask ^ bit ^ (bit >> 1)`` for each ``bit`` of
+``mask & ~(mask << 1) & ~1``. A left-compressed graph spans a t-clique
+exactly when it holds the top r-set {t-r+1, ..., t} of [t], which
+dominates every r-subset of [t].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import (
     Edge,
     Hypergraph,
-    binomial,
     colex_key,
-    colex_rank,
     edge_mask,
     mask_to_edge,
 )
@@ -48,13 +54,18 @@ def is_left_compressed(g: Hypergraph) -> bool:
     """Whether every set dominated by an edge is itself an edge.
 
     Checking cover predecessors suffices: a family closed one step down
-    is closed all the way down.
+    is closed all the way down. Each ``bit`` of ``movable`` is a vertex
+    whose lower neighbour is free (vertex 1 never moves); lowering it
+    gives one cover predecessor.
     """
     edges = g.edges
     for mask in edges:
-        for pred in _cover_predecessors(mask_to_edge(mask)):
-            if edge_mask(pred) not in edges:
+        movable = mask & ~(mask << 1) & ~1
+        while movable:
+            bit = movable & -movable
+            if mask ^ bit ^ (bit >> 1) not in edges:
                 return False
+            movable ^= bit
     return True
 
 
@@ -115,15 +126,6 @@ def compress(g: Hypergraph) -> tuple[Hypergraph, CompressionTrace]:
                 changed = True
     out = Hypergraph(g.r, g.n, frozenset(edges))
     return out, CompressionTrace(tuple(steps), fixed_point=not steps)
-
-
-def _initial_segment_clique(g: Hypergraph, t: int) -> bool:
-    """Whether [t] spans a complete subgraph."""
-    if t > g.n:
-        return False
-    return all(
-        edge_mask(c) in g.edges for c in combinations(range(1, t + 1), g.r)
-    )
 
 
 def _max_cliques(
@@ -187,15 +189,17 @@ def contains_clique(g: Hypergraph, t: int) -> bool:
     """Whether the clique number is at least t.
 
     For a left-compressed graph any clique shifts onto an initial
-    segment, so testing [t] alone is definitive; otherwise falls back
-    to branch-and-bound with early exit.
+    segment, and [t] is a clique exactly when its top r-set
+    {t-r+1, ..., t} is an edge, since that set dominates every r-subset
+    of [t]: one bitmask lookup. Otherwise falls back to branch-and-bound
+    with early exit.
     """
     if t < g.r:
         raise ValueError(f"need t >= r, got t={t}, r={g.r}")
     if t > g.n:
         return False
     if is_left_compressed(g):
-        return _initial_segment_clique(g, t)
+        return ((1 << t) - 1) ^ ((1 << (t - g.r)) - 1) in g.edges
     return _max_cliques(g, stop_at=t)[0] >= t
 
 
@@ -227,27 +231,73 @@ def _cover_masks(elements: list[Edge]) -> list[int]:
 
 
 def _ideals(preds: list[int], m: int) -> Iterator[int]:
-    """Chosen-index bitmasks of all m-element down-sets, in DFS order."""
+    """Chosen-index bitmasks of all m-element down-sets, in DFS order.
+
+    Elements are picked in increasing index order. ``avail`` holds the
+    unchosen elements above the last pick whose predecessors are all
+    chosen; picking j can admit only covers of j, so the frontier grows
+    from ``succs[j]`` instead of a rescan of every later element.
+    """
     if m == 0:
         yield 0
         return
     n = len(preds)
+    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, pm in enumerate(preds):
+        for j in _set_bits(pm):
+            succs[j].append((1 << k, pm))
+    roots = sum(1 << j for j, pm in enumerate(preds) if not pm)
 
-    def rec(start: int, chosen: int, need: int) -> Iterator[int]:
-        for j in range(start, n - need + 1):
-            if preds[j] & ~chosen:
-                continue
-            grown = chosen | (1 << j)
+    def rec(avail: int, chosen: int, need: int) -> Iterator[int]:
+        # Leave room above each pick for the need - 1 picks still to come.
+        cands = avail & ((1 << (n - need + 1)) - 1)
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            grown = chosen | bit
             if need == 1:
                 yield grown
-            else:
-                yield from rec(j + 1, grown, need - 1)
+                continue
+            nxt = avail & ~((bit << 1) - 1)
+            for succ, pm in succs[bit.bit_length() - 1]:
+                if not pm & ~grown:
+                    nxt |= succ
+            yield from rec(nxt, grown, need - 1)
 
-    yield from rec(0, 0, m)
+    yield from rec(roots, 0, m)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reflect(edge: Edge, t: int) -> Edge:
     return tuple(sorted(t + 1 - v for v in edge))
+
+
+def _down_set_poset(
+    t: int, r: int, m: int, universe: Sequence[Edge] | None
+) -> tuple[list[Edge], list[int]]:
+    """Checked colex-sorted elements and their cover-predecessor masks."""
+    if r < 2:
+        raise ValueError("uniformity r must be >= 2")
+    if t < r:
+        raise ValueError(f"need t >= r, got t={t}, r={r}")
+    if universe is not None:
+        elements = sorted({tuple(sorted(e)) for e in universe}, key=colex_key)
+        for e in elements:
+            if len(e) != r or e[0] < 1 or e[-1] > t:
+                raise ValueError(f"universe member {e} is not an r-subset of [{t}]")
+    else:
+        elements = _colex_universe(t, r)
+    total = len(elements)
+    if not 0 <= m <= total:
+        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
+    return elements, _cover_masks(elements)
 
 
 def enumerate_left_compressed(
@@ -264,47 +314,28 @@ def enumerate_left_compressed(
     m-element down-sets correspond bijectively to (C(t,r)-m)-element
     down-sets.
     """
-    if r < 2:
-        raise ValueError("uniformity r must be >= 2")
-    if t < r:
-        raise ValueError(f"need t >= r, got t={t}, r={r}")
-    restricted = universe is not None
-    if restricted:
-        elements = sorted({tuple(sorted(e)) for e in universe}, key=colex_key)
-        for e in elements:
-            if len(e) != r or e[0] < 1 or e[-1] > t:
-                raise ValueError(f"universe member {e} is not an r-subset of [{t}]")
-    else:
-        elements = _colex_universe(t, r)
+    elements, preds = _down_set_poset(t, r, m, universe)
     total = len(elements)
-    if not 0 <= m <= total:
-        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
-    preds = _cover_masks(elements)
+    masks = [edge_mask(e) for e in elements]
 
-    if not restricted and m > total // 2:
+    if universe is None and m > total // 2:
         # Complement path: enumerate the small side, reflect back.
-        refl_index = {e: i for i, e in enumerate(elements)}
-        refl = [refl_index[_reflect(e, t)] for e in elements]
-        full = (1 << total) - 1
+        full = frozenset(masks)
+        refl = [edge_mask(_reflect(e, t)) for e in elements]
         for small in _ideals(preds, total - m):
-            anti = 0
-            for j in range(total):
-                if small >> j & 1:
-                    anti |= 1 << refl[j]
-            yield _from_indices(elements, full & ~anti, t, r)
+            yield Hypergraph(r, t, full.difference([refl[j] for j in _set_bits(small)]))
         return
 
     for chosen in _ideals(preds, m):
-        yield _from_indices(elements, chosen, t, r)
-
-
-def _from_indices(elements: list[Edge], chosen: int, t: int, r: int) -> Hypergraph:
-    masks = frozenset(
-        edge_mask(elements[j]) for j in range(len(elements)) if chosen >> j & 1
-    )
-    return Hypergraph(r, t, masks)
+        yield Hypergraph(r, t, frozenset([masks[j] for j in _set_bits(chosen)]))
 
 
 def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | None = None) -> int:
-    """Number of left-compressed r-graphs on [t] with m edges."""
-    return sum(1 for _ in enumerate_left_compressed(t, r, m, universe=universe))
+    """Number of left-compressed r-graphs on [t] with m edges.
+
+    Counts the down-sets directly, on the smaller side of the reflection
+    for the full universe, without building a ``Hypergraph``.
+    """
+    elements, preds = _down_set_poset(t, r, m, universe)
+    size = m if universe is not None else min(m, len(elements) - m)
+    return sum(1 for _ in _ideals(preds, size))

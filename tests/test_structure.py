@@ -5,10 +5,12 @@ from itertools import combinations
 
 import pytest
 
+from lagrangia import structure
 from lagrangia.core import (
     Hypergraph,
     binomial,
     colex_graph,
+    colex_key,
     colex_rank,
     complete_graph,
     difference_link,
@@ -58,6 +60,10 @@ def brute_enumerate(t, r, m):
     return out
 
 
+# A downward-closed universe: the triples of [6] dominated by {3, 4, 6}.
+BELOW_346 = [c for c in combinations(range(1, 7), 3) if dominance_le(c, (3, 4, 6))]
+
+
 def random_graph(rng, r, n, m):
     pool = list(combinations(range(1, n + 1), r))
     return Hypergraph.from_edges(r, n, rng.sample(pool, m))
@@ -74,11 +80,15 @@ class TestIsLeftCompressed:
         assert is_left_compressed(Hypergraph.from_edges(3, 5, []))
 
     def test_agrees_with_definition(self):
+        # r = 2..4, n up to 9 and the compressed image of each graph, so
+        # edges at vertex 1 and vertex n meet both outcomes of the bit test.
         rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(3, 6)
-            g = random_graph(rng, 3, n, rng.randint(0, binomial(n, 3)))
-            assert is_left_compressed(g) == brute_left_compressed(g)
+        for r in (2, 3, 4):
+            for _ in range(40):
+                n = rng.randint(r, 9)
+                g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
+                for h in (g, compress(g)[0]):
+                    assert is_left_compressed(h) == brute_left_compressed(h)
 
     def test_colex_graphs_are_left_compressed(self):
         for m in range(1, 36):
@@ -167,24 +177,29 @@ class TestContainsClique:
             contains_clique(complete_graph(4, 3), 2)
 
     def test_matches_clique_number(self):
+        # Compressed images take the top-set path, the rest branch-and-bound.
         rng = random.Random(23)
-        for _ in range(40):
-            n = rng.randint(3, 7)
-            g = random_graph(rng, 3, n, rng.randint(0, binomial(n, 3)))
-            w = clique_number(g)
-            for t in range(3, n + 2):
-                assert contains_clique(g, t) == (t <= w)
+        for r in (2, 3, 4):
+            for _ in range(40):
+                n = rng.randint(r, 9)
+                g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
+                for h in (g, compress(g)[0]):
+                    w = clique_number(h)
+                    for t in range(r, n + 2):
+                        assert contains_clique(h, t) == (t <= w)
 
     def test_left_compressed_prefix_equivalence(self):
         # For shifted families a clique of size t exists iff [t] is one.
-        for m in range(0, 21):
-            for g in enumerate_left_compressed(6, 3, m):
-                for t in (3, 4, 5, 6):
-                    prefix = all(
-                        g.has_edge(c) for c in combinations(range(1, t + 1), 3)
-                    )
-                    assert contains_clique(g, t) == prefix
-                    assert prefix == (brute_clique_number(g) >= t)
+        for r, n in ((2, 9), (3, 7), (4, 7)):
+            for m in range(0, binomial(n, r) + 1):
+                for g in enumerate_left_compressed(n, r, m):
+                    w = brute_clique_number(g)
+                    for t in range(r, n + 1):
+                        prefix = all(
+                            g.has_edge(c) for c in combinations(range(1, t + 1), r)
+                        )
+                        assert contains_clique(g, t) == prefix
+                        assert prefix == (w >= t)
 
 
 class TestEnumerate:
@@ -262,7 +277,61 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_left_compressed(5, 3, -1))
 
-    def test_count_matches_stream(self):
-        for m in range(0, 11):
-            n_stream = sum(1 for _ in enumerate_left_compressed(5, 3, m))
-            assert count_left_compressed(5, 3, m) == n_stream
+    def test_count_matches_stream(self, monkeypatch):
+        # Full universe on both sides of the halfway point (the stream
+        # reflects past it, the count does not build graphs at all), and
+        # a restricted universe, which never reflects: its counts are not
+        # symmetric in m, so counting the smaller side there would show.
+        cases = [(5, 3, m, None) for m in range(0, 11)]
+        cases += [(6, 3, m, None) for m in range(0, 21)]
+        cases += [(6, 3, m, BELOW_346) for m in range(0, len(BELOW_346) + 1)]
+        streamed = [
+            sum(1 for _ in enumerate_left_compressed(t, r, m, universe=u))
+            for t, r, m, u in cases
+        ]
+
+        def no_graphs(*args, **kwargs):
+            raise AssertionError("count_left_compressed built a Hypergraph")
+
+        monkeypatch.setattr(structure, "Hypergraph", no_graphs)
+        counted = [count_left_compressed(t, r, m, universe=u) for t, r, m, u in cases]
+        assert counted == streamed
+
+
+def reference_ideals(preds, m):
+    """The plain scan DFS: try every later element, admit it when its
+    predecessors are all chosen."""
+    if m == 0:
+        yield 0
+        return
+    n = len(preds)
+
+    def rec(start, chosen, need):
+        for j in range(start, n - need + 1):
+            if preds[j] & ~chosen:
+                continue
+            grown = chosen | (1 << j)
+            if need == 1:
+                yield grown
+            else:
+                yield from rec(j + 1, grown, need - 1)
+
+    yield from rec(0, 0, m)
+
+
+@pytest.mark.parametrize(
+    "r, t, universe",
+    [(2, 8, None)]
+    + [(3, t, None) for t in range(4, 9)]
+    + [(4, 7, None), (3, 6, BELOW_346)],
+)
+def test_ideals_match_reference_order(r, t, universe):
+    # Verifier reports list instances in this order, so it must not drift.
+    elements = (
+        structure._colex_universe(t, r)
+        if universe is None
+        else sorted(universe, key=colex_key)
+    )
+    preds = structure._cover_masks(elements)
+    for m in range(len(elements) + 1):
+        assert list(structure._ideals(preds, m)) == list(reference_ideals(preds, m))
