@@ -19,6 +19,12 @@ the update's normaliser is also r times the value of the current point,
 so the per-step gains come for free. The loop reports the worst
 per-iteration gain so callers can assert monotonicity held, and returns
 the compensated ``eval_poly`` of the point it returns.
+
+``ascent_rows`` runs the loop on a batch of start vectors at once, one
+gradient scatter per step for all of them; on graphs of a few vertices
+numpy call overhead, not arithmetic, is most of a step, so a batch of K
+rows costs little more per step than one row. ``ascent_loop`` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -53,17 +59,104 @@ def _grad_plan(edges: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _grad(x: np.ndarray, flat: np.ndarray, gathers: list[np.ndarray]) -> np.ndarray:
+    """The gradient at x, or at every row of a batch x with a batch plan."""
     if flat.shape[0] == 0:
-        return np.zeros(x.shape[0])
-    loo = x[gathers[0]]
+        return np.zeros(x.shape)
+    xs = x.ravel()
+    loo = xs[gathers[0]]
     for idx in gathers[1:]:
-        loo *= x[idx]
-    return np.bincount(flat, weights=loo, minlength=x.shape[0])
+        loo *= xs[idx]
+    return np.bincount(flat, weights=loo, minlength=xs.shape[0]).reshape(x.shape)
 
 
 def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Gradient of the form: per vertex, the sum of leave-one-out products."""
     return _grad(x, *_grad_plan(edges))
+
+
+def ascent_rows(
+    X: np.ndarray, edges: np.ndarray, max_iters, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Growth-transform iterations on every row of a (K, n) batch.
+
+    Returns per-row (X, values, iters, worst_gain). Each row stops on
+    its own: after its cap (``max_iters`` is an int or one cap per row),
+    when a step gains less than tol (a negative tol disables this stop),
+    or when its gradient vanishes on the support; values are eval_poly
+    at the returned rows.
+
+    The rows share one gradient scatter into K * n bins through the
+    row-offset indices k * n + flat. Each bin adds the same edge terms
+    in the same order as a one-row run, and every other operation is
+    elementwise or a reduction along one row, so every row is
+    bit-identical to a batch of that row alone. A row that stops is
+    dropped from the batch; the live rows are kept first, so the offset
+    arrays of the batch are prefixes of those built for all K rows.
+    """
+    X = np.array(X, dtype=np.float64, ndmin=2)
+    K, n = X.shape
+    iters = np.zeros(K, dtype=np.int64)
+    worst = np.zeros(K)
+    flat, gathers = _grad_plan(edges)
+    offsets = (np.arange(K) * n)[:, None]
+    bflat = (offsets + flat).ravel()
+    bgathers = [(offsets + idx).ravel() for idx in gathers]
+    r = np.array(float(edges.shape[1]))  # divides as the int r does
+
+    # Batch state: row i is row live[i] of X; the column vectors (denom,
+    # val, low, cap) have shape (A, 1). Every live row has taken
+    # ``step`` steps.
+    live = np.arange(K)
+    rows = X
+    cap = np.broadcast_to(np.asarray(max_iters), (K,)).reshape(K, 1)
+    low = np.zeros((K, 1))
+    step = 0
+    plan = bflat, bgathers
+    xg = rows * _grad(rows, *plan)
+    denom = np.add.reduce(xg, axis=1, keepdims=True)
+    val = denom / r
+    going = (step < cap) & (denom > 0.0)
+    while True:
+        if not going.all():
+            done = np.flatnonzero(~going)
+            X[live[done]] = rows[done]
+            iters[live[done]] = step
+            worst[live[done]] = low[done, 0]
+            keep = np.flatnonzero(going)
+            live, rows, xg, denom, val, cap, low = (
+                a[keep] for a in (live, rows, xg, denom, val, cap, low)
+            )
+            # The live rows come first, so their plan is a prefix.
+            cut = live.shape[0] * flat.shape[0]
+            plan = bflat[:cut], [idx[:cut] for idx in bgathers]
+        if live.shape[0] == 0:
+            break
+        next_cap = cap.min()
+        while True:
+            rows = xg / denom
+            rows /= np.add.reduce(rows, axis=1, keepdims=True)
+            xg = rows * _grad(rows, *plan)
+            denom = np.add.reduce(xg, axis=1, keepdims=True)
+            new_val = denom / r
+            gain = new_val - val
+            val = new_val
+            step += 1
+            # Python comparisons are the cheapest test on a few values;
+            # NaN fails them as it fails the masks below.
+            gains = gain.ravel().tolist()
+            if not all(g >= 0.0 for g in gains):
+                # min(worst, gain) as Python's min takes it, NaN included.
+                low = np.where(gain < low, gain, low)
+            if not (
+                step < next_cap
+                and all(g >= tol for g in gains)
+                and all(d > 0.0 for d in denom.ravel().tolist())
+            ):
+                break
+        # Some row may stop: build the row masks.
+        going = ~(gain < tol) & (step < cap) & (denom > 0.0)
+    values = np.array([eval_poly(x, edges) for x in X])
+    return X, values, iters, worst
 
 
 def ascent_loop(
@@ -73,26 +166,8 @@ def ascent_loop(
 
     Stops after max_iters steps, when a step gains less than tol (a
     negative tol disables this stop), or when the gradient vanishes on
-    the support. value is eval_poly at the returned x.
+    the support. value is eval_poly at the returned x. A one-row
+    ``ascent_rows``.
     """
-    flat, gathers = _grad_plan(edges)
-    r = edges.shape[1]
-    x = x.copy()
-    g = _grad(x, flat, gathers)
-    denom = (x * g).sum()
-    val = denom / r
-    worst = 0.0
-    it = 0
-    while it < max_iters and denom > 0.0:
-        x = x * g / denom
-        x /= x.sum()
-        g = _grad(x, flat, gathers)
-        denom = (x * g).sum()
-        new_val = denom / r
-        gain = new_val - val
-        worst = min(worst, gain)
-        val = new_val
-        it += 1
-        if gain < tol:
-            break
-    return x, eval_poly(x, edges), it, worst
+    X, values, iters, worst = ascent_rows(x[None, :], edges, max_iters, tol)
+    return X[0], float(values[0]), int(iters[0]), float(worst[0])

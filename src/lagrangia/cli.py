@@ -10,11 +10,14 @@ structured output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
+import textwrap
 from dataclasses import dataclass, field
 
 from ._version import VERSION
@@ -245,12 +248,19 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _emit(config: RunConfig, text: str) -> None:
+@contextlib.contextmanager
+def _output(config: RunConfig):
+    """A write function for standard output or the --output file."""
     if config.output is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(config.output, "w") as fh:
-            fh.write(text)
+            yield fh.write
+
+
+def _emit(config: RunConfig, text: str) -> None:
+    with _output(config) as write:
+        write(text)
 
 
 def _json_dump(record: dict) -> str:
@@ -389,6 +399,9 @@ def _cmd_colex(config: RunConfig) -> int:
     return EXIT_PASS
 
 
+_GRAPHS_MARK = "\0graphs"
+
+
 def _cmd_enumerate(config: RunConfig) -> int:
     params = config.params
     t, r, m = params["t"], params["r"], params["m"]
@@ -398,20 +411,35 @@ def _cmd_enumerate(config: RunConfig) -> int:
             f" (max_ground={config.verify.max_ground})"
         )
     if config.count_only:
-        graphs, count = None, count_left_compressed(t, r, m)
-    else:
-        graphs = list(enumerate_left_compressed(t, r, m))
-        count = len(graphs)
+        count = count_left_compressed(t, r, m)
+        if config.fmt == "json":
+            rec = _meta(config)
+            rec.update({"t": t, "r": r, "m": m, "count": count})
+            _emit(config, _json_dump(rec))
+        else:
+            _emit(config, f"{count}\n")
+        return EXIT_PASS
+    graphs = enumerate_left_compressed(t, r, m)
+    # Taking the first graph checks (t, r, m) before the output is opened;
+    # every valid m has at least one graph, the colex initial segment.
+    graphs = itertools.chain([next(graphs)], graphs)
     if config.fmt == "json":
+        # The record as _json_dump writes it, with the graph list written
+        # one graph at a time in the place of a marker.
         rec = _meta(config)
-        rec.update({"t": t, "r": r, "m": m, "count": count})
-        if graphs is not None:
-            rec["graphs"] = [[list(e) for e in g.edge_list()] for g in graphs]
-        _emit(config, _json_dump(rec))
-    elif graphs is None:
-        _emit(config, f"{count}\n")
+        rec.update({"t": t, "r": r, "m": m, "count": count_left_compressed(t, r, m)})
+        rec["graphs"] = _GRAPHS_MARK
+        head, tail = _json_dump(rec).split(json.dumps(_GRAPHS_MARK))
+        with _output(config) as write:
+            write(head + "[\n")
+            for i, g in enumerate(graphs):
+                edges = json.dumps([list(e) for e in g.edge_list()], indent=2)
+                write((",\n" if i else "") + textwrap.indent(edges, "    "))
+            write("\n  ]" + tail)
     else:
-        _emit(config, "\n".join(format_edge_list(g) for g in graphs))
+        with _output(config) as write:
+            for i, g in enumerate(graphs):
+                write(("\n" if i else "") + format_edge_list(g))
     return EXIT_PASS
 
 

@@ -129,16 +129,19 @@ def compress(g: Hypergraph) -> tuple[Hypergraph, CompressionTrace]:
 
 
 def _max_cliques(
-    g: Hypergraph, stop_at: int | None = None
+    g: Hypergraph, stop_at: int | None = None, ties: bool = True
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Branch-and-bound clique number and every maximum clique, ascending.
 
     A clique of size k extends by vertex v only if every (r-1)-subset
     of the clique forms an edge with v, which is an O(1) bitmask lookup
-    per subset. A branch is cut only when it cannot reach the best size,
-    so ties are visited too; depth-first order over ascending candidates
-    meets equal-size cliques in lexicographic order. Stops early once
-    the best size reaches ``stop_at``.
+    per subset. With ``ties`` a branch is cut only when it cannot reach
+    the best size, so ties are visited too; depth-first order over
+    ascending candidates meets equal-size cliques in lexicographic
+    order. Without ``ties`` a branch is cut unless it can beat the best
+    size, and the list holds only the first maximum clique met; use
+    this when only the size is wanted. Stops early once the best size
+    reaches ``stop_at``.
     """
     r = g.r
     edges = g.edges
@@ -147,6 +150,7 @@ def _max_cliques(
     if not edges:
         return best, found
     verts = list(g.non_isolated())
+    beat = 0 if ties else 1
 
     def can_extend(clique: tuple[int, ...], v: int) -> bool:
         if len(clique) < r - 1:
@@ -160,10 +164,10 @@ def _max_cliques(
             best, found = len(clique), [clique]
             if stop_at is not None and best >= stop_at:
                 return True
-        elif len(clique) == best:
+        elif ties and len(clique) == best:
             found.append(clique)
         for idx, v in enumerate(cands):
-            if len(clique) + (len(cands) - idx) < best:
+            if len(clique) + (len(cands) - idx) < best + beat:
                 break
             grown = clique + (v,)
             nxt = [w for w in cands[idx + 1 :] if can_extend(grown, w)]
@@ -177,7 +181,7 @@ def _max_cliques(
 
 def clique_number(g: Hypergraph) -> int:
     """Largest t with every r-subset of some t-set present; r-1 if no edges."""
-    return _max_cliques(g)[0]
+    return _max_cliques(g, ties=False)[0]
 
 
 def maximum_cliques(g: Hypergraph) -> list[tuple[int, ...]]:
@@ -200,7 +204,7 @@ def contains_clique(g: Hypergraph, t: int) -> bool:
         return False
     if is_left_compressed(g):
         return ((1 << t) - 1) ^ ((1 << (t - g.r)) - 1) in g.edges
-    return _max_cliques(g, stop_at=t)[0] >= t
+    return _max_cliques(g, stop_at=t, ties=False)[0] >= t
 
 
 # ---------------------------------------------------------------------------

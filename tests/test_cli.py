@@ -1,10 +1,12 @@
 """CLI behavior: dispatch, exit codes, formats, seed plumbing."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lagrangia.cli import (
@@ -21,7 +23,11 @@ from lagrangia.cli import (
     parse_args,
 )
 from lagrangia import _kernels
+from lagrangia.core import format_edge_list
+from lagrangia.structure import enumerate_left_compressed
 from lagrangia.theorems import TheoremReport
+
+cli_module = sys.modules["lagrangia.cli"]
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -117,6 +123,45 @@ def test_enumerate_streams_blank_separated(capsys):
     assert len(records) == 1  # single ideal of size 2
     code, out, _ = run_main(capsys, "enumerate", "5", "3", "4")
     assert len(out.split("\n\n")) == 2
+
+
+@pytest.mark.parametrize(
+    "t,r,m", [(5, 3, 0), (5, 3, 4), (6, 3, 7), (6, 3, 14), (6, 3, 20), (4, 2, 6), (6, 4, 9)]
+)
+def test_enumerate_output_matches_full_listing(capsys, t, r, m):
+    # The streamed output equals the output built from the whole list:
+    # text records joined by blank lines, and the JSON record as
+    # json.dumps writes it. (6, 3, 20) and (4, 2, 6) are the full sets.
+    graphs = list(enumerate_left_compressed(t, r, m))
+    code, out, _ = run_main(capsys, "enumerate", str(t), str(r), str(m))
+    assert code == EXIT_PASS
+    assert out == "\n".join(format_edge_list(g) for g in graphs)
+    code, out, _ = run_main(capsys, "enumerate", str(t), str(r), str(m), "--format", "json")
+    assert code == EXIT_PASS
+    rec = json.loads(out)
+    assert rec["count"] == len(graphs)
+    assert rec["graphs"] == [[list(e) for e in g.edge_list()] for g in graphs]
+    assert out == json.dumps(rec, sort_keys=True, indent=2) + "\n"
+
+
+def test_enumerate_writes_each_graph_as_it_comes(monkeypatch):
+    # Before the generator yields graph k + 1, graph k is already written.
+    real = cli_module.enumerate_left_compressed
+    buf = io.StringIO()
+    written = []
+
+    def watched(*args):
+        for g in real(*args):
+            written.append(len(buf.getvalue()))
+            yield g
+
+    monkeypatch.setattr(cli_module, "enumerate_left_compressed", watched)
+    monkeypatch.setattr(sys, "stdout", buf)
+    for fmt in ("text", "json"):
+        written.clear()
+        assert main(["enumerate", "6", "3", "7", "--format", fmt]) == EXIT_PASS
+        assert len(written) == 5
+        assert all(a < b for a, b in zip(written, written[1:]))
 
 
 def test_enumerate_count_only(capsys):
@@ -242,10 +287,12 @@ def test_io_errors_exit_4(tmp_path, capsys):
 
 def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     # An ascent that reports a decrease trips the monotonicity assertion.
-    def decreasing(x, edges, max_iters, tol):
-        return x.copy(), _kernels.eval_poly(x, edges), 1, -1e-3
+    def decreasing(X, edges, max_iters, tol):
+        X = np.array(X)
+        values = np.array([_kernels.eval_poly(x, edges) for x in X])
+        return X, values, np.ones(len(X), dtype=np.int64), np.full(len(X), -1e-3)
 
-    monkeypatch.setattr(_kernels, "ascent_loop", decreasing)
+    monkeypatch.setattr(_kernels, "ascent_rows", decreasing)
     code, out, err = run_main(capsys, "lagrangian", "--colex", "3", "13")
     assert code == EXIT_INTERNAL
     assert code != EXIT_FAIL

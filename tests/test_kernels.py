@@ -115,3 +115,112 @@ class TestAscentLoop:
             x, edges = random_case(rng, 3, n, rng.randint(1, binomial(n, 3)))
             _, _, _, worst = _kernels.ascent_loop(x, edges, 2000, 1e-12)
             assert worst >= -1e-14
+
+
+def one_row(x, edges, cap, tol):
+    """The growth transform on one vector, as a plain loop over link_grad."""
+    r = edges.shape[1]
+    x = x.copy()
+    g = _kernels.link_grad(x, edges)
+    denom = (x * g).sum()
+    val = denom / r
+    worst, it = 0.0, 0
+    while it < cap and denom > 0.0:
+        x = x * g / denom
+        x /= x.sum()
+        g = _kernels.link_grad(x, edges)
+        denom = (x * g).sum()
+        gain = denom / r - val
+        worst = min(worst, gain)
+        val = denom / r
+        it += 1
+        if gain < tol:
+            break
+    return x, _kernels.eval_poly(x, edges), it, worst
+
+
+def batch(rng, n, k):
+    """k simplex rows: dense, sparse, and one dead row (weight on one vertex)."""
+    rows = []
+    for i in range(k):
+        if i == 1:
+            x = np.zeros(n)
+            x[rng.randrange(n)] = 1.0
+        else:
+            x = np.asarray([rng.random() if rng.random() < 0.7 else 0.0 for _ in range(n)])
+            x[rng.randrange(n)] += 0.5
+        rows.append(x / x.sum())
+    return np.asarray(rows)
+
+
+class TestAscentRows:
+    def assert_row_equals(self, got, want):
+        x, val, iters, worst = got
+        wx, wval, witers, wworst = want
+        assert np.array_equal(x, wx)
+        assert val == wval and iters == witers and worst == wworst
+
+    def test_rows_equal_one_row_runs_bit_for_bit(self):
+        rng = random.Random(89)
+        seen = set()
+        for n in range(3, 10):
+            for r in range(2, min(4, n) + 1):
+                pool = list(combinations(range(n), r))
+                for tol in (1e-12, -1.0):
+                    edges = np.asarray(
+                        rng.sample(pool, rng.randint(1, len(pool))), dtype=np.int64
+                    )
+                    X = batch(rng, n, 6)
+                    caps = np.asarray([0, 1, rng.randint(2, 9), 3000, 40, 1], dtype=np.int64)
+                    X0 = X.copy()
+                    Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, caps, tol)
+                    assert np.array_equal(X, X0)  # the input is not modified
+                    assert Xr.shape == X.shape and vals.shape == iters.shape == (6,)
+                    for k in range(6):
+                        want = one_row(X0[k], edges, int(caps[k]), tol)
+                        got = (Xr[k], vals[k], iters[k], worst[k])
+                        self.assert_row_equals(got, want)
+                        self.assert_row_equals(
+                            _kernels.ascent_loop(X0[k], edges, int(caps[k]), tol), want
+                        )
+                    assert iters[0] == 0 and iters[1] == 0  # cap 0; dead row
+                    assert (iters <= caps).all()
+                    seen.add((r, n))
+        assert {r for r, _ in seen} == {2, 3, 4}
+        assert {n for _, n in seen} == set(range(3, 10))
+
+    def test_rows_match_python_reference(self):
+        # Fixed-length runs of the plain growth transform, every row at once.
+        for x, edges in cases(97, 12):
+            rng = random.Random(x.shape[0])
+            X = np.vstack([x, batch(rng, x.shape[0], 3)])
+            Xr, vals, iters, _ = _kernels.ascent_rows(X, edges, 40, -1.0)
+            for k, row in enumerate(X):
+                y = [float(v) for v in row]
+                steps = 0
+                for _ in range(40):
+                    g = python_grad(np.asarray(y), edges)
+                    denom = math.fsum(a * b for a, b in zip(y, g))
+                    if not denom > 0.0:
+                        break
+                    y = [a * b / denom for a, b in zip(y, g)]
+                    steps += 1
+                assert iters[k] == steps
+                assert np.allclose(Xr[k], y, atol=1e-13, rtol=0)
+                assert abs(vals[k] - python_value(np.asarray(y), edges)) <= 1e-13
+
+    def test_single_row_and_int_cap(self):
+        for x, edges in cases(101, 10):
+            for tol in (1e-12, -1.0):
+                Xr, vals, iters, worst = _kernels.ascent_rows(x[None, :], edges, 300, tol)
+                self.assert_row_equals(
+                    (Xr[0], vals[0], iters[0], worst[0]), one_row(x, edges, 300, tol)
+                )
+
+    def test_empty_edge_set(self):
+        X = np.asarray([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        edges = np.empty((0, 2), dtype=np.int64)
+        Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, np.asarray([5, 0]), 1e-12)
+        assert np.array_equal(Xr, X)
+        assert vals.tolist() == [0.0, 0.0]
+        assert iters.tolist() == [0, 0] and worst.tolist() == [0.0, 0.0]

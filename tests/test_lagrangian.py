@@ -3,6 +3,7 @@ brute-force small cases."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from lagrangia import _kernels
 from lagrangia.core import Hypergraph, colex_graph, complete_graph, binomial
 from lagrangia.lagrangian import (
     OptOptions,
+    _better,
     ascend,
     ascend_multistart,
     as_weighting,
@@ -28,6 +30,9 @@ from lagrangia.lagrangian import (
     uniform_weighting,
 )
 from lagrangia.core import pair_link, vertex_link
+
+# ``lagrangia.lagrangian`` is the function; the module is in sys.modules.
+lagrangian_module = sys.modules["lagrangia.lagrangian"]
 
 
 def random_graph(rng, r, n, m):
@@ -198,6 +203,119 @@ class TestMultistart:
         b = ascend_multistart(g, OptOptions(seed=11))
         assert a.value == b.value
         assert np.array_equal(a.weighting, b.weighting)
+
+
+def reference_ascend(g, x0, opts):
+    """One start at a time through ``ascent_loop``: the single-start ascent
+    that the lockstep batch replaced, kept as the reference."""
+    L = lagrangian_module
+    edges = g.edge_array()
+
+    def loop(x, cap, tol):
+        x, value, iters, worst = _kernels.ascent_loop(x, edges, cap, tol)
+        assert worst >= -L.MONOTONE_SLACK
+        return x, value, iters
+
+    def kkt(x, value):
+        return L._kkt_residual(x, edges, value, g.r, floor=opts.trim)
+
+    x, value, total = loop(as_weighting(x0, g.n)[: g.n].copy(), opts.max_iters, opts.tol)
+    residual = kkt(x, value)
+    for _ in range(40):
+        if residual <= opts.kkt_tol or total >= opts.max_iters:
+            break
+        x, value, it = loop(x, min(200, opts.max_iters - total), -1.0)
+        total += it
+        new_residual = kkt(x, value)
+        if new_residual > 0.95 * residual:
+            improved, x, value, steps = L._pg_polish(x, edges, value, max_steps=30)
+            total += steps
+            if not improved:
+                break
+            x, value, it = loop(x, max(opts.max_iters - total, 1), opts.tol)
+            total += it
+            new_residual = kkt(x, value)
+        residual = new_residual
+    return L._ascent_result(g, edges, x, total, opts)
+
+
+class TestLockstepMultistart:
+    """The lockstep start batch against one ascent per start."""
+
+    def per_start(self, monkeypatch, g):
+        opts = OptOptions()
+        seen = {"polish": 0}
+        real = lagrangian_module._ascend_rows
+        polish = lagrangian_module._pg_polish
+
+        def spy_rows(g, starts, opts):
+            seen.setdefault("starts", [np.array(s) for s in starts])
+            return real(g, starts, opts)
+
+        def spy_polish(*args, **kwargs):
+            seen["polish"] += 1
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(lagrangian_module, "_ascend_rows", spy_rows)
+        monkeypatch.setattr(lagrangian_module, "_pg_polish", spy_polish)
+        batched = ascend_multistart(g, opts)
+        monkeypatch.undo()
+        best = None
+        for x0 in seen["starts"]:
+            res = ascend(g, x0, opts)
+            ref = reference_ascend(g, x0, opts)
+            assert res.iterations == ref.iterations
+            assert np.array_equal(res.weighting, ref.weighting)
+            best = res if best is None else _better(best, res)
+        assert batched.value == best.value
+        assert np.array_equal(batched.weighting, best.weighting)
+        assert batched.iterations == best.iterations
+        assert batched.support == best.support
+        return seen
+
+    def test_equals_per_start_ascend(self, monkeypatch):
+        rng = random.Random(103)
+        starts = 0
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            g = random_graph(rng, 3, n, rng.randint(1, binomial(n, 3)))
+            starts += len(self.per_start(monkeypatch, g)["starts"])
+        assert starts > 20 * 8
+
+    def test_equals_per_start_ascend_with_rescue(self, monkeypatch):
+        # Starts stall here, so the projected-gradient rescue and the
+        # gain-stopped runs after it take place inside the batch.
+        g = Hypergraph.from_edges(
+            3,
+            6,
+            [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5),
+             (1, 2, 6), (1, 3, 6), (2, 3, 6), (2, 4, 6), (3, 4, 6)],
+        )
+        seen = self.per_start(monkeypatch, g)
+        assert seen["polish"] > 0
+        assert len(seen["starts"]) > 1
+
+    def test_equals_per_start_ascend_on_two_triangles(self, monkeypatch):
+        # The uniform start sits on the 1/6 plateau; other starts leave it.
+        g = Hypergraph.from_edges(2, 6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+        seen = self.per_start(monkeypatch, g)
+        assert len(seen["starts"]) > 1
+
+    def test_drop_step_candidates(self, monkeypatch):
+        # minimize_support runs its two drop candidates as one batch.
+        g = complete_graph(4, 3).with_vertex_count(5)
+        res = ascend(g, uniform_weighting(5))
+        calls = []
+        real = lagrangian_module._ascend_rows
+
+        def spy_rows(g, starts, opts):
+            calls.append(len(starts))
+            return real(g, starts, opts)
+
+        monkeypatch.setattr(lagrangian_module, "_ascend_rows", spy_rows)
+        out = minimize_support(g, res)
+        assert 2 in calls
+        assert out.support == (1, 2, 3, 4)
 
 
 class TestLagrangianDispatcher:

@@ -24,6 +24,7 @@ from lagrangia.structure import (
     dominance_le,
     enumerate_left_compressed,
     is_left_compressed,
+    maximum_cliques,
 )
 
 
@@ -47,6 +48,17 @@ def brute_clique_number(g):
             if all(g.has_edge(c) for c in combinations(sub, g.r)):
                 return t
     return g.r - 1
+
+
+def brute_maximum_cliques(g):
+    w = brute_clique_number(g)
+    if not g.edges:
+        return []
+    return [
+        sub
+        for sub in combinations(range(1, g.n + 1), w)
+        if all(g.has_edge(c) for c in combinations(sub, g.r))
+    ]
 
 
 def brute_enumerate(t, r, m):
@@ -164,6 +176,26 @@ class TestCliqueNumber:
                 n = rng.randint(r, 7)
                 g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
                 assert clique_number(g) == brute_clique_number(g)
+
+    def test_size_only_search_matches_brute_force(self):
+        # The size-only search (no ties) gives the clique number and one
+        # maximum clique; the tie-collecting search gives all of them.
+        rng = random.Random(31)
+        for r in (2, 3, 4):
+            for _ in range(40):
+                n = rng.randint(r, 9)
+                total = binomial(n, r)
+                # Mostly dense graphs, where large cliques and many ties live.
+                m = rng.randint(total // 2 if rng.random() < 0.7 else 0, total)
+                g = random_graph(rng, r, n, m)
+                w = brute_clique_number(g)
+                size, found = structure._max_cliques(g, ties=False)
+                assert size == clique_number(g) == w
+                assert found == brute_maximum_cliques(g)[:1]
+                assert maximum_cliques(g) == brute_maximum_cliques(g)
+                for t in range(r, n + 1):
+                    hit = structure._max_cliques(g, stop_at=t, ties=False)[0] >= t
+                    assert hit == (t <= w)
 
 
 class TestContainsClique:
