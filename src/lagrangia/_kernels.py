@@ -9,7 +9,8 @@ products: r - 1 gather index arrays, fixed per edge array, pick for
 every (edge, position) slot the weights of the other members of that
 edge; their elementwise product is summed into the slot's vertex with
 ``np.bincount``. No weight is ever divided out, so coordinates at 0 stay
-exact.
+exact. The Hessian, for Newton steps on a face, is the same scatter one
+order down: leave-two-out products summed into n * n bins.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -72,6 +73,26 @@ def _grad(x: np.ndarray, flat: np.ndarray, gathers: list[np.ndarray]) -> np.ndar
 def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Gradient of the form: per vertex, the sum of leave-one-out products."""
     return _grad(x, *_grad_plan(edges))
+
+
+def link_hessian(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Hessian of the form: entry (i, j) sums, over the edges holding both
+    i and j, the product of the other r - 2 members' weights.
+
+    Built like the gradient: every ordered pair of columns (a, b) of an
+    edge is a slot scattered into bin edges[a] * n + edges[b], weighted
+    by the product of the r - 2 leave-two-out gathers. For r = 2 the
+    weights are 1 and the result is the adjacency matrix.
+    """
+    n = x.shape[0]
+    r = edges.shape[1]
+    pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
+    rest = [[c for c in range(r) if c != a and c != b] for a, b in pairs]
+    flat = (edges[:, [a for a, _ in pairs]] * n + edges[:, [b for _, b in pairs]]).ravel()
+    weights = np.ones(flat.shape[0])
+    for i in range(r - 2):
+        weights *= x[edges[:, [cols[i] for cols in rest]]].ravel()
+    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
 
 
 def ascent_rows(

@@ -3,19 +3,27 @@ form over the standard simplex, with certificates.
 
 The optimizer is growth-transform ascent (multiplicative update
 x_i <- x_i * g_i / sum x_j g_j), which never decreases the objective for
-a homogeneous form with nonnegative coefficients, plus a
-projected-gradient rescue for a stall at a non-stationary point. The
-rescue is not rare on small 3-graphs: one pass of the benchmark's
-``ascent_3graph`` workload runs it 213 times in 733 ascents.
-Multi-start covers the structured optima: uniform, uniform on maximum
-cliques, uniform on initial segments, and seeded Dirichlet draws.
+a homogeneous form with nonnegative coefficients. Near a maximum on the
+boundary of the simplex, or a non-isolated one, its last digits come
+slowly: coordinates decay onto a face at a linear rate near 1, or like
+1/k, over thousands of steps. So the gain-stopped run goes in chunks of
+``FACE_CHUNK`` steps, and a row still moving after a chunk tries a face
+finish: Newton steps on the KKT system of a face of its support
+(``_face_finish``), accepted only at a stationary local maximum of the
+face that does not lower P. What no face closes, a plateau where the
+face Hessian is singular or a stall, falls back to fixed-length bursts
+and a projected-gradient rescue (``_pg_polish``). Multi-start covers the
+structured optima: uniform, uniform on maximum cliques, uniform on
+initial segments, and seeded Dirichlet draws.
 
 The starts of one graph run in lockstep: every growth-transform phase
-(the gain-stopped run, each round of fixed-length bursts, the run after
-a rescue) takes the rows that need it as one ``_kernels.ascent_rows``
-batch, and a row leaves the batch when it stops. Rows are bit-identical
-to separate runs, so the result of each start is that of ``ascend``
-from it alone; the batch only cuts per-step numpy overhead.
+(each chunk of the gain-stopped run, each round of fixed-length bursts,
+the run after a rescue) takes the rows that need it as one
+``_kernels.ascent_rows`` batch, and a row leaves the batch when it
+stops or a face closes it. Rows are bit-identical to separate runs and
+every face attempt looks at one row, so the result of each start is
+that of ``ascend`` from it alone; the batch only cuts per-step numpy
+overhead.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -51,6 +59,19 @@ from .structure import clique_number, is_left_compressed, maximum_cliques
 
 FEAS_TOL = 1e-12  # absolute slack on the simplex sum constraint
 MONOTONE_SLACK = 1e-14  # tolerated per-iteration objective decrease
+
+# The face finish (``_face_finish``): growth steps between face attempts,
+# the most decaying coordinates left off a candidate face, the relative
+# weight below which a coordinate is on no face, the gap at or above which
+# a coordinate is not decaying, the Newton step budget and stopping
+# residual, and the largest tangent curvature of an accepted face.
+FACE_CHUNK = 100
+FACE_DROPS = 3
+FACE_FLOOR = 1e-9
+GAP_TOL = 1e-12
+NEWTON_STEPS = 8
+NEWTON_TOL = 1e-14
+CURVATURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -238,6 +259,91 @@ def _pg_polish(
     return improved, x, value, steps
 
 
+def _face_newton(
+    x: np.ndarray, edges: np.ndarray, value: float, face: np.ndarray, opts: OptOptions
+) -> tuple[np.ndarray, float, int] | None:
+    """Newton steps on the KKT system of one face of the simplex.
+
+    The face keeps the 0-based coordinates ``face`` and sets the rest to
+    zero. The steps solve grad_S P(y) = mu * 1, sum_S y = 1 with the
+    bordered Jacobian [H_SS -1; 1^T 0], from x renormalized on the face,
+    at most NEWTON_STEPS of them, stopping once the residual is below
+    NEWTON_TOL. The end point y is accepted only if it is a local
+    maximum of the face that does not lower P and is stationary for
+    every coordinate positive in x:
+
+    - every y_S > 0 and P(y) >= value, the value of x;
+    - |g_i - rP(y)| <= opts.kkt_tol on the face;
+    - g_j - rP(y) <= opts.kkt_tol for every j positive in x off the face;
+    - the Hessian on the face's tangent space {1^T d = 0} has no
+      eigenvalue above CURVATURE_TOL, so y is not a saddle.
+
+    Coordinates at exactly zero are ignored: the growth transform never
+    revives them. Returns (y, P(y), steps), or None when y is rejected.
+    """
+    r = edges.shape[1]
+    k = face.shape[0]
+    y = np.zeros_like(x)
+    y[face] = x[face] / x[face].sum()
+    mu = r * _kernels.eval_poly(y, edges)
+    jac = np.zeros((k + 1, k + 1))
+    jac[:k, k] = -1.0
+    jac[k, :k] = 1.0
+    steps = 0
+    for _ in range(NEWTON_STEPS):
+        resid = np.append(_kernels.link_grad(y, edges)[face] - mu, y[face].sum() - 1.0)
+        if np.max(np.abs(resid)) < NEWTON_TOL:
+            break
+        jac[:k, :k] = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            return None
+        y[face] += step[:k]
+        mu += step[k]
+        steps += 1
+    if not np.all(y[face] > 0.0):
+        return None
+    new_value = float(_kernels.eval_poly(y, edges))
+    if not new_value >= value:
+        return None
+    gap = _kernels.link_grad(y, edges) - r * new_value
+    if np.max(np.abs(gap[face])) > opts.kkt_tol:
+        return None
+    off_face = x > 0.0
+    off_face[face] = False
+    if np.any(gap[off_face] > opts.kkt_tol):
+        return None
+    tangent = np.eye(k) - 1.0 / k
+    hess = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+    if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > CURVATURE_TOL:
+        return None
+    return y, new_value, steps
+
+
+def _face_finish(
+    x: np.ndarray, edges: np.ndarray, value: float, opts: OptOptions
+) -> tuple[np.ndarray, float, int] | None:
+    """The first candidate face of x that ``_face_newton`` accepts, or None.
+
+    A candidate keeps the coordinates above FACE_FLOOR * max x, minus
+    the j = 0..FACE_DROPS of them with the most negative gaps
+    g_i - rP(x): those are decaying towards zero under the growth
+    transform, slowly near a boundary maximum. The candidates stop at
+    the first gap >= -GAP_TOL.
+    """
+    base = np.flatnonzero(x > FACE_FLOOR * x.max())
+    gap = _kernels.link_grad(x, edges)[base] - edges.shape[1] * value
+    order = np.argsort(gap, kind="stable")
+    for j in range(min(FACE_DROPS, base.shape[0] - 1) + 1):
+        if j and gap[order[j - 1]] >= -GAP_TOL:
+            break
+        out = _face_newton(x, edges, value, np.sort(base[order[j:]]), opts)
+        if out is not None:
+            return out
+    return None
+
+
 def _check_monotone(worst: np.ndarray) -> None:
     drops = worst[worst < -MONOTONE_SLACK]
     if drops.shape[0]:
@@ -249,9 +355,9 @@ def _ascend_rows(
 ) -> list[OptResult]:
     """``ascend`` from every start, the starts run in lockstep.
 
-    Each phase runs the rows that need it as one ``ascent_rows`` batch;
-    every row takes the same steps, bursts and rescues it would take
-    alone, so each result equals a separate ``ascend`` bit for bit.
+    Each phase runs the rows that need it as one ``ascent_rows`` batch,
+    and every face attempt looks at one row only, so each result equals
+    a separate ``ascend`` bit for bit.
     """
     xs: list[np.ndarray] = []
     for x0 in starts:
@@ -264,6 +370,7 @@ def _ascend_rows(
     edges = g.edge_array()
     values = [0.0] * len(xs)
     total_iters = [0] * len(xs)
+    closed: set[int] = set()
 
     def run(idx: list[int], caps, tol: float) -> None:
         X, vals, its, worst = _kernels.ascent_rows(
@@ -277,17 +384,41 @@ def _ascend_rows(
     def kkt(k: int) -> float:
         return _kkt_residual(xs[k], edges, values[k], g.r, floor=opts.trim)
 
-    everyone = list(range(len(xs)))
-    run(everyone, opts.max_iters, opts.tol)
+    def finish(k: int) -> bool:
+        out = _face_finish(xs[k], edges, values[k], opts)
+        if out is None:
+            return False
+        xs[k], values[k], steps = out
+        total_iters[k] += steps
+        closed.add(k)
+        return True
 
-    # The gain criterion can fire while boundary-bound coordinates are
-    # still drifting to zero, which leaves the trimmed-support residual
-    # high. Extra fixed-length bursts (tol < 0 disables the gain stop)
-    # let the multiplicative decay finish; a projected-gradient rescue
-    # handles a genuine stall. A row leaves the rounds for good once it
-    # is stationary, out of iterations or not improved by a rescue.
-    residual = [kkt(k) for k in everyone]
+    # The gain-stopped run, in chunks of FACE_CHUNK steps. A row that
+    # runs a whole chunk is still moving, often because coordinates are
+    # decaying onto a face at a linear rate near 1: Newton steps on that
+    # face finish it, and the row leaves the batch.
+    everyone = list(range(len(xs)))
     live = everyone
+    while live:
+        done = [total_iters[k] for k in live]
+        caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
+        run(live, caps, opts.tol)
+        live = [
+            k
+            for k, d, cap in zip(live, done, caps)
+            if total_iters[k] - d == cap and total_iters[k] < opts.max_iters and not finish(k)
+        ]
+
+    # A row whose gain stop fired while it was still off stationarity
+    # tries its faces once more. What no face closes is a plateau (H_SS
+    # singular) or a stall: extra fixed-length bursts (tol < 0 disables
+    # the gain stop) let the multiplicative decay finish, and a
+    # projected-gradient rescue handles a genuine stall. A row leaves
+    # the rounds for good once it is stationary, out of iterations or
+    # not improved by a rescue.
+    live = [k for k in everyone if k not in closed]
+    residual = {k: kkt(k) for k in live}
+    live = [k for k in live if residual[k] > opts.kkt_tol and not finish(k)]
     for _ in range(40):
         live = [
             k for k in live
@@ -354,8 +485,11 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
     """Monotone ascent from one start; certificates computed at the end.
 
     Growth-transform iterations run until the objective gain falls below
-    opts.tol; if the stationarity residual on the support is still above
-    opts.kkt_tol the optimizer interleaves projected-gradient bursts.
+    opts.tol, with a Newton face finish tried every FACE_CHUNK steps;
+    if the stationarity residual on the support is still above
+    opts.kkt_tol and no face closes it, the optimizer interleaves
+    growth bursts and projected-gradient rescues. Newton and rescue
+    steps count as iterations.
     Weights at or below opts.trim are then zeroed and the vector
     renormalized. A zero objective with zero gradient comes back as
     value 0 with an empty support.
@@ -488,7 +622,8 @@ def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
 
     Dispatch: 2-graphs use the clique-number closed form; complete
     graphs (up to isolated vertices) use C(t,r)/t^r; everything else
-    runs multi-start ascent followed by support minimization.
+    runs multi-start ascent followed by support minimization, and on a
+    left-compressed graph the weights are then sorted non-increasing.
     """
     opts = opts or DEFAULT_OPTIONS
     if not g.edges:
@@ -501,8 +636,36 @@ def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
     if g.m == binomial(len(active), g.r):
         value = float(complete_lagrangian(len(active), g.r))
         return _closed_form_result(g, value, active)
-    res = ascend_multistart(g, opts)
-    return minimize_support(g, res, opts)
+    res = minimize_support(g, ascend_multistart(g, opts), opts)
+    if is_left_compressed(g):
+        res = _sorted_weights(g, res)
+    return res
+
+
+def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
+    """res with its weights sorted non-increasing, unless that lowers P.
+
+    On a left-compressed graph moving the larger weight to the smaller
+    vertex never lowers P, so the sorted weighting is optimal too and
+    its support is an initial segment; without the sort, ties at the
+    last ulp can leave the optimum on another support.
+    """
+    x = np.ascontiguousarray(np.sort(res.weighting)[::-1])
+    if np.array_equal(x, res.weighting):
+        return res
+    edges = g.edge_array()
+    value = float(_kernels.eval_poly(x, edges))
+    if value < res.value:
+        return res
+    support = _support(x)
+    return replace(
+        res,
+        value=value,
+        weighting=x,
+        support=support,
+        kkt_residual=_kkt_residual(x, edges, value, g.r),
+        edge_cover_ok=_find_uncovered_pair(g, support) is None,
+    )
 
 
 @dataclass(frozen=True)

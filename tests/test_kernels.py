@@ -37,6 +37,17 @@ def python_grad(x, edges):
     return [math.fsum(terms) for terms in out]
 
 
+def python_hessian(x, edges):
+    n = x.shape[0]
+    out = [[[] for _ in range(n)] for _ in range(n)]
+    for e in edges.tolist():
+        for u in e:
+            for v in e:
+                if u != v:
+                    out[u][v].append(math.prod(float(x[w]) for w in e if w not in (u, v)))
+    return [[math.fsum(terms) for terms in row] for row in out]
+
+
 class TestBackendEquivalence:
     """The numpy backend against a plain-Python reference."""
 
@@ -49,6 +60,13 @@ class TestBackendEquivalence:
             got = _kernels.link_grad(x, edges)
             assert got.shape == x.shape
             assert np.allclose(got, python_grad(x, edges), atol=1e-15, rtol=0)
+
+    def test_hessian_matches(self):
+        # Same cases as the gradient, so every r = 2..4 and n = 3..9 occurs.
+        for x, edges in cases(67, 60):
+            got = _kernels.link_hessian(x, edges)
+            assert got.shape == (x.shape[0], x.shape[0])
+            assert np.allclose(got, python_hessian(x, edges), atol=1e-15, rtol=0)
 
     def test_every_arity_and_size_covered(self):
         seen = {(edges.shape[1], x.shape[0]) for x, edges in cases(67, 60)}
@@ -82,6 +100,7 @@ class TestBackendEquivalence:
         edges = np.empty((0, 2), dtype=np.int64)
         assert _kernels.eval_poly(x, edges) == 0.0
         assert np.array_equal(_kernels.link_grad(x, edges), np.zeros(2))
+        assert np.array_equal(_kernels.link_hessian(x, edges), np.zeros((2, 2)))
         _, val, iters, worst = _kernels.ascent_loop(x, edges, 100, 1e-12)
         assert val == 0.0 and iters == 0 and worst == 0.0
 
