@@ -386,8 +386,9 @@ class TestFaceNewton:
 
     def test_finish_drops_the_decaying_vertex(self):
         # Growth steps on 123 124 134 125 carry vertex 5 towards zero and
-        # the rest towards (1/3, 2/9, 2/9, 2/9); the full face has no
-        # stationary point in the simplex, the face without vertex 5 does.
+        # the rest towards (1/3, 2/9, 2/9, 2/9). On the full face Newton
+        # runs off to (1/3, 1/3, 0, 0, 1/3), below P(x); the face without
+        # vertex 5, the most negative gap, closes.
         edges = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 4)])
         x = np.array(
             [1 / 3, 0.22222873092377718, 0.22221866262562529, 0.2222186425312452,
