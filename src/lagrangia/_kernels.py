@@ -5,12 +5,18 @@ One numpy backend, general in the uniformity r and the vertex count n
 
 Conventions: x is a float64 weight vector, edges an (m, r) int64 array
 of 0-based vertex indices. The gradient is one scatter of leave-one-out
-products: r - 1 gather index arrays, fixed per edge array, pick for
-every (edge, position) slot the weights of the other members of that
-edge; their elementwise product is summed into the slot's vertex with
-``np.bincount``. No weight is ever divided out, so coordinates at 0 stay
-exact. The Hessian, for Newton steps on a face, is the same scatter one
-order down: leave-two-out products summed into n * n bins.
+products: r - 1 gather index arrays pick for every (edge, position) slot
+the weights of the other members of that edge; their elementwise
+product is summed into the slot's vertex with ``np.bincount``. No weight
+is ever divided out, so coordinates at 0 stay exact. The Hessian, for
+Newton steps on a face, is the same scatter one order down: leave-two-out
+products summed into n * n bins.
+
+The index arrays depend on the edge array only, so each derivative order
+has a plan, built once per edge array and passed in: ``_grad_plan`` with
+``_grad``, and ``_hess_plan`` with ``_hess``. Callers that take many
+derivatives of one graph build the plan once and keep it; ``link_grad``
+and ``link_hessian`` are one-shot wrappers over the same two paths.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -36,6 +42,11 @@ import numpy as np
 
 BACKEND = "numpy"
 
+# A gradient plan: scatter targets and the r - 1 leave-one-out gathers.
+# A Hessian plan: scatter bins, the r - 2 leave-two-out gathers and n.
+GradPlan = tuple[np.ndarray, list[np.ndarray]]
+HessPlan = tuple[np.ndarray, list[np.ndarray], int]
+
 
 def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
     """Sum over edges of the product of member weights, compensated."""
@@ -44,7 +55,7 @@ def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
     return math.fsum(np.prod(x[edges], axis=1))
 
 
-def _grad_plan(edges: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _grad_plan(edges: np.ndarray) -> GradPlan:
     """Scatter targets and the r - 1 leave-one-out gather arrays.
 
     Slot (k, j) of the flattened edge array is vertex edges[k, j]; the
@@ -59,8 +70,9 @@ def _grad_plan(edges: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return edges.ravel(), gathers
 
 
-def _grad(x: np.ndarray, flat: np.ndarray, gathers: list[np.ndarray]) -> np.ndarray:
+def _grad(x: np.ndarray, plan: GradPlan) -> np.ndarray:
     """The gradient at x, or at every row of a batch x with a batch plan."""
+    flat, gathers = plan
     if flat.shape[0] == 0:
         return np.zeros(x.shape)
     xs = x.ravel()
@@ -70,29 +82,45 @@ def _grad(x: np.ndarray, flat: np.ndarray, gathers: list[np.ndarray]) -> np.ndar
     return np.bincount(flat, weights=loo, minlength=xs.shape[0]).reshape(x.shape)
 
 
-def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Gradient of the form: per vertex, the sum of leave-one-out products."""
-    return _grad(x, *_grad_plan(edges))
+def _hess_plan(edges: np.ndarray, n: int) -> HessPlan:
+    """Scatter bins and the r - 2 leave-two-out gather arrays on n vertices.
 
-
-def link_hessian(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Hessian of the form: entry (i, j) sums, over the edges holding both
-    i and j, the product of the other r - 2 members' weights.
-
-    Built like the gradient: every ordered pair of columns (a, b) of an
-    edge is a slot scattered into bin edges[a] * n + edges[b], weighted
-    by the product of the r - 2 leave-two-out gathers. For r = 2 the
-    weights are 1 and the result is the adjacency matrix.
+    Every ordered pair of columns (a, b) of an edge is a slot, scattered
+    into bin edges[a] * n + edges[b]; the i-th gather array holds, for
+    that slot, the i-th of the edge's other members in column order.
     """
-    n = x.shape[0]
     r = edges.shape[1]
     pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
     rest = [[c for c in range(r) if c != a and c != b] for a, b in pairs]
     flat = (edges[:, [a for a, _ in pairs]] * n + edges[:, [b for _, b in pairs]]).ravel()
-    weights = np.ones(flat.shape[0])
-    for i in range(r - 2):
-        weights *= x[edges[:, [cols[i] for cols in rest]]].ravel()
+    gathers = [edges[:, [cols[i] for cols in rest]].ravel() for i in range(r - 2)]
+    return flat, gathers, n
+
+
+def _hess(x: np.ndarray, plan: HessPlan) -> np.ndarray:
+    """The Hessian at x: bin (i, j) sums the slots' leave-two-out products.
+
+    For r = 2 the weights are 1 and the result is the adjacency matrix.
+    """
+    flat, gathers, n = plan
+    if gathers:
+        weights = x[gathers[0]]
+        for idx in gathers[1:]:
+            weights *= x[idx]
+    else:
+        weights = np.ones(flat.shape[0])
     return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+
+
+def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Gradient of the form: per vertex, the sum of leave-one-out products."""
+    return _grad(x, _grad_plan(edges))
+
+
+def link_hessian(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Hessian of the form: entry (i, j) sums, over the edges holding both
+    i and j, the product of the other r - 2 members' weights."""
+    return _hess(x, _hess_plan(edges, x.shape[0]))
 
 
 def ascent_rows(
@@ -133,7 +161,7 @@ def ascent_rows(
     low = np.zeros((K, 1))
     step = 0
     plan = bflat, bgathers
-    xg = rows * _grad(rows, *plan)
+    xg = rows * _grad(rows, plan)
     denom = np.add.reduce(xg, axis=1, keepdims=True)
     val = denom / r
     going = (step < cap) & (denom > 0.0)
@@ -156,7 +184,7 @@ def ascent_rows(
         while True:
             rows = xg / denom
             rows /= np.add.reduce(rows, axis=1, keepdims=True)
-            xg = rows * _grad(rows, *plan)
+            xg = rows * _grad(rows, plan)
             denom = np.add.reduce(xg, axis=1, keepdims=True)
             new_val = denom / r
             gain = new_val - val

@@ -25,6 +25,14 @@ every face attempt looks at one row, so the result of each start is
 that of ``ascend`` from it alone; the batch only cuts per-step numpy
 overhead.
 
+On graphs of a few vertices numpy call overhead, not arithmetic, is
+most of every derivative, so none rebuilds its index arrays: each
+``_ascend_rows`` call builds the gradient plan of the graph's edges once
+(``_kernels._grad_plan``) and passes it to every KKT check, face gap and
+rescue, and each face attempt builds one gradient and one Hessian plan
+on the face's own edges, relabelled to its k vertices, for all of its
+Newton steps.
+
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
 
@@ -192,10 +200,13 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
 
 
 def _kkt_residual(
-    x: np.ndarray, edges: np.ndarray, value: float, r: int, floor: float = 0.0
+    x: np.ndarray, plan: _kernels.GradPlan, value: float, r: int, floor: float = 0.0
 ) -> float:
-    """Stationarity residual over the coordinates above ``floor``."""
-    grad = _kernels.link_grad(x, edges)
+    """Stationarity residual over the coordinates above ``floor``.
+
+    ``plan`` is ``_kernels._grad_plan`` of the graph's edge array.
+    """
+    grad = _kernels._grad(x, plan)
     target = r * value
     mask = x > floor
     if not mask.any():
@@ -230,7 +241,11 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _pg_polish(
-    x: np.ndarray, edges: np.ndarray, value: float, max_steps: int = 100
+    x: np.ndarray,
+    edges: np.ndarray,
+    plan: _kernels.GradPlan,
+    value: float,
+    max_steps: int = 100,
 ) -> tuple[bool, np.ndarray, float, int]:
     """Projected-gradient steps restricted to the positive support of x.
 
@@ -241,7 +256,7 @@ def _pg_polish(
     improved = False
     steps = 0
     for _ in range(max_steps):
-        grad = _kernels.link_grad(x, edges)
+        grad = _kernels._grad(x, plan)
         eta = 1.0
         accepted = False
         for _ in range(45):
@@ -260,7 +275,12 @@ def _pg_polish(
 
 
 def _face_newton(
-    x: np.ndarray, edges: np.ndarray, value: float, face: np.ndarray, opts: OptOptions
+    x: np.ndarray,
+    edges: np.ndarray,
+    plan: _kernels.GradPlan,
+    value: float,
+    face: np.ndarray,
+    opts: OptOptions,
 ) -> tuple[np.ndarray, float, int] | None:
     """Newton steps on the KKT system of one face of the simplex.
 
@@ -268,9 +288,12 @@ def _face_newton(
     zero. The steps solve grad_S P(y) = mu * 1, sum_S y = 1 with the
     bordered Jacobian [H_SS -1; 1^T 0], from x renormalized on the face,
     at most NEWTON_STEPS of them, stopping once the residual is below
-    NEWTON_TOL. The end point y is accepted only if it is a local
-    maximum of the face that does not lower P and is stationary for
-    every coordinate positive in x:
+    NEWTON_TOL. They work on the face's own edges, relabelled 0..k-1:
+    off the face y is exactly 0, so every other edge would add only a
+    zero to g_S and H_SS, and the k-vertex plans give both bit for bit.
+    The end point y is accepted only if it is a local maximum of the
+    face that does not lower P and is stationary for every coordinate
+    positive in x:
 
     - every y_S > 0 and P(y) >= value, the value of x;
     - |g_i - rP(y)| <= opts.kkt_tol on the face;
@@ -278,36 +301,45 @@ def _face_newton(
     - the Hessian on the face's tangent space {1^T d = 0} has no
       eigenvalue above CURVATURE_TOL, so y is not a saddle.
 
-    Coordinates at exactly zero are ignored: the growth transform never
-    revives them. Returns (y, P(y), steps), or None when y is rejected.
+    These checks take P and g of the full y, through ``plan``, the
+    gradient plan of ``edges``. Coordinates at exactly zero are ignored:
+    the growth transform never revives them. Returns (y, P(y), steps),
+    or None when y is rejected.
     """
     r = edges.shape[1]
     k = face.shape[0]
-    y = np.zeros_like(x)
-    y[face] = x[face] / x[face].sum()
-    mu = r * _kernels.eval_poly(y, edges)
+    label = np.full(x.shape[0], -1)
+    label[face] = np.arange(k)
+    local = label[edges]
+    local = local[(local >= 0).all(axis=1)]
+    face_grad = _kernels._grad_plan(local)
+    face_hess = _kernels._hess_plan(local, k)
+    z = x[face] / x[face].sum()
+    mu = r * _kernels.eval_poly(z, local)
     jac = np.zeros((k + 1, k + 1))
     jac[:k, k] = -1.0
     jac[k, :k] = 1.0
     steps = 0
     for _ in range(NEWTON_STEPS):
-        resid = np.append(_kernels.link_grad(y, edges)[face] - mu, y[face].sum() - 1.0)
+        resid = np.append(_kernels._grad(z, face_grad) - mu, z.sum() - 1.0)
         if np.max(np.abs(resid)) < NEWTON_TOL:
             break
-        jac[:k, :k] = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+        jac[:k, :k] = _kernels._hess(z, face_hess)
         try:
             step = np.linalg.solve(jac, -resid)
         except np.linalg.LinAlgError:
             return None
-        y[face] += step[:k]
+        z += step[:k]
         mu += step[k]
         steps += 1
-    if not np.all(y[face] > 0.0):
+    if not np.all(z > 0.0):
         return None
+    y = np.zeros_like(x)
+    y[face] = z
     new_value = float(_kernels.eval_poly(y, edges))
     if not new_value >= value:
         return None
-    gap = _kernels.link_grad(y, edges) - r * new_value
+    gap = _kernels._grad(y, plan) - r * new_value
     if np.max(np.abs(gap[face])) > opts.kkt_tol:
         return None
     off_face = x > 0.0
@@ -315,14 +347,18 @@ def _face_newton(
     if np.any(gap[off_face] > opts.kkt_tol):
         return None
     tangent = np.eye(k) - 1.0 / k
-    hess = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+    hess = _kernels._hess(z, face_hess)
     if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > CURVATURE_TOL:
         return None
     return y, new_value, steps
 
 
 def _face_finish(
-    x: np.ndarray, edges: np.ndarray, value: float, opts: OptOptions
+    x: np.ndarray,
+    edges: np.ndarray,
+    plan: _kernels.GradPlan,
+    value: float,
+    opts: OptOptions,
 ) -> tuple[np.ndarray, float, int] | None:
     """The first candidate face of x that ``_face_newton`` accepts, or None.
 
@@ -330,15 +366,15 @@ def _face_finish(
     the j = 0..FACE_DROPS of them with the most negative gaps
     g_i - rP(x): those are decaying towards zero under the growth
     transform, slowly near a boundary maximum. The candidates stop at
-    the first gap >= -GAP_TOL.
+    the first gap >= -GAP_TOL. ``plan`` is the gradient plan of ``edges``.
     """
     base = np.flatnonzero(x > FACE_FLOOR * x.max())
-    gap = _kernels.link_grad(x, edges)[base] - edges.shape[1] * value
+    gap = _kernels._grad(x, plan)[base] - edges.shape[1] * value
     order = np.argsort(gap, kind="stable")
     for j in range(min(FACE_DROPS, base.shape[0] - 1) + 1):
         if j and gap[order[j - 1]] >= -GAP_TOL:
             break
-        out = _face_newton(x, edges, value, np.sort(base[order[j:]]), opts)
+        out = _face_newton(x, edges, plan, value, np.sort(base[order[j:]]), opts)
         if out is not None:
             return out
     return None
@@ -368,6 +404,7 @@ def _ascend_rows(
             arr = arr[: g.n]
         xs.append(arr)
     edges = g.edge_array()
+    plan = _kernels._grad_plan(edges)
     values = [0.0] * len(xs)
     total_iters = [0] * len(xs)
     closed: set[int] = set()
@@ -382,10 +419,10 @@ def _ascend_rows(
             total_iters[k] += int(its[i])
 
     def kkt(k: int) -> float:
-        return _kkt_residual(xs[k], edges, values[k], g.r, floor=opts.trim)
+        return _kkt_residual(xs[k], plan, values[k], g.r, floor=opts.trim)
 
     def finish(k: int) -> bool:
-        out = _face_finish(xs[k], edges, values[k], opts)
+        out = _face_finish(xs[k], edges, plan, values[k], opts)
         if out is None:
             return False
         xs[k], values[k], steps = out
@@ -432,7 +469,7 @@ def _ascend_rows(
             new_residual = kkt(k)
             if new_residual > 0.95 * residual[k]:
                 improved, xs[k], values[k], steps = _pg_polish(
-                    xs[k], edges, values[k], max_steps=30
+                    xs[k], edges, plan, values[k], max_steps=30
                 )
                 total_iters[k] += steps
                 if improved:
@@ -446,11 +483,16 @@ def _ascend_rows(
                 residual[k] = kkt(k)
         live = [k for k in live if k not in stalled]
 
-    return [_ascent_result(g, edges, xs[k], total_iters[k], opts) for k in everyone]
+    return [_ascent_result(g, edges, plan, xs[k], total_iters[k], opts) for k in everyone]
 
 
 def _ascent_result(
-    g: Hypergraph, edges: np.ndarray, x: np.ndarray, iterations: int, opts: OptOptions
+    g: Hypergraph,
+    edges: np.ndarray,
+    plan: _kernels.GradPlan,
+    x: np.ndarray,
+    iterations: int,
+    opts: OptOptions,
 ) -> OptResult:
     """Trim, renormalize and certify the end point of one ascent."""
     x = np.where(x > opts.trim, x, 0.0)
@@ -474,7 +516,7 @@ def _ascent_result(
         value=value,
         weighting=x,
         support=support,
-        kkt_residual=_kkt_residual(x, edges, value, g.r),
+        kkt_residual=_kkt_residual(x, plan, value, g.r),
         edge_cover_ok=_find_uncovered_pair(g, support) is None,
         method="ascent",
         iterations=iterations,
@@ -544,7 +586,7 @@ def minimize_support(
     shrink is kept only when the value matches within opts.value_tol.
     """
     opts = opts or DEFAULT_OPTIONS
-    edges = g.edge_array()
+    plan = _kernels._grad_plan(g.edge_array())
     best = res
     changed = False
     while len(best.support) > 1:
@@ -552,7 +594,7 @@ def minimize_support(
         if pair is not None:
             i, j = pair
             x = best.weighting.copy()
-            grad = _kernels.link_grad(x, edges)
+            grad = _kernels._grad(x, plan)
             keeper, donor = (i, j) if grad[i - 1] >= grad[j - 1] else (j, i)
             x[keeper - 1] += x[donor - 1]
             x[donor - 1] = 0.0
@@ -604,13 +646,13 @@ def complete_lagrangian(t: int, r: int) -> Fraction:
 
 def _closed_form_result(g: Hypergraph, value: float, support: Sequence[int]) -> OptResult:
     x = uniform_weighting(g.n, support) if support else np.full(g.n, 1.0 / g.n)
-    edges = g.edge_array()
+    plan = _kernels._grad_plan(g.edge_array())
     support = tuple(support)
     return OptResult(
         value=value,
         weighting=x,
         support=support,
-        kkt_residual=_kkt_residual(x, edges, value, g.r) if support else 0.0,
+        kkt_residual=_kkt_residual(x, plan, value, g.r) if support else 0.0,
         edge_cover_ok=_find_uncovered_pair(g, support) is None,
         method="closed-form",
         iterations=0,
@@ -663,7 +705,7 @@ def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
         value=value,
         weighting=x,
         support=support,
-        kkt_residual=_kkt_residual(x, edges, value, g.r),
+        kkt_residual=_kkt_residual(x, _kernels._grad_plan(edges), value, g.r),
         edge_cover_ok=_find_uncovered_pair(g, support) is None,
     )
 

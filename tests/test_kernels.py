@@ -68,6 +68,31 @@ class TestBackendEquivalence:
             assert got.shape == (x.shape[0], x.shape[0])
             assert np.allclose(got, python_hessian(x, edges), atol=1e-15, rtol=0)
 
+    def test_face_plans_match_the_full_derivatives(self):
+        # Off a face y is exactly 0, so the edges leaving the face add only
+        # +-0.0 to the face's bins: the plans of the face's own edges,
+        # relabelled 0..k-1, give g_S and H_SS bit for bit. Weights on the
+        # face may be negative, as at a Newton iterate.
+        rng = random.Random(79)
+        inner_free = 0
+        for x, edges in cases(67, 60):
+            n = x.shape[0]
+            face = np.asarray(sorted(rng.sample(range(n), rng.randint(1, n))))
+            k = face.shape[0]
+            y = np.zeros(n)
+            y[face] = [rng.uniform(-0.5, 1.0) for _ in range(k)]
+            label = np.full(n, -1)
+            label[face] = np.arange(k)
+            local = label[edges]
+            local = local[(local >= 0).all(axis=1)]
+            inner_free += local.shape[0] == 0
+            z = y[face]
+            got = _kernels._hess(z, _kernels._hess_plan(local, k))
+            assert np.array_equal(got, _kernels.link_hessian(y, edges)[np.ix_(face, face)])
+            got = _kernels._grad(z, _kernels._grad_plan(local))
+            assert np.array_equal(got, _kernels.link_grad(y, edges)[face])
+        assert inner_free > 0
+
     def test_every_arity_and_size_covered(self):
         seen = {(edges.shape[1], x.shape[0]) for x, edges in cases(67, 60)}
         assert {r for r, _ in seen} == {2, 3, 4}

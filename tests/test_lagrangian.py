@@ -4,6 +4,7 @@ brute-force small cases."""
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -211,6 +212,7 @@ def reference_ascend(g, x0, opts):
     that the lockstep batch replaced, kept as the reference."""
     L = lagrangian_module
     edges = g.edge_array()
+    plan = _kernels._grad_plan(edges)
 
     def loop(x, cap, tol):
         x, value, iters, worst = _kernels.ascent_loop(x, edges, cap, tol)
@@ -218,7 +220,7 @@ def reference_ascend(g, x0, opts):
         return x, value, iters
 
     def kkt(x, value):
-        return L._kkt_residual(x, edges, value, g.r, floor=opts.trim)
+        return L._kkt_residual(x, plan, value, g.r, floor=opts.trim)
 
     x, value, total = loop(as_weighting(x0, g.n)[: g.n].copy(), opts.max_iters, opts.tol)
     residual = kkt(x, value)
@@ -229,7 +231,7 @@ def reference_ascend(g, x0, opts):
         total += it
         new_residual = kkt(x, value)
         if new_residual > 0.95 * residual:
-            improved, x, value, steps = L._pg_polish(x, edges, value, max_steps=30)
+            improved, x, value, steps = L._pg_polish(x, edges, plan, value, max_steps=30)
             total += steps
             if not improved:
                 break
@@ -237,7 +239,7 @@ def reference_ascend(g, x0, opts):
             total += it
             new_residual = kkt(x, value)
         residual = new_residual
-    return L._ascent_result(g, edges, x, total, opts)
+    return L._ascent_result(g, edges, plan, x, total, opts)
 
 
 class TestLockstepMultistart:
@@ -343,7 +345,10 @@ def face_newton(edges, x, face):
     edges = np.asarray(edges, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     value = _kernels.eval_poly(x, edges)
-    return lagrangian_module._face_newton(x, edges, value, np.asarray(face), OptOptions())
+    plan = _kernels._grad_plan(edges)
+    return lagrangian_module._face_newton(
+        x, edges, plan, value, np.asarray(face), OptOptions()
+    )
 
 
 class TestFaceNewton:
@@ -395,7 +400,8 @@ class TestFaceNewton:
              6.305860189381508e-07]
         )
         value = _kernels.eval_poly(x, edges)
-        y, _, _ = lagrangian_module._face_finish(x, edges, value, OptOptions())
+        plan = _kernels._grad_plan(edges)
+        y, _, _ = lagrangian_module._face_finish(x, edges, plan, value, OptOptions())
         assert np.allclose(y, [1 / 3, 2 / 9, 2 / 9, 2 / 9, 0], atol=1e-15, rtol=0)
         assert y[4] == 0.0
 
@@ -405,6 +411,187 @@ class TestFaceNewton:
         edges = [(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4)]
         x = [0.299, 0.308, 0.216, 0.002, 0.175]
         assert face_newton(edges, x, [0, 1, 2, 3, 4]) is None
+
+
+def full_edge_face_newton(x, edges, value, face, opts):
+    """``_face_newton`` on the full edge set, as it was before it kept only
+    the face's own edges: every step takes the n-vertex gradient and
+    Hessian and cuts the face out. Kept as the reference; returns
+    (result, the check that decided it)."""
+    L = lagrangian_module
+    r = edges.shape[1]
+    k = face.shape[0]
+    y = np.zeros_like(x)
+    y[face] = x[face] / x[face].sum()
+    mu = r * _kernels.eval_poly(y, edges)
+    jac = np.zeros((k + 1, k + 1))
+    jac[:k, k] = -1.0
+    jac[k, :k] = 1.0
+    steps = 0
+    for _ in range(L.NEWTON_STEPS):
+        resid = np.append(_kernels.link_grad(y, edges)[face] - mu, y[face].sum() - 1.0)
+        if np.max(np.abs(resid)) < L.NEWTON_TOL:
+            break
+        jac[:k, :k] = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            return None, "singular"
+        y[face] += step[:k]
+        mu += step[k]
+        steps += 1
+    if not np.all(y[face] > 0.0):
+        return None, "not positive"
+    new_value = float(_kernels.eval_poly(y, edges))
+    if not new_value >= value:
+        return None, "lower value"
+    gap = _kernels.link_grad(y, edges) - r * new_value
+    if np.max(np.abs(gap[face])) > opts.kkt_tol:
+        return None, "not stationary"
+    off_face = x > 0.0
+    off_face[face] = False
+    if np.any(gap[off_face] > opts.kkt_tol):
+        return None, "off-face gap"
+    tangent = np.eye(k) - 1.0 / k
+    hess = _kernels.link_hessian(y, edges)[np.ix_(face, face)]
+    if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > L.CURVATURE_TOL:
+        return None, "saddle"
+    return (y, new_value, steps), "accepted"
+
+
+def face_cases(seed, graphs):
+    """(x, edges, faces) on random graphs, r = 2..4 and n = 3..9.
+
+    Half of the points come from 300 growth steps, near a maximum, so
+    that faces get accepted; a third of the points have exact zeros.
+    Each graph gets several faces, run in turn on one gradient plan.
+    """
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        n = rng.randint(3, 9)
+        r = rng.randint(2, min(4, n))
+        pool = list(combinations(range(n), r))
+        edges = np.asarray(rng.sample(pool, rng.randint(1, len(pool))), dtype=np.int64)
+        x = random_weighting(rng, n)
+        if rng.random() < 0.5:
+            x = _kernels.ascent_loop(x, edges, 300, -1.0)[0]
+        support = np.flatnonzero(x > 0.0).tolist()
+        if rng.random() < 1 / 3 and len(support) > 1:
+            zeros = rng.sample(support, rng.randint(1, len(support) - 1))
+            x[zeros] = 0.0
+            x /= x.sum()
+            support = [v for v in support if v not in zeros]
+        faces = []
+        for _ in range(4):
+            face = rng.sample(support, rng.randint(1, len(support)))
+            if rng.random() < 0.25 and len(support) < n:
+                # A face holding a coordinate at exactly zero.
+                face.append(rng.choice([v for v in range(n) if v not in support]))
+            faces.append(np.asarray(sorted(face)))
+        yield x, edges, faces
+
+
+class TestFaceLocalNewton:
+    """The face-local ``_face_newton`` against the full-edge reference."""
+
+    EXAMPLES = [
+        ([(0, 1), (0, 2), (1, 2)], [0.7, 0.3, 0.0], [0, 1]),
+        ([(0, 1), (0, 2), (1, 2)], [0.7, 0.25, 0.05], [0, 1]),
+        ([(0, 1), (2, 3)], [0.3, 0.2, 0.25, 0.25], [0, 1, 2, 3]),
+        ([(0, 3)], [0.176, 0.416, 0.126, 0.282], [1, 2]),
+        ([(0, 1, 2)], [0.647, 0.191, 0.162], [0, 1, 2]),
+        ([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4)],
+         [0.299, 0.308, 0.216, 0.002, 0.175], [0, 1, 2, 3, 4]),
+    ]
+
+    def test_bit_identical_to_the_full_edge_newton(self):
+        opts = OptOptions()
+        cases = [
+            (np.asarray(x), np.asarray(edges, dtype=np.int64), [np.asarray(face)])
+            for edges, x, face in self.EXAMPLES
+        ]
+        cases += face_cases(151, 150)
+        reasons: dict[str, int] = {}
+        shapes = {"no inner edge": 0, "k = 1": 0, "zero on the face": 0}
+        for x, edges, faces in cases:
+            value = _kernels.eval_poly(x, edges)
+            plan = _kernels._grad_plan(edges)
+            for face in faces:
+                with np.errstate(all="ignore"):
+                    got = lagrangian_module._face_newton(x, edges, plan, value, face, opts)
+                    want, reason = full_edge_face_newton(x, edges, value, face, opts)
+                reasons[reason] = reasons.get(reason, 0) + 1
+                inner = np.isin(edges, face).all(axis=1).any()
+                shapes["no inner edge"] += face.shape[0] > 1 and not inner
+                shapes["k = 1"] += face.shape[0] == 1
+                shapes["zero on the face"] += bool((x[face] == 0.0).any())
+                if want is None:
+                    assert got is None, reason
+                    continue
+                y, new_value, steps = got
+                assert np.array_equal(y, want[0])
+                assert new_value == want[1] and steps == want[2]
+        assert set(reasons) == {
+            "accepted", "singular", "not positive", "lower value",
+            "not stationary", "off-face gap", "saddle",
+        }, reasons
+        assert all(count > 0 for count in shapes.values()), shapes
+
+    def test_one_full_plan_per_batch_and_one_face_plan_per_attempt(self, monkeypatch):
+        # The left-compressed 3-graph on [7] whose growth transform stops
+        # 1.17e-7 off stationarity: its rows run KKT checks, face attempts
+        # with Newton steps, and the drop step of support minimization.
+        g = Hypergraph.from_edges(3, 7, [
+            (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
+            (1, 4, 5), (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (1, 5, 6),
+            (1, 2, 7), (1, 3, 7), (2, 3, 7), (1, 4, 7), (1, 5, 7), (1, 6, 7),
+        ])
+        L = lagrangian_module
+        scope: list[str] = []  # the spied calls running, innermost last
+        batches: list[Counter] = []  # per _ascend_rows call: (callee, caller) counts
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                if name == "_ascend_rows":
+                    batches.append(Counter())
+                elif scope:
+                    batches[-1][name, scope[-1]] += 1
+                scope.append(name)
+                try:
+                    out = real(*args, **kwargs)
+                finally:
+                    scope.pop()
+                if name == "_face_newton" and out is not None:
+                    batches[-1]["newton steps"] += out[2]
+                return out
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for owner, name in [
+            (L, "_ascend_rows"), (L, "_kkt_residual"), (L, "_face_newton"),
+            (_kernels, "ascent_rows"), (_kernels, "_grad_plan"), (_kernels, "_hess_plan"),
+        ]:
+            spy(owner, name)
+        res = lagrangian(g)
+        assert certify(g, res).ok
+        assert len(batches) > 1
+        for seen in batches:
+            attempts = seen["_face_newton", "_ascend_rows"]
+            growth = seen["ascent_rows", "_ascend_rows"]
+            # One plan for the batch, shared by every KKT check, face gap
+            # and rescue; one per growth phase, inside ``ascent_rows``;
+            # one gradient and one Hessian plan per face attempt.
+            assert seen["_grad_plan", "_ascend_rows"] == 1, seen
+            assert seen["_grad_plan", "ascent_rows"] == growth, seen
+            assert seen["_grad_plan", "_face_newton"] == attempts, seen
+            assert seen["_hess_plan", "_face_newton"] == attempts, seen
+            builds = sum(n for key, n in seen.items() if key[0] in ("_grad_plan", "_hess_plan"))
+            assert builds == 1 + growth + 2 * attempts, seen
+        assert sum(seen["_kkt_residual", "_ascend_rows"] for seen in batches) > len(batches)
+        assert sum(seen["_face_newton", "_ascend_rows"] for seen in batches) > 1
+        assert sum(seen["newton steps"] for seen in batches) > 1
 
 
 class TestLagrangianDispatcher:
