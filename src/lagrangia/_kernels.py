@@ -17,6 +17,10 @@ has a plan, built once per edge array and passed in: ``_grad_plan`` with
 ``_grad``, and ``_hess_plan`` with ``_hess``. Callers that take many
 derivatives of one graph build the plan once and keep it; ``link_grad``
 and ``link_hessian`` are one-shot wrappers over the same two paths.
+``_stack_plans`` joins the plans of a batch of rows, each row's indices
+shifted past the rows before it, so one scatter takes the derivative of
+every row of a (K, n) batch; each bin still adds the same terms in the
+same order, so every row is bit-identical to a one-row call.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -42,10 +46,10 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# A gradient plan: scatter targets and the r - 1 leave-one-out gathers.
-# A Hessian plan: scatter bins, the r - 2 leave-two-out gathers and n.
-GradPlan = tuple[np.ndarray, list[np.ndarray]]
-HessPlan = tuple[np.ndarray, list[np.ndarray], int]
+# A derivative plan: scatter bins and gather arrays. The gradient plan
+# has the r - 1 leave-one-out gathers, the Hessian plan the r - 2
+# leave-two-out gathers.
+Plan = tuple[np.ndarray, list[np.ndarray]]
 
 
 def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
@@ -55,7 +59,7 @@ def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
     return math.fsum(np.prod(x[edges], axis=1))
 
 
-def _grad_plan(edges: np.ndarray) -> GradPlan:
+def _grad_plan(edges: np.ndarray) -> Plan:
     """Scatter targets and the r - 1 leave-one-out gather arrays.
 
     Slot (k, j) of the flattened edge array is vertex edges[k, j]; the
@@ -70,7 +74,7 @@ def _grad_plan(edges: np.ndarray) -> GradPlan:
     return edges.ravel(), gathers
 
 
-def _grad(x: np.ndarray, plan: GradPlan) -> np.ndarray:
+def _grad(x: np.ndarray, plan: Plan) -> np.ndarray:
     """The gradient at x, or at every row of a batch x with a batch plan."""
     flat, gathers = plan
     if flat.shape[0] == 0:
@@ -82,7 +86,7 @@ def _grad(x: np.ndarray, plan: GradPlan) -> np.ndarray:
     return np.bincount(flat, weights=loo, minlength=xs.shape[0]).reshape(x.shape)
 
 
-def _hess_plan(edges: np.ndarray, n: int) -> HessPlan:
+def _hess_plan(edges: np.ndarray, n: int) -> Plan:
     """Scatter bins and the r - 2 leave-two-out gather arrays on n vertices.
 
     Every ordered pair of columns (a, b) of an edge is a slot, scattered
@@ -94,22 +98,42 @@ def _hess_plan(edges: np.ndarray, n: int) -> HessPlan:
     rest = [[c for c in range(r) if c != a and c != b] for a, b in pairs]
     flat = (edges[:, [a for a, _ in pairs]] * n + edges[:, [b for _, b in pairs]]).ravel()
     gathers = [edges[:, [cols[i] for cols in rest]].ravel() for i in range(r - 2)]
-    return flat, gathers, n
+    return flat, gathers
 
 
-def _hess(x: np.ndarray, plan: HessPlan) -> np.ndarray:
-    """The Hessian at x: bin (i, j) sums the slots' leave-two-out products.
+def _hess(x: np.ndarray, plan: Plan) -> np.ndarray:
+    """The Hessian at x, or at every row of a batch x with a batch plan:
+    bin (i, j) sums the slots' leave-two-out products.
 
     For r = 2 the weights are 1 and the result is the adjacency matrix.
     """
-    flat, gathers, n = plan
+    flat, gathers = plan
+    n = x.shape[-1]
+    xs = x.ravel()
     if gathers:
-        weights = x[gathers[0]]
+        weights = xs[gathers[0]]
         for idx in gathers[1:]:
-            weights *= x[idx]
+            weights *= xs[idx]
     else:
         weights = np.ones(flat.shape[0])
-    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    return np.bincount(flat, weights=weights, minlength=xs.shape[0] * n).reshape(
+        x.shape + (n,)
+    )
+
+
+def _stack_plans(plans: list[Plan], size: int, bins: int) -> Plan:
+    """One plan for a batch whose row i has plan ``plans[i]``.
+
+    Rows hold ``size`` weights and scatter into ``bins`` bins (n and n
+    for a gradient, k and k * k for a Hessian on k vertices), so row i's
+    gathers shift by i * size and its scatter bins by i * bins.
+    """
+    flat = np.concatenate([p[0] + i * bins for i, p in enumerate(plans)])
+    gathers = [
+        np.concatenate([p[1][j] + i * size for i, p in enumerate(plans)])
+        for j in range(len(plans[0][1]))
+    ]
+    return flat, gathers
 
 
 def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

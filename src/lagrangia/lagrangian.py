@@ -20,18 +20,22 @@ The starts of one graph run in lockstep: every growth-transform phase
 (each chunk of the gain-stopped run, each round of fixed-length bursts,
 the run after a rescue) takes the rows that need it as one
 ``_kernels.ascent_rows`` batch, and a row leaves the batch when it
-stops or a face closes it. Rows are bit-identical to separate runs and
-every face attempt looks at one row, so the result of each start is
-that of ``ascend`` from it alone; the batch only cuts per-step numpy
-overhead.
+stops or a face closes it. The face finish runs in lockstep too: the
+rows that try it after a phase form one ``_face_finish`` batch, whose
+j-th candidate faces are tried together, one ``_face_newton`` batch per
+face size, with one stacked solve per Newton step. Every scatter bin
+and reduction belongs to one row, so each row is bit-identical to a
+separate run and the result of each start is that of ``ascend`` from it
+alone; the batches only cut per-call numpy overhead. Only the kept row,
+the best by value, support size and weights, is certified.
 
 On graphs of a few vertices numpy call overhead, not arithmetic, is
 most of every derivative, so none rebuilds its index arrays: each
 ``_ascend_rows`` call builds the gradient plan of the graph's edges once
 (``_kernels._grad_plan``) and passes it to every KKT check, face gap and
-rescue, and each face attempt builds one gradient and one Hessian plan
-on the face's own edges, relabelled to its k vertices, for all of its
-Newton steps.
+rescue, and builds one gradient and one Hessian plan on the own edges
+of each face it tries, relabelled to its k vertices, for every Newton
+step on that face in the call.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -200,7 +204,7 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
 
 
 def _kkt_residual(
-    x: np.ndarray, plan: _kernels.GradPlan, value: float, r: int, floor: float = 0.0
+    x: np.ndarray, plan: _kernels.Plan, value: float, r: int, floor: float = 0.0
 ) -> float:
     """Stationarity residual over the coordinates above ``floor``.
 
@@ -243,7 +247,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _pg_polish(
     x: np.ndarray,
     edges: np.ndarray,
-    plan: _kernels.GradPlan,
+    plan: _kernels.Plan,
     value: float,
     max_steps: int = 100,
 ) -> tuple[bool, np.ndarray, float, int]:
@@ -274,28 +278,75 @@ def _pg_polish(
     return improved, x, value, steps
 
 
+def _face_plans(
+    face: np.ndarray, edges: np.ndarray, n: int, cache: dict
+) -> tuple[np.ndarray, _kernels.Plan, _kernels.Plan]:
+    """The face's own edges, relabelled 0..k-1, with their gradient and
+    Hessian plans; built on the first call for a face and kept in ``cache``.
+    """
+    key = face.tobytes()
+    plans = cache.get(key)
+    if plans is None:
+        k = face.shape[0]
+        label = np.full(n, -1)
+        label[face] = np.arange(k)
+        local = label[edges]
+        local = local[(local >= 0).all(axis=1)]
+        plans = cache[key] = local, _kernels._grad_plan(local), _kernels._hess_plan(local, k)
+    return plans
+
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve jac[i] s_i = rhs[i] for every row; returns (s, solved).
+
+    One stacked solve raises for the whole stack if any matrix is
+    singular; then each row is solved alone, and the singular rows come
+    back unsolved.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(rhs.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    solved = np.zeros(rhs.shape[0], dtype=bool)
+    for i in range(rhs.shape[0]):
+        try:
+            out[i] = np.linalg.solve(jac[i], rhs[i])
+        except np.linalg.LinAlgError:
+            continue
+        solved[i] = True
+    return out, solved
+
+
 def _face_newton(
-    x: np.ndarray,
+    X: np.ndarray,
     edges: np.ndarray,
-    plan: _kernels.GradPlan,
-    value: float,
-    face: np.ndarray,
+    plan: _kernels.Plan,
+    values: np.ndarray,
+    faces: np.ndarray,
     opts: OptOptions,
-) -> tuple[np.ndarray, float, int] | None:
-    """Newton steps on the KKT system of one face of the simplex.
+    face_plans: dict,
+) -> list[tuple[np.ndarray, float, int] | None]:
+    """Newton steps on the KKT system of one face of the simplex, per row.
 
-    The face keeps the 0-based coordinates ``face`` and sets the rest to
-    zero. The steps solve grad_S P(y) = mu * 1, sum_S y = 1 with the
-    bordered Jacobian [H_SS -1; 1^T 0], from x renormalized on the face,
-    at most NEWTON_STEPS of them, stopping once the residual is below
-    NEWTON_TOL. They work on the face's own edges, relabelled 0..k-1:
-    off the face y is exactly 0, so every other edge would add only a
-    zero to g_S and H_SS, and the k-vertex plans give both bit for bit.
-    The end point y is accepted only if it is a local maximum of the
-    face that does not lower P and is stationary for every coordinate
-    positive in x:
+    Row i of the (R, n) batch X has value ``values[i]`` and face
+    ``faces[i]``: the face keeps those 0-based coordinates, k of them in
+    every row, and sets the rest to zero. The steps solve
+    grad_S P(y) = mu * 1, sum_S y = 1 with the bordered Jacobian
+    [H_SS -1; 1^T 0], from x renormalized on the face, at most
+    NEWTON_STEPS of them; a row stops once its residual is below
+    NEWTON_TOL, and a row whose Jacobian is singular is rejected. They
+    work on the face's own edges, relabelled 0..k-1 (``_face_plans``,
+    kept in ``face_plans`` by face): off the face y is exactly 0, so
+    every other edge would add only a zero to g_S and H_SS, and the
+    k-vertex plans give both bit for bit. The rows share one scatter per
+    derivative through row-offset plans and one stacked solve per step,
+    and every reduction runs along one row, so each row's result is
+    that of a batch of that row alone. The end point y of a row is
+    accepted only if it is a local maximum of the face that does not
+    lower P and is stationary for every coordinate positive in x:
 
-    - every y_S > 0 and P(y) >= value, the value of x;
+    - every y_S > 0 and P(y) >= values[i];
     - |g_i - rP(y)| <= opts.kkt_tol on the face;
     - g_j - rP(y) <= opts.kkt_tol for every j positive in x off the face;
     - the Hessian on the face's tangent space {1^T d = 0} has no
@@ -303,81 +354,116 @@ def _face_newton(
 
     These checks take P and g of the full y, through ``plan``, the
     gradient plan of ``edges``. Coordinates at exactly zero are ignored:
-    the growth transform never revives them. Returns (y, P(y), steps),
-    or None when y is rejected.
+    the growth transform never revives them. Returns, per row,
+    (y, P(y), steps), or None when y is rejected.
     """
+    R, n = X.shape
+    k = faces.shape[1]
     r = edges.shape[1]
-    k = face.shape[0]
-    label = np.full(x.shape[0], -1)
-    label[face] = np.arange(k)
-    local = label[edges]
-    local = local[(local >= 0).all(axis=1)]
-    face_grad = _kernels._grad_plan(local)
-    face_hess = _kernels._hess_plan(local, k)
-    z = x[face] / x[face].sum()
-    mu = r * _kernels.eval_poly(z, local)
-    jac = np.zeros((k + 1, k + 1))
-    jac[:k, k] = -1.0
-    jac[k, :k] = 1.0
-    steps = 0
+    local, grad_plans, hess_plans = zip(*(_face_plans(f, edges, n, face_plans) for f in faces))
+    face_grad = _kernels._stack_plans(grad_plans, k, k)
+    face_hess = _kernels._stack_plans(hess_plans, k, k * k)
+    Z = X[np.arange(R)[:, None], faces]
+    Z /= Z.sum(axis=1, keepdims=True)
+    mu = np.array([r * _kernels.eval_poly(z, e) for z, e in zip(Z, local)])
+    jac = np.zeros((R, k + 1, k + 1))
+    jac[:, :k, k] = -1.0
+    jac[:, k, :k] = 1.0
+    steps = np.zeros(R, dtype=np.int64)
+    singular = np.zeros(R, dtype=bool)
+    live = np.arange(R)
     for _ in range(NEWTON_STEPS):
-        resid = np.append(_kernels._grad(z, face_grad) - mu, z.sum() - 1.0)
-        if np.max(np.abs(resid)) < NEWTON_TOL:
+        resid = np.concatenate(
+            (_kernels._grad(Z, face_grad) - mu[:, None], Z.sum(axis=1, keepdims=True) - 1.0),
+            axis=1,
+        )
+        live = live[~(np.abs(resid[live]).max(axis=1) < NEWTON_TOL)]
+        if not live.shape[0]:
             break
-        jac[:k, :k] = _kernels._hess(z, face_hess)
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        z += step[:k]
-        mu += step[k]
-        steps += 1
-    if not np.all(z > 0.0):
-        return None
-    y = np.zeros_like(x)
-    y[face] = z
-    new_value = float(_kernels.eval_poly(y, edges))
-    if not new_value >= value:
-        return None
-    gap = _kernels._grad(y, plan) - r * new_value
-    if np.max(np.abs(gap[face])) > opts.kkt_tol:
-        return None
-    off_face = x > 0.0
-    off_face[face] = False
-    if np.any(gap[off_face] > opts.kkt_tol):
-        return None
+        jac[live, :k, :k] = _kernels._hess(Z, face_hess)[live]
+        step, solved = _solve_rows(jac[live], -resid[live])
+        singular[live[~solved]] = True
+        live, step = live[solved], step[solved]
+        Z[live] += step[:, :k]
+        mu[live] += step[:, k]
+        steps[live] += 1
+
+    out: list[tuple[np.ndarray, float, int] | None] = [None] * R
+    keep = np.flatnonzero(~singular & (Z > 0.0).all(axis=1))
+    Y = np.zeros((keep.shape[0], n))
+    at = np.arange(keep.shape[0])[:, None]
+    Y[at, faces[keep]] = Z[keep]
+    new_values = np.array([math.fsum(p) for p in np.prod(Y[:, edges], axis=2)])
+    higher = new_values >= values[keep]
+    keep, Y, new_values = keep[higher], Y[higher], new_values[higher]
+    if not keep.shape[0]:
+        return out
+    at = at[: keep.shape[0]]
+    gap = _kernels._grad(Y, _kernels._stack_plans([plan] * keep.shape[0], n, n))
+    gap -= r * new_values[:, None]
+    off_face = X[keep] > 0.0
+    off_face[at, faces[keep]] = False
+    stationary = ~(np.abs(gap[at, faces[keep]]).max(axis=1) > opts.kkt_tol) & ~(
+        (gap > opts.kkt_tol) & off_face
+    ).any(axis=1)
+    keep, Y, new_values = keep[stationary], Y[stationary], new_values[stationary]
+    if not keep.shape[0]:
+        return out
     tangent = np.eye(k) - 1.0 / k
-    hess = _kernels._hess(z, face_hess)
-    if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > CURVATURE_TOL:
-        return None
-    return y, new_value, steps
+    hess = _kernels._hess(
+        Z[keep], _kernels._stack_plans([hess_plans[i] for i in keep], k, k * k)
+    )
+    concave = ~(np.linalg.eigvalsh(tangent @ hess @ tangent).max(axis=1) > CURVATURE_TOL)
+    for i, y, value in zip(keep[concave], Y[concave], new_values[concave]):
+        out[i] = y, float(value), int(steps[i])
+    return out
 
 
 def _face_finish(
-    x: np.ndarray,
+    X: np.ndarray,
     edges: np.ndarray,
-    plan: _kernels.GradPlan,
-    value: float,
+    plan: _kernels.Plan,
+    values: np.ndarray,
     opts: OptOptions,
-) -> tuple[np.ndarray, float, int] | None:
-    """The first candidate face of x that ``_face_newton`` accepts, or None.
+    face_plans: dict,
+) -> list[tuple[np.ndarray, float, int] | None]:
+    """Per row of X, the first candidate face that ``_face_newton``
+    accepts, or None.
 
     A candidate keeps the coordinates above FACE_FLOOR * max x, minus
     the j = 0..FACE_DROPS of them with the most negative gaps
     g_i - rP(x): those are decaying towards zero under the growth
     transform, slowly near a boundary maximum. The candidates stop at
-    the first gap >= -GAP_TOL. ``plan`` is the gradient plan of ``edges``.
+    the first gap >= -GAP_TOL. ``plan`` is the gradient plan of
+    ``edges``. Every row still open tries its j-th candidate in the same
+    round, the rows of one face size as one ``_face_newton`` batch.
     """
-    base = np.flatnonzero(x > FACE_FLOOR * x.max())
-    gap = _kernels._grad(x, plan)[base] - edges.shape[1] * value
-    order = np.argsort(gap, kind="stable")
-    for j in range(min(FACE_DROPS, base.shape[0] - 1) + 1):
-        if j and gap[order[j - 1]] >= -GAP_TOL:
-            break
-        out = _face_newton(x, edges, plan, value, np.sort(base[order[j:]]), opts)
-        if out is not None:
-            return out
-    return None
+    R, n = X.shape
+    r = edges.shape[1]
+    grads = _kernels._grad(X, _kernels._stack_plans([plan] * R, n, n))
+    candidates = []
+    for x, grad, value in zip(X, grads, values):
+        base = np.flatnonzero(x > FACE_FLOOR * x.max())
+        gap = grad[base] - r * value
+        order = np.argsort(gap, kind="stable")
+        faces = []
+        for j in range(min(FACE_DROPS, base.shape[0] - 1) + 1):
+            if j and gap[order[j - 1]] >= -GAP_TOL:
+                break
+            faces.append(np.sort(base[order[j:]]))
+        candidates.append(faces)
+    out: list[tuple[np.ndarray, float, int] | None] = [None] * R
+    for j in range(FACE_DROPS + 1):
+        by_size: dict[int, list[int]] = {}
+        for i, row_faces in enumerate(candidates):
+            if out[i] is None and j < len(row_faces):
+                by_size.setdefault(row_faces[j].shape[0], []).append(i)
+        for rows in by_size.values():
+            faces = np.array([candidates[i][j] for i in rows])
+            tried = _face_newton(X[rows], edges, plan, values[rows], faces, opts, face_plans)
+            for i, res in zip(rows, tried):
+                out[i] = res
+    return out
 
 
 def _check_monotone(worst: np.ndarray) -> None:
@@ -388,12 +474,15 @@ def _check_monotone(worst: np.ndarray) -> None:
 
 def _ascend_rows(
     g: Hypergraph, starts: Sequence[Sequence[float]], opts: OptOptions
-) -> list[OptResult]:
-    """``ascend`` from every start, the starts run in lockstep.
+) -> OptResult:
+    """The best ``ascend`` result over the starts, run in lockstep.
 
     Each phase runs the rows that need it as one ``ascent_rows`` batch,
-    and every face attempt looks at one row only, so each result equals
-    a separate ``ascend`` bit for bit.
+    and the rows that try a face finish after it as one ``_face_finish``
+    batch, so every row ends where a separate ``ascend`` from its start
+    ends, bit for bit. ``_ascent_result`` keeps the best row and
+    certifies only it. The face plans are built once per face and kept
+    for the whole call.
     """
     xs: list[np.ndarray] = []
     for x0 in starts:
@@ -405,6 +494,7 @@ def _ascend_rows(
         xs.append(arr)
     edges = g.edge_array()
     plan = _kernels._grad_plan(edges)
+    face_plans: dict = {}
     values = [0.0] * len(xs)
     total_iters = [0] * len(xs)
     closed: set[int] = set()
@@ -421,14 +511,23 @@ def _ascend_rows(
     def kkt(k: int) -> float:
         return _kkt_residual(xs[k], plan, values[k], g.r, floor=opts.trim)
 
-    def finish(k: int) -> bool:
-        out = _face_finish(xs[k], edges, plan, values[k], opts)
-        if out is None:
-            return False
-        xs[k], values[k], steps = out
-        total_iters[k] += steps
-        closed.add(k)
-        return True
+    def finish(idx: list[int]) -> list[int]:
+        """Try the faces of the rows idx as one batch; the rows left open."""
+        if not idx:
+            return []
+        outs = _face_finish(
+            np.array([xs[k] for k in idx]), edges, plan,
+            np.array([values[k] for k in idx]), opts, face_plans,
+        )
+        left = []
+        for k, out in zip(idx, outs):
+            if out is None:
+                left.append(k)
+                continue
+            xs[k], values[k], steps = out
+            total_iters[k] += steps
+            closed.add(k)
+        return left
 
     # The gain-stopped run, in chunks of FACE_CHUNK steps. A row that
     # runs a whole chunk is still moving, often because coordinates are
@@ -440,11 +539,11 @@ def _ascend_rows(
         done = [total_iters[k] for k in live]
         caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
         run(live, caps, opts.tol)
-        live = [
+        live = finish([
             k
             for k, d, cap in zip(live, done, caps)
-            if total_iters[k] - d == cap and total_iters[k] < opts.max_iters and not finish(k)
-        ]
+            if total_iters[k] - d == cap and total_iters[k] < opts.max_iters
+        ])
 
     # A row whose gain stop fired while it was still off stationarity
     # tries its faces once more. What no face closes is a plateau (H_SS
@@ -455,7 +554,7 @@ def _ascend_rows(
     # not improved by a rescue.
     live = [k for k in everyone if k not in closed]
     residual = {k: kkt(k) for k in live}
-    live = [k for k in live if residual[k] > opts.kkt_tol and not finish(k)]
+    live = finish([k for k in live if residual[k] > opts.kkt_tol])
     for _ in range(40):
         live = [
             k for k in live
@@ -483,42 +582,53 @@ def _ascend_rows(
                 residual[k] = kkt(k)
         live = [k for k in live if k not in stalled]
 
-    return [_ascent_result(g, edges, plan, xs[k], total_iters[k], opts) for k in everyone]
+    return _ascent_result(g, edges, plan, np.array(xs), total_iters, opts)
 
 
 def _ascent_result(
     g: Hypergraph,
     edges: np.ndarray,
-    plan: _kernels.GradPlan,
-    x: np.ndarray,
-    iterations: int,
+    plan: _kernels.Plan,
+    X: np.ndarray,
+    iterations: Sequence[int],
     opts: OptOptions,
 ) -> OptResult:
-    """Trim, renormalize and certify the end point of one ascent."""
-    x = np.where(x > opts.trim, x, 0.0)
-    total = x.sum()
-    if total > 0.0:
-        x = x / total
-    value = float(_kernels.eval_poly(x, edges))
+    """Trim and renormalize the end point of every ascent, one per row of
+    X, and certify the best.
 
-    if value <= 0.0:
-        return OptResult(
-            value=0.0,
-            weighting=x,
-            support=(),
-            kkt_residual=0.0,
-            edge_cover_ok=True,
-            method="ascent",
-            iterations=iterations,
-        )
-    support = _support(x)
+    Weights at or below opts.trim are zeroed. Rows rank by value desc,
+    support size asc, weights lex desc, and the first of equal rows
+    wins; a row of value 0 has an empty support. Every reduction runs
+    along one row, so each row is trimmed as it would be alone.
+    """
+    X = np.where(X > opts.trim, X, 0.0)
+    total = X.sum(axis=1, keepdims=True)
+    X = np.divide(X, total, out=X, where=total > 0.0)
+    values = np.array([math.fsum(p) for p in np.prod(X[:, edges], axis=2)])
+    sizes = np.where(values > 0.0, (X > 0.0).sum(axis=1), 0)
+    best = min(range(X.shape[0]), key=lambda k: (-values[k], sizes[k], tuple(-X[k])))
+    x, value = X[best], float(values[best])
+    support = _support(x) if value > 0.0 else ()
+    return _certified(g, plan, x, value, support, "ascent", iterations[best])
+
+
+def _certified(
+    g: Hypergraph,
+    plan: _kernels.Plan,
+    x: np.ndarray,
+    value: float,
+    support: tuple[int, ...],
+    method: str,
+    iterations: int,
+) -> OptResult:
+    """The result at x with its KKT residual and pair-cover certificate."""
     return OptResult(
         value=value,
         weighting=x,
         support=support,
-        kkt_residual=_kkt_residual(x, plan, value, g.r),
+        kkt_residual=_kkt_residual(x, plan, value, g.r) if support else 0.0,
         edge_cover_ok=_find_uncovered_pair(g, support) is None,
-        method="ascent",
+        method=method,
         iterations=iterations,
     )
 
@@ -536,16 +646,7 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
     renormalized. A zero objective with zero gradient comes back as
     value 0 with an empty support.
     """
-    return _ascend_rows(g, [x0], opts or DEFAULT_OPTIONS)[0]
-
-
-def _merge_key(res: OptResult):
-    # value desc, support size asc, weights lex desc
-    return (-res.value, res.support_size, tuple(-w for w in res.weighting))
-
-
-def _better(a: OptResult, b: OptResult) -> OptResult:
-    return a if _merge_key(a) <= _merge_key(b) else b
+    return _ascend_rows(g, [x0], opts or DEFAULT_OPTIONS)
 
 
 def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
@@ -566,11 +667,7 @@ def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResul
         rng = np.random.default_rng(opts.seed)
         for _ in range(opts.random_starts):
             starts.append(rng.dirichlet(np.ones(n)))
-    results = _ascend_rows(g, starts, opts)
-    best = results[0]
-    for res in results[1:]:
-        best = _better(best, res)
-    return best
+    return _ascend_rows(g, starts, opts)
 
 
 def minimize_support(
@@ -612,7 +709,7 @@ def minimize_support(
         if total <= 0.0:
             break
         remaining = [v for v in best.support if v != drop]
-        cand = _better(*_ascend_rows(g, [x / total, uniform_weighting(g.n, remaining)], opts))
+        cand = _ascend_rows(g, [x / total, uniform_weighting(g.n, remaining)], opts)
         if cand.value >= best.value - opts.value_tol:
             best = cand
             changed = True
@@ -647,16 +744,7 @@ def complete_lagrangian(t: int, r: int) -> Fraction:
 def _closed_form_result(g: Hypergraph, value: float, support: Sequence[int]) -> OptResult:
     x = uniform_weighting(g.n, support) if support else np.full(g.n, 1.0 / g.n)
     plan = _kernels._grad_plan(g.edge_array())
-    support = tuple(support)
-    return OptResult(
-        value=value,
-        weighting=x,
-        support=support,
-        kkt_residual=_kkt_residual(x, plan, value, g.r) if support else 0.0,
-        edge_cover_ok=_find_uncovered_pair(g, support) is None,
-        method="closed-form",
-        iterations=0,
-    )
+    return _certified(g, plan, x, value, tuple(support), "closed-form", 0)
 
 
 def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:

@@ -22,6 +22,7 @@ from lagrangia.cli import (
     main,
     parse_args,
 )
+import lagrangia
 from lagrangia import _kernels
 from lagrangia.core import format_edge_list
 from lagrangia.structure import enumerate_left_compressed
@@ -395,6 +396,9 @@ def test_parse_args_bounds_parallelism_by_cpu_count(monkeypatch):
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
     env.pop("LAGRANGIA_SEED", None)
+    # The child imports the package this process imported, installed or not.
+    package_root = os.path.dirname(os.path.dirname(lagrangia.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(

@@ -15,7 +15,6 @@ from lagrangia import _kernels
 from lagrangia.core import Hypergraph, colex_graph, complete_graph, binomial
 from lagrangia.lagrangian import (
     OptOptions,
-    _better,
     ascend,
     ascend_multistart,
     as_weighting,
@@ -239,7 +238,13 @@ def reference_ascend(g, x0, opts):
             total += it
             new_residual = kkt(x, value)
         residual = new_residual
-    return L._ascent_result(g, edges, plan, x, total, opts)
+    return L._ascent_result(g, edges, plan, x[None, :], [total], opts)
+
+
+def merge_key(res):
+    # The order in which multistart keeps a result: value desc, support
+    # size asc, weights lex desc; the first of equal results wins.
+    return (-res.value, res.support_size, tuple(-w for w in res.weighting))
 
 
 class TestLockstepMultistart:
@@ -273,7 +278,7 @@ class TestLockstepMultistart:
             assert res.value >= ref.value - 1e-12
             assert res.kkt_residual <= opts.kkt_tol
             seen["results"].append(res)
-            best = res if best is None else _better(best, res)
+            best = res if best is None or merge_key(res) < merge_key(best) else best
         assert batched.value == best.value
         assert np.array_equal(batched.weighting, best.weighting)
         assert batched.iterations == best.iterations
@@ -340,13 +345,20 @@ class TestLockstepMultistart:
         assert out.support == (1, 2, 3, 4)
 
 
+def one_face_newton(x, edges, plan, value, face, opts):
+    """``_face_newton`` on a batch of one row: x on its face."""
+    return lagrangian_module._face_newton(
+        x[None, :], edges, plan, np.asarray([value]), np.asarray(face)[None, :], opts, {}
+    )[0]
+
+
 def face_newton(edges, x, face):
     """``_face_newton`` from x on a face, both given 0-based."""
     edges = np.asarray(edges, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     value = _kernels.eval_poly(x, edges)
     plan = _kernels._grad_plan(edges)
-    return lagrangian_module._face_newton(x, edges, plan, value, np.asarray(face), OptOptions())
+    return one_face_newton(x, edges, plan, value, face, OptOptions())
 
 
 class TestFaceNewton:
@@ -399,7 +411,9 @@ class TestFaceNewton:
         )
         value = _kernels.eval_poly(x, edges)
         plan = _kernels._grad_plan(edges)
-        y, _, _ = lagrangian_module._face_finish(x, edges, plan, value, OptOptions())
+        y, _, _ = lagrangian_module._face_finish(
+            x[None, :], edges, plan, np.asarray([value]), OptOptions(), {}
+        )[0]
         assert np.allclose(y, [1 / 3, 2 / 9, 2 / 9, 2 / 9, 0], atol=1e-15, rtol=0)
         assert y[4] == 0.0
 
@@ -516,7 +530,7 @@ class TestFaceLocalNewton:
             plan = _kernels._grad_plan(edges)
             for face in faces:
                 with np.errstate(all="ignore"):
-                    got = lagrangian_module._face_newton(x, edges, plan, value, face, opts)
+                    got = one_face_newton(x, edges, plan, value, face, opts)
                     want, reason = full_edge_face_newton(x, edges, value, face, opts)
                 reasons[reason] = reasons.get(reason, 0) + 1
                 inner = np.isin(edges, face).all(axis=1).any()
@@ -535,7 +549,88 @@ class TestFaceLocalNewton:
         }, reasons
         assert all(count > 0 for count in shapes.values()), shapes
 
-    def test_one_full_plan_per_batch_and_one_face_plan_per_attempt(self, monkeypatch):
+    def test_batch_equals_one_row_calls(self):
+        # Every face of the corpus from two points of its graph: the
+        # attempts of one size run as one batch, the batches of a graph
+        # share one plan dict as in ``_ascend_rows``, and each row must
+        # equal a call on that row alone.
+        opts = OptOptions()
+        cases = [
+            (np.asarray(x), np.asarray(edges, dtype=np.int64), [np.asarray(face)])
+            for edges, x, face in self.EXAMPLES
+        ]
+        cases += face_cases(151, 150)
+        outcomes = Counter()
+        for x, edges, faces in cases:
+            # The second point is 25 growth steps on, with its smallest
+            # positive weight zeroed, so the rows of a batch differ in
+            # their exact zeros too.
+            y = _kernels.ascent_loop(x, edges, 25, -1.0)[0]
+            if (y > 0.0).sum() > 1:
+                y[np.flatnonzero(y > 0.0)[np.argmin(y[y > 0.0])]] = 0.0
+                y /= y.sum()
+            points = [x, y]
+            plan = _kernels._grad_plan(edges)
+            attempts = [(p, face) for p in points for face in faces]
+            by_size: dict[int, list] = {}
+            for p, face in attempts:
+                by_size.setdefault(face.shape[0], []).append((p, face))
+            face_plans: dict = {}
+            for group in by_size.values():
+                X = np.asarray([p for p, _ in group])
+                values = np.asarray([_kernels.eval_poly(p, edges) for p, _ in group])
+                F = np.asarray([face for _, face in group])
+                with np.errstate(all="ignore"):
+                    got = lagrangian_module._face_newton(
+                        X, edges, plan, values, F, opts, face_plans
+                    )
+                    want = [
+                        one_face_newton(p, edges, plan, v, face, opts)
+                        for (p, face), v in zip(group, values)
+                    ]
+                outcomes["distinct faces" if len({f.tobytes() for f in F}) > 1 else "one face"] += 1
+                for a, b in zip(got, want):
+                    outcomes["batched" if len(group) > 1 else "alone"] += 1
+                    if b is None:
+                        assert a is None
+                        outcomes["rejected"] += 1
+                        continue
+                    outcomes["accepted"] += 1
+                    assert np.array_equal(a[0], b[0])
+                    assert a[1] == b[1] and a[2] == b[2]
+        assert all(outcomes[key] > 50 for key in (
+            "distinct faces", "one face", "batched", "accepted", "rejected",
+        )), outcomes
+
+    def test_singular_row_is_rejected_alone(self):
+        # A triangle on 012 and a path 3-4-5. On the path's face the
+        # bordered Jacobian has two equal rows, so the stacked solve fails
+        # for the whole batch; each row is then solved alone, and only
+        # the path's row is rejected.
+        edges = np.asarray([(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+        X = np.asarray([
+            [0.3, 0.3, 0.4, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.3, 0.4, 0.3],
+            [0.5, 0.2, 0.3, 0.0, 0.0, 0.0],
+        ])
+        faces = np.asarray([[0, 1, 2], [3, 4, 5], [0, 1, 2]])
+        path = np.asarray([[0, 1, 0, -1], [1, 0, 1, -1], [0, 1, 0, -1], [1, 1, 1, 0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(path, np.ones(4))
+        plan = _kernels._grad_plan(edges)
+        values = np.asarray([_kernels.eval_poly(x, edges) for x in X])
+        opts = OptOptions()
+        got = lagrangian_module._face_newton(X, edges, plan, values, faces, opts, {})
+        assert got[1] is None
+        for i in (0, 2):
+            y, value, steps = got[i]
+            assert np.allclose(y, [1 / 3] * 3 + [0] * 3, atol=1e-15, rtol=0)
+            assert steps == 1
+            want = one_face_newton(X[i], edges, plan, values[i], faces[i], opts)
+            assert np.array_equal(y, want[0]) and value == want[1] and steps == want[2]
+        assert one_face_newton(X[1], edges, plan, values[1], faces[1], opts) is None
+
+    def test_one_full_plan_per_batch_and_one_face_plan_per_face(self, monkeypatch):
         # The left-compressed 3-graph on [7] whose growth transform stops
         # 1.17e-7 off stationarity: its rows run KKT checks, face attempts
         # with Newton steps, and the drop step of support minimization.
@@ -547,6 +642,8 @@ class TestFaceLocalNewton:
         L = lagrangian_module
         scope: list[str] = []  # the spied calls running, innermost last
         batches: list[Counter] = []  # per _ascend_rows call: (callee, caller) counts
+        faces: list[Counter] = []  # per _ascend_rows call: attempts per face
+        rows: list[int] = []  # of each _face_newton batch
         newton_steps: list[int] = []  # of each accepted face attempt
 
         def spy(owner, name):
@@ -555,15 +652,19 @@ class TestFaceLocalNewton:
             def wrapped(*args, **kwargs):
                 if name == "_ascend_rows":
                     batches.append(Counter())
+                    faces.append(Counter())
                 elif scope:
                     batches[-1][name, scope[-1]] += 1
+                if name == "_face_newton":
+                    faces[-1].update(tuple(face) for face in args[4].tolist())
+                    rows.append(args[4].shape[0])
                 scope.append(name)
                 try:
                     out = real(*args, **kwargs)
                 finally:
                     scope.pop()
-                if name == "_face_newton" and out is not None:
-                    newton_steps.append(out[2])
+                if name == "_face_newton":
+                    newton_steps.extend(res[2] for res in out if res is not None)
                 return out
 
             monkeypatch.setattr(owner, name, wrapped)
@@ -576,20 +677,23 @@ class TestFaceLocalNewton:
         res = lagrangian(g)
         assert certify(g, res).ok
         assert len(batches) > 1
-        for seen in batches:
-            attempts = seen["_face_newton", "_ascend_rows"]
+        for seen, tried in zip(batches, faces):
             growth = seen["ascent_rows", "_ascend_rows"]
             # One plan for the batch, shared by every KKT check, face gap
             # and rescue; one per growth phase, inside ``ascent_rows``;
-            # one gradient and one Hessian plan per face attempt.
+            # one gradient and one Hessian plan per distinct face tried.
             assert seen["_grad_plan", "_ascend_rows"] == 1, seen
             assert seen["_grad_plan", "ascent_rows"] == growth, seen
-            assert seen["_grad_plan", "_face_newton"] == attempts, seen
-            assert seen["_hess_plan", "_face_newton"] == attempts, seen
+            assert seen["_grad_plan", "_face_newton"] == len(tried), (seen, tried)
+            assert seen["_hess_plan", "_face_newton"] == len(tried), (seen, tried)
             builds = sum(n for key, n in seen.items() if key[0] in ("_grad_plan", "_hess_plan"))
-            assert builds == 1 + growth + 2 * attempts, seen
+            assert builds == 1 + growth + 2 * len(tried), seen
+        # Some face is tried again in the same call, and some batch holds
+        # more than one row.
+        assert any(n > 1 for tried in faces for n in tried.values()), faces
+        assert max(rows) > 1
         assert sum(seen["_kkt_residual", "_ascend_rows"] for seen in batches) > len(batches)
-        assert sum(seen["_face_newton", "_ascend_rows"] for seen in batches) > 1
+        assert sum(rows) > 1
         assert sum(newton_steps) > 1
 
 
