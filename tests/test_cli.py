@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import lagrangia
 from lagrangia.cli import (
     EXIT_FAIL,
     EXIT_INDETERMINATE,
@@ -22,7 +23,6 @@ from lagrangia.cli import (
     main,
     parse_args,
 )
-import lagrangia
 from lagrangia import _kernels
 from lagrangia.core import format_edge_list
 from lagrangia.structure import enumerate_left_compressed

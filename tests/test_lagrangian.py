@@ -590,7 +590,7 @@ class TestFaceLocalNewton:
                     ]
                 outcomes["distinct faces" if len({f.tobytes() for f in F}) > 1 else "one face"] += 1
                 for a, b in zip(got, want):
-                    outcomes["batched" if len(group) > 1 else "alone"] += 1
+                    outcomes["batched"] += len(group) > 1
                     if b is None:
                         assert a is None
                         outcomes["rejected"] += 1
