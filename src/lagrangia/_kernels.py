@@ -20,7 +20,9 @@ and ``link_hessian`` are one-shot wrappers over the same two paths.
 ``_stack_plans`` joins the plans of a batch of rows, each row's indices
 shifted past the rows before it, so one scatter takes the derivative of
 every row of a (K, n) batch; each bin still adds the same terms in the
-same order, so every row is bit-identical to a one-row call.
+same order, so every row is bit-identical to a one-row call. When every
+row has the same edges, ``_tile_plan`` builds that batch plan once for
+K rows, and ``_plan_rows`` cuts from it the plan of its first rows.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -136,6 +138,25 @@ def _stack_plans(plans: list[Plan], size: int, bins: int) -> Plan:
     return flat, gathers
 
 
+def _tile_plan(edges: np.ndarray, rows: int, n: int) -> Plan:
+    """The gradient plan of ``edges`` for a batch of ``rows`` rows of n
+    weights: row i's gathers and scatter bins shift by i * n.
+
+    The rows' slots come in row order, so the plan of the first a rows
+    is a prefix (``_plan_rows``).
+    """
+    flat, gathers = _grad_plan(edges)
+    offsets = (np.arange(rows) * n)[:, None]
+    return (offsets + flat).ravel(), [(offsets + idx).ravel() for idx in gathers]
+
+
+def _plan_rows(plan: Plan, edges: np.ndarray, rows: int) -> Plan:
+    """The plan of the first ``rows`` rows of a ``_tile_plan`` of edges."""
+    flat, gathers = plan
+    slots = rows * edges.size
+    return flat[:slots], [idx[:slots] for idx in gathers]
+
+
 def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Gradient of the form: per vertex, the sum of leave-one-out products."""
     return _grad(x, _grad_plan(edges))
@@ -170,10 +191,7 @@ def ascent_rows(
     K, n = X.shape
     iters = np.zeros(K, dtype=np.int64)
     worst = np.zeros(K)
-    flat, gathers = _grad_plan(edges)
-    offsets = (np.arange(K) * n)[:, None]
-    bflat = (offsets + flat).ravel()
-    bgathers = [(offsets + idx).ravel() for idx in gathers]
+    batch = _tile_plan(edges, K, n)
     r = np.array(float(edges.shape[1]))  # divides as the int r does
 
     # Batch state: row i is row live[i] of X; the column vectors (denom,
@@ -184,7 +202,7 @@ def ascent_rows(
     cap = np.broadcast_to(np.asarray(max_iters), (K,)).reshape(K, 1)
     low = np.zeros((K, 1))
     step = 0
-    plan = bflat, bgathers
+    plan = batch
     xg = rows * _grad(rows, plan)
     denom = np.add.reduce(xg, axis=1, keepdims=True)
     val = denom / r
@@ -200,8 +218,7 @@ def ascent_rows(
                 a[keep] for a in (live, rows, xg, denom, val, cap, low)
             )
             # The live rows come first, so their plan is a prefix.
-            cut = live.shape[0] * flat.shape[0]
-            plan = bflat[:cut], [idx[:cut] for idx in bgathers]
+            plan = _plan_rows(batch, edges, live.shape[0])
         if live.shape[0] == 0:
             break
         next_cap = cap.min()

@@ -10,9 +10,11 @@ slowly: coordinates decay onto a face at a linear rate near 1, or like
 ``FACE_CHUNK`` steps, and a row still moving after a chunk tries a face
 finish: Newton steps on the KKT system of a face of its support
 (``_face_finish``), accepted only at a stationary local maximum of the
-face that does not lower P. What no face closes, a plateau where the
-face Hessian is singular or a stall, falls back to fixed-length bursts
-and a projected-gradient rescue (``_pg_polish``). Multi-start covers the
+face that does not lower P. On a plateau, where twin vertices trade
+weight freely and the face Jacobian is singular, the step is the
+minimum-norm one, so plateau faces close by Newton too. What no face
+closes, a stall, falls back to fixed-length bursts and a
+projected-gradient rescue (``_pg_polish``). Multi-start covers the
 structured optima: uniform, uniform on maximum cliques, uniform on
 initial segments, and seeded Dirichlet draws.
 
@@ -23,19 +25,21 @@ the run after a rescue) takes the rows that need it as one
 stops or a face closes it. The face finish runs in lockstep too: the
 rows that try it after a phase form one ``_face_finish`` batch, whose
 j-th candidate faces are tried together, one ``_face_newton`` batch per
-face size, with one stacked solve per Newton step. Every scatter bin
-and reduction belongs to one row, so each row is bit-identical to a
-separate run and the result of each start is that of ``ascend`` from it
-alone; the batches only cut per-call numpy overhead. Only the kept row,
-the best by value, support size and weights, is certified.
+face size, with one stacked solve per Newton step; so do the KKT checks
+after each phase (``_kkt_rows``). Every scatter bin and reduction
+belongs to one row, so each row is bit-identical to a separate run and
+the result of each start is that of ``ascend`` from it alone; the
+batches only cut per-call numpy overhead. Only the kept row, the best
+by value, support size and weights, is certified.
 
 On graphs of a few vertices numpy call overhead, not arithmetic, is
 most of every derivative, so none rebuilds its index arrays: each
-``_ascend_rows`` call builds the gradient plan of the graph's edges once
-(``_kernels._grad_plan``) and passes it to every KKT check, face gap and
-rescue, and builds one gradient and one Hessian plan on the own edges
-of each face it tries, relabelled to its k vertices, for every Newton
-step on that face in the call.
+``_ascend_rows`` call builds the gradient plan of the graph's edges once,
+tiled for all its rows (``_kernels._tile_plan``); the face finish, the
+face gaps and the KKT checks take the prefix for their rows, and the
+rescue and the certificate its first row. It also builds one gradient
+and one Hessian plan on the own edges of each face it tries, relabelled
+to its k vertices, for every Newton step on that face in the call.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -144,7 +148,8 @@ def as_weighting(x: Sequence[float], n: int) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValueError("weighting has a negative entry")
     total = math.fsum(arr.tolist())
-    if abs(total - 1.0) > FEAS_TOL:
+    # Written so that a NaN total, from a NaN entry, fails it too.
+    if not abs(total - 1.0) <= FEAS_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     return arr
 
@@ -216,6 +221,22 @@ def _kkt_residual(
     if not mask.any():
         return 0.0
     return float(np.max(np.abs(grad[mask] - target)))
+
+
+def _kkt_rows(
+    X: np.ndarray, edges: np.ndarray, plan: _kernels.Plan, values: np.ndarray, floor: float
+) -> np.ndarray:
+    """``_kkt_residual`` of every row of X, from one gradient scatter.
+
+    ``plan`` is a ``_kernels._tile_plan`` of ``edges`` for at least
+    len(X) rows. Each row's gradient is bit-identical to a one-row call,
+    and the masked max along a row takes the same values, so each
+    residual equals ``_kkt_residual`` bit for bit: 0.0 for a row with no
+    weight above ``floor``.
+    """
+    grad = _kernels._grad(X, _kernels._plan_rows(plan, edges, X.shape[0]))
+    gap = np.abs(grad - edges.shape[1] * values[:, None])
+    return np.max(gap, axis=1, initial=0.0, where=X > floor)
 
 
 def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, int] | None:
@@ -296,26 +317,29 @@ def _face_plans(
     return plans
 
 
-def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve jac[i] s_i = rhs[i] for every row; returns (s, solved).
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve jac[i] s_i = rhs[i] for every row; s_i is the minimum-norm
+    least-squares step where jac[i] is singular.
 
     One stacked solve raises for the whole stack if any matrix is
-    singular; then each row is solved alone, and the singular rows come
-    back unsolved.
+    singular. The stack is then split once: the rows whose LU
+    factorization has an exactly zero pivot, where the sign of
+    ``slogdet`` is 0 (``det`` can underflow to 0 on a regular matrix),
+    are the rows ``solve`` cannot factor and get ``pinv(jac[i]) @ rhs[i]``
+    from one stacked ``pinv``; the others are solved as one stack, each
+    bit for bit as alone.
     """
     try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(rhs.shape[0], dtype=bool)
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    out = np.zeros_like(rhs)
-    solved = np.zeros(rhs.shape[0], dtype=bool)
-    for i in range(rhs.shape[0]):
-        try:
-            out[i] = np.linalg.solve(jac[i], rhs[i])
-        except np.linalg.LinAlgError:
-            continue
-        solved[i] = True
-    return out, solved
+    singular = np.linalg.slogdet(jac).sign == 0.0
+    regular = ~singular
+    step = np.empty_like(rhs)
+    if regular.any():
+        step[regular] = np.linalg.solve(jac[regular], rhs[regular, :, None])[..., 0]
+    step[singular] = (np.linalg.pinv(jac[singular]) @ rhs[singular, :, None])[..., 0]
+    return step
 
 
 def _face_newton(
@@ -335,7 +359,10 @@ def _face_newton(
     grad_S P(y) = mu * 1, sum_S y = 1 with the bordered Jacobian
     [H_SS -1; 1^T 0], from x renormalized on the face, at most
     NEWTON_STEPS of them; a row stops once its residual is below
-    NEWTON_TOL, and a row whose Jacobian is singular is rejected. They
+    NEWTON_TOL. Where the Jacobian is singular, as on a plateau whose
+    twin vertices trade weight freely, the step is the minimum-norm one
+    (``_solve_rows``), which moves to the nearest point where the
+    linearized system holds; no row is rejected for singularity. They
     work on the face's own edges, relabelled 0..k-1 (``_face_plans``,
     kept in ``face_plans`` by face): off the face y is exactly 0, so
     every other edge would add only a zero to g_S and H_SS, and the
@@ -350,12 +377,14 @@ def _face_newton(
     - |g_i - rP(y)| <= opts.kkt_tol on the face;
     - g_j - rP(y) <= opts.kkt_tol for every j positive in x off the face;
     - the Hessian on the face's tangent space {1^T d = 0} has no
-      eigenvalue above CURVATURE_TOL, so y is not a saddle.
+      eigenvalue above CURVATURE_TOL, so y is not a saddle; a zero
+      eigenvalue, along a plateau, passes.
 
-    These checks take P and g of the full y, through ``plan``, the
-    gradient plan of ``edges``. Coordinates at exactly zero are ignored:
-    the growth transform never revives them. Returns, per row,
-    (y, P(y), steps), or None when y is rejected.
+    These checks take P and g of the full y, through ``plan``, a
+    ``_kernels._tile_plan`` of ``edges`` for at least R rows.
+    Coordinates at exactly zero are ignored: the growth transform never
+    revives them. Returns, per row, (y, P(y), steps), or None when y is
+    rejected.
     """
     R, n = X.shape
     k = faces.shape[1]
@@ -370,7 +399,6 @@ def _face_newton(
     jac[:, :k, k] = -1.0
     jac[:, k, :k] = 1.0
     steps = np.zeros(R, dtype=np.int64)
-    singular = np.zeros(R, dtype=bool)
     live = np.arange(R)
     for _ in range(NEWTON_STEPS):
         resid = np.concatenate(
@@ -381,15 +409,13 @@ def _face_newton(
         if not live.shape[0]:
             break
         jac[live, :k, :k] = _kernels._hess(Z, face_hess)[live]
-        step, solved = _solve_rows(jac[live], -resid[live])
-        singular[live[~solved]] = True
-        live, step = live[solved], step[solved]
+        step = _solve_rows(jac[live], -resid[live])
         Z[live] += step[:, :k]
         mu[live] += step[:, k]
         steps[live] += 1
 
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
-    keep = np.flatnonzero(~singular & (Z > 0.0).all(axis=1))
+    keep = np.flatnonzero((Z > 0.0).all(axis=1))
     Y = np.zeros((keep.shape[0], n))
     at = np.arange(keep.shape[0])[:, None]
     Y[at, faces[keep]] = Z[keep]
@@ -399,7 +425,7 @@ def _face_newton(
     if not keep.shape[0]:
         return out
     at = at[: keep.shape[0]]
-    gap = _kernels._grad(Y, _kernels._stack_plans([plan] * keep.shape[0], n, n))
+    gap = _kernels._grad(Y, _kernels._plan_rows(plan, edges, keep.shape[0]))
     gap -= r * new_values[:, None]
     off_face = X[keep] > 0.0
     off_face[at, faces[keep]] = False
@@ -434,13 +460,14 @@ def _face_finish(
     the j = 0..FACE_DROPS of them with the most negative gaps
     g_i - rP(x): those are decaying towards zero under the growth
     transform, slowly near a boundary maximum. The candidates stop at
-    the first gap >= -GAP_TOL. ``plan`` is the gradient plan of
-    ``edges``. Every row still open tries its j-th candidate in the same
-    round, the rows of one face size as one ``_face_newton`` batch.
+    the first gap >= -GAP_TOL. ``plan`` is a ``_kernels._tile_plan`` of
+    ``edges`` for at least len(X) rows. Every row still open tries its
+    j-th candidate in the same round, the rows of one face size as one
+    ``_face_newton`` batch.
     """
     R, n = X.shape
     r = edges.shape[1]
-    grads = _kernels._grad(X, _kernels._stack_plans([plan] * R, n, n))
+    grads = _kernels._grad(X, _kernels._plan_rows(plan, edges, R))
     candidates = []
     for x, grad, value in zip(X, grads, values):
         base = np.flatnonzero(x > FACE_FLOOR * x.max())
@@ -481,8 +508,11 @@ def _ascend_rows(
     and the rows that try a face finish after it as one ``_face_finish``
     batch, so every row ends where a separate ``ascend`` from its start
     ends, bit for bit. ``_ascent_result`` keeps the best row and
-    certifies only it. The face plans are built once per face and kept
-    for the whole call.
+    certifies only it. One gradient plan, tiled for every row, serves
+    the whole call: the face finish, the KKT checks after each phase
+    (one ``_kkt_rows`` batch) and, as its first row, the rescue and the
+    certificate take prefixes of it. The face plans are built once per
+    face and kept for the whole call.
     """
     xs: list[np.ndarray] = []
     for x0 in starts:
@@ -493,7 +523,8 @@ def _ascend_rows(
             arr = arr[: g.n]
         xs.append(arr)
     edges = g.edge_array()
-    plan = _kernels._grad_plan(edges)
+    rows_plan = _kernels._tile_plan(edges, len(xs), g.n)
+    plan = _kernels._plan_rows(rows_plan, edges, 1)
     face_plans: dict = {}
     values = [0.0] * len(xs)
     total_iters = [0] * len(xs)
@@ -508,15 +539,22 @@ def _ascend_rows(
             xs[k], values[k] = X[i], float(vals[i])
             total_iters[k] += int(its[i])
 
-    def kkt(k: int) -> float:
-        return _kkt_residual(xs[k], plan, values[k], g.r, floor=opts.trim)
+    def kkt(idx: list[int]) -> dict[int, float]:
+        """The KKT residuals of the rows idx, as one batch."""
+        if not idx:
+            return {}
+        residuals = _kkt_rows(
+            np.array([xs[k] for k in idx]), edges, rows_plan,
+            np.array([values[k] for k in idx]), opts.trim,
+        )
+        return dict(zip(idx, residuals.tolist()))
 
     def finish(idx: list[int]) -> list[int]:
         """Try the faces of the rows idx as one batch; the rows left open."""
         if not idx:
             return []
         outs = _face_finish(
-            np.array([xs[k] for k in idx]), edges, plan,
+            np.array([xs[k] for k in idx]), edges, rows_plan,
             np.array([values[k] for k in idx]), opts, face_plans,
         )
         left = []
@@ -546,15 +584,14 @@ def _ascend_rows(
         ])
 
     # A row whose gain stop fired while it was still off stationarity
-    # tries its faces once more. What no face closes is a plateau (H_SS
-    # singular) or a stall: extra fixed-length bursts (tol < 0 disables
-    # the gain stop) let the multiplicative decay finish, and a
-    # projected-gradient rescue handles a genuine stall. A row leaves
-    # the rounds for good once it is stationary, out of iterations or
-    # not improved by a rescue.
-    live = [k for k in everyone if k not in closed]
-    residual = {k: kkt(k) for k in live}
-    live = finish([k for k in live if residual[k] > opts.kkt_tol])
+    # tries its faces once more; a plateau, where H_SS is singular,
+    # closes there too. What no face closes is a stall: extra
+    # fixed-length bursts (tol < 0 disables the gain stop) let the
+    # multiplicative decay finish, and a projected-gradient rescue
+    # handles a genuine stall. A row leaves the rounds for good once it
+    # is stationary, out of iterations or not improved by a rescue.
+    residual = kkt([k for k in everyone if k not in closed])
+    live = finish([k for k, res in residual.items() if res > opts.kkt_tol])
     for _ in range(40):
         live = [
             k for k in live
@@ -564,8 +601,7 @@ def _ascend_rows(
             break
         run(live, [min(200, opts.max_iters - total_iters[k]) for k in live], -1.0)
         polished, stalled = [], set()
-        for k in live:
-            new_residual = kkt(k)
+        for k, new_residual in kkt(live).items():
             if new_residual > 0.95 * residual[k]:
                 improved, xs[k], values[k], steps = _pg_polish(
                     xs[k], edges, plan, values[k], max_steps=30
@@ -578,8 +614,7 @@ def _ascend_rows(
             residual[k] = new_residual
         if polished:
             run(polished, [max(opts.max_iters - total_iters[k], 1) for k in polished], opts.tol)
-            for k in polished:
-                residual[k] = kkt(k)
+            residual.update(kkt(polished))
         live = [k for k in live if k not in stalled]
 
     return _ascent_result(g, edges, plan, np.array(xs), total_iters, opts)

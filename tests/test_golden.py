@@ -9,9 +9,12 @@ indeterminate and out-of-scope record is locked too.
 
 The files were written by the code before the verifiers were rebuilt
 over shared helpers; regenerate them only for a deliberate change of
-report bytes, with ``python tests/test_golden.py``.
+report bytes, with ``python tests/test_golden.py``. It rewrites only the
+files whose bytes changed and prints, for each, the largest absolute
+shift of a float field and every other field that changed.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,10 +93,44 @@ def test_stub_report_matches_golden(name, monkeypatch):
     assert _report_json(STUB_CASES[name]) == (GOLDEN / f"{name}.json").read_text()
 
 
+def _changes(old, new, path=""):
+    """(path, |shift|) for every float field that moved between two parsed
+    reports, and (path, None) for every other field that changed."""
+    if isinstance(old, float) and isinstance(new, float):
+        if old != new:
+            yield path, abs(new - old)
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from _changes(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, None
+
+
+def _rewrite(name: str, text: str) -> None:
+    """Write a golden file whose bytes changed, and say what changed."""
+    path = GOLDEN / f"{name}.json"
+    old = path.read_text() if path.exists() else None
+    if text == old:
+        return
+    path.write_text(text)
+    if old is None:
+        print(f"{name}: new file")
+        return
+    changes = list(_changes(json.loads(old), json.loads(text)))
+    shifts = [shift for _, shift in changes if shift is not None]
+    print(f"{name}: largest float shift {max(shifts, default=0.0)!r}")
+    for where, shift in changes:
+        if shift is None:
+            print(f"  changed: {where or '(whole report)'}")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, case in sorted(CASES.items()):
-        (GOLDEN / f"{name}.json").write_text(_report_json(case))
+        _rewrite(name, _report_json(case))
     theorems.lagrangian = stub_lagrangian
     for name, case in sorted(STUB_CASES.items()):
-        (GOLDEN / f"{name}.json").write_text(_report_json(case))
+        _rewrite(name, _report_json(case))
