@@ -17,12 +17,13 @@ has a plan, built once per edge array and passed in: ``_grad_plan`` with
 ``_grad``, and ``_hess_plan`` with ``_hess``. Callers that take many
 derivatives of one graph build the plan once and keep it; ``link_grad``
 and ``link_hessian`` are one-shot wrappers over the same two paths.
-``_stack_plans`` joins the plans of a batch of rows, each row's indices
-shifted past the rows before it, so one scatter takes the derivative of
-every row of a (K, n) batch; each bin still adds the same terms in the
-same order, so every row is bit-identical to a one-row call. When every
-row has the same edges, ``_tile_plan`` builds that batch plan once for
-K rows, and ``_plan_rows`` cuts from it the plan of its first rows.
+``_tile_plan`` repeats either plan for a batch of rows, each row's
+gathers shifted by its offset into the flattened (K, n) batch and its
+scatter bins by its offset into the K * n (gradient) or K * n * n
+(Hessian) bins, so one scatter takes the derivative of every row; each
+bin still adds the same terms in the same order, so every row is
+bit-identical to a one-row call. A tiled plan keeps one row of slots per
+batch row, and ``_plan_rows`` cuts from it the plan of its first rows.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -123,38 +124,27 @@ def _hess(x: np.ndarray, plan: Plan) -> np.ndarray:
     )
 
 
-def _stack_plans(plans: list[Plan], size: int, bins: int) -> Plan:
-    """One plan for a batch whose row i has plan ``plans[i]``.
-
-    Rows hold ``size`` weights and scatter into ``bins`` bins (n and n
-    for a gradient, k and k * k for a Hessian on k vertices), so row i's
-    gathers shift by i * size and its scatter bins by i * bins.
+def _tile_plan(plan: Plan, rows: int, n: int, bins: int) -> Plan:
+    """``plan`` repeated for a batch of ``rows`` rows of n weights, each
+    scattering into ``bins`` bins (n for a gradient, n * n for a
+    Hessian): row i's gathers shift by i * n and its scatter bins by
+    i * bins. Each array has one row of slots per batch row.
     """
-    flat = np.concatenate([p[0] + i * bins for i, p in enumerate(plans)])
-    gathers = [
-        np.concatenate([p[1][j] + i * size for i, p in enumerate(plans)])
-        for j in range(len(plans[0][1]))
-    ]
-    return flat, gathers
-
-
-def _tile_plan(edges: np.ndarray, rows: int, n: int) -> Plan:
-    """The gradient plan of ``edges`` for a batch of ``rows`` rows of n
-    weights: row i's gathers and scatter bins shift by i * n.
-
-    The rows' slots come in row order, so the plan of the first a rows
-    is a prefix (``_plan_rows``).
-    """
-    flat, gathers = _grad_plan(edges)
-    offsets = (np.arange(rows) * n)[:, None]
-    return (offsets + flat).ravel(), [(offsets + idx).ravel() for idx in gathers]
-
-
-def _plan_rows(plan: Plan, edges: np.ndarray, rows: int) -> Plan:
-    """The plan of the first ``rows`` rows of a ``_tile_plan`` of edges."""
     flat, gathers = plan
-    slots = rows * edges.size
-    return flat[:slots], [idx[:slots] for idx in gathers]
+    at = np.arange(rows)[:, None]
+    return at * bins + flat, [at * n + idx for idx in gathers]
+
+
+def _plan_rows(tiled: Plan, rows: int) -> Plan:
+    """The plan of the first ``rows`` rows of a ``_tile_plan``."""
+    flat, gathers = tiled
+    return flat[:rows].ravel(), [idx[:rows].ravel() for idx in gathers]
+
+
+def eval_rows(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``eval_poly`` of every row of a (K, n) batch, bit for bit: one
+    product over the batch, one fsum per row."""
+    return np.array([math.fsum(p) for p in np.prod(X[:, edges], axis=2).tolist()])
 
 
 def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -177,21 +167,21 @@ def ascent_rows(
     its own: after its cap (``max_iters`` is an int or one cap per row),
     when a step gains less than tol (a negative tol disables this stop),
     or when its gradient vanishes on the support; values are eval_poly
-    at the returned rows.
+    at the returned rows (``eval_rows``).
 
     The rows share one gradient scatter into K * n bins through the
     row-offset indices k * n + flat. Each bin adds the same edge terms
     in the same order as a one-row run, and every other operation is
     elementwise or a reduction along one row, so every row is
     bit-identical to a batch of that row alone. A row that stops is
-    dropped from the batch; the live rows are kept first, so the offset
-    arrays of the batch are prefixes of those built for all K rows.
+    dropped from the batch; the live rows are kept first, so their plan
+    is a prefix of the one tiled for all K rows.
     """
     X = np.array(X, dtype=np.float64, ndmin=2)
     K, n = X.shape
     iters = np.zeros(K, dtype=np.int64)
     worst = np.zeros(K)
-    batch = _tile_plan(edges, K, n)
+    batch = _tile_plan(_grad_plan(edges), K, n, n)
     r = np.array(float(edges.shape[1]))  # divides as the int r does
 
     # Batch state: row i is row live[i] of X; the column vectors (denom,
@@ -202,7 +192,7 @@ def ascent_rows(
     cap = np.broadcast_to(np.asarray(max_iters), (K,)).reshape(K, 1)
     low = np.zeros((K, 1))
     step = 0
-    plan = batch
+    plan = _plan_rows(batch, K)
     xg = rows * _grad(rows, plan)
     denom = np.add.reduce(xg, axis=1, keepdims=True)
     val = denom / r
@@ -218,7 +208,7 @@ def ascent_rows(
                 a[keep] for a in (live, rows, xg, denom, val, cap, low)
             )
             # The live rows come first, so their plan is a prefix.
-            plan = _plan_rows(batch, edges, live.shape[0])
+            plan = _plan_rows(batch, live.shape[0])
         if live.shape[0] == 0:
             break
         next_cap = cap.min()
@@ -245,8 +235,7 @@ def ascent_rows(
                 break
         # Some row may stop: build the row masks.
         going = ~(gain < tol) & (step < cap) & (denom > 0.0)
-    values = np.array([eval_poly(x, edges) for x in X])
-    return X, values, iters, worst
+    return X, eval_rows(X, edges), iters, worst
 
 
 def ascent_loop(

@@ -24,22 +24,25 @@ the run after a rescue) takes the rows that need it as one
 ``_kernels.ascent_rows`` batch, and a row leaves the batch when it
 stops or a face closes it. The face finish runs in lockstep too: the
 rows that try it after a phase form one ``_face_finish`` batch, whose
-j-th candidate faces are tried together, one ``_face_newton`` batch per
-face size, with one stacked solve per Newton step; so do the KKT checks
-after each phase (``_kkt_rows``). Every scatter bin and reduction
-belongs to one row, so each row is bit-identical to a separate run and
-the result of each start is that of ``ascend`` from it alone; the
-batches only cut per-call numpy overhead. Only the kept row, the best
-by value, support size and weights, is certified.
+j-th candidate faces, of whatever sizes, are one ``_face_newton``
+batch with one stacked solve per Newton step; the KKT checks after
+each phase are one batch too (``_kkt_rows``). A face is a boolean
+mask, and every row solves the graph's own (n + 1) x (n + 1) bordered
+KKT system, with the coordinates off its face pinned at 0, so the size
+of each solve depends on n alone. Every scatter bin, solve and
+reduction belongs to one row, so each row is bit-identical to a
+separate run and the result of each start is that of ``ascend`` from
+it alone; the batches only cut per-call numpy overhead. Bit-identical
+starts run once. Only the kept row, the best by value, support size and
+weights, is certified.
 
 On graphs of a few vertices numpy call overhead, not arithmetic, is
 most of every derivative, so none rebuilds its index arrays: each
-``_ascend_rows`` call builds the gradient plan of the graph's edges once,
-tiled for all its rows (``_kernels._tile_plan``); the face finish, the
-face gaps and the KKT checks take the prefix for their rows, and the
-rescue and the certificate its first row. It also builds one gradient
-and one Hessian plan on the own edges of each face it tries, relabelled
-to its k vertices, for every Newton step on that face in the call.
+``_ascend_rows`` call builds the gradient and the Hessian plan of the
+graph's edges once, each tiled for all its rows
+(``_kernels._tile_plan``); the face finish, the Newton steps, the face
+checks and the KKT checks take the prefix for their rows, and the
+rescue and the certificate the gradient plan's first row.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -234,7 +237,7 @@ def _kkt_rows(
     residual equals ``_kkt_residual`` bit for bit: 0.0 for a row with no
     weight above ``floor``.
     """
-    grad = _kernels._grad(X, _kernels._plan_rows(plan, edges, X.shape[0]))
+    grad = _kernels._grad(X, _kernels._plan_rows(plan, X.shape[0]))
     gap = np.abs(grad - edges.shape[1] * values[:, None])
     return np.max(gap, axis=1, initial=0.0, where=X > floor)
 
@@ -299,24 +302,6 @@ def _pg_polish(
     return improved, x, value, steps
 
 
-def _face_plans(
-    face: np.ndarray, edges: np.ndarray, n: int, cache: dict
-) -> tuple[np.ndarray, _kernels.Plan, _kernels.Plan]:
-    """The face's own edges, relabelled 0..k-1, with their gradient and
-    Hessian plans; built on the first call for a face and kept in ``cache``.
-    """
-    key = face.tobytes()
-    plans = cache.get(key)
-    if plans is None:
-        k = face.shape[0]
-        label = np.full(n, -1)
-        label[face] = np.arange(k)
-        local = label[edges]
-        local = local[(local >= 0).all(axis=1)]
-        plans = cache[key] = local, _kernels._grad_plan(local), _kernels._hess_plan(local, k)
-    return plans
-
-
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve jac[i] s_i = rhs[i] for every row; s_i is the minimum-norm
     least-squares step where jac[i] is singular.
@@ -345,100 +330,97 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _face_newton(
     X: np.ndarray,
     edges: np.ndarray,
-    plan: _kernels.Plan,
+    grad_rows: _kernels.Plan,
+    hess_rows: _kernels.Plan,
     values: np.ndarray,
     faces: np.ndarray,
     opts: OptOptions,
-    face_plans: dict,
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Newton steps on the KKT system of one face of the simplex, per row.
 
     Row i of the (R, n) batch X has value ``values[i]`` and face
-    ``faces[i]``: the face keeps those 0-based coordinates, k of them in
-    every row, and sets the rest to zero. The steps solve
-    grad_S P(y) = mu * 1, sum_S y = 1 with the bordered Jacobian
-    [H_SS -1; 1^T 0], from x renormalized on the face, at most
-    NEWTON_STEPS of them; a row stops once its residual is below
-    NEWTON_TOL. Where the Jacobian is singular, as on a plateau whose
+    ``faces[i]``, a boolean mask of the coordinates it keeps; faces of
+    any size share the batch. The steps solve grad_S P(y) = mu * 1,
+    sum_S y = 1 from x renormalized on the face, at most NEWTON_STEPS of
+    them; a row stops once its residual is below NEWTON_TOL. Every row
+    solves the graph's own (n + 1) x (n + 1) bordered system
+    [A -b; b^T 0], with b the face mask and A the Hessian on the face's
+    rows and columns, an identity row for each coordinate off the face
+    and 0 elsewhere: off the face the step is 0, and steps are masked so
+    that such a coordinate stays exactly 0 on the minimum-norm path too.
+    There y is 0, so the n-vertex gradient and Hessian give g_S and
+    H_SS as the face's own edges would. Where the Jacobian is singular, as on a plateau whose
     twin vertices trade weight freely, the step is the minimum-norm one
     (``_solve_rows``), which moves to the nearest point where the
-    linearized system holds; no row is rejected for singularity. They
-    work on the face's own edges, relabelled 0..k-1 (``_face_plans``,
-    kept in ``face_plans`` by face): off the face y is exactly 0, so
-    every other edge would add only a zero to g_S and H_SS, and the
-    k-vertex plans give both bit for bit. The rows share one scatter per
-    derivative through row-offset plans and one stacked solve per step,
-    and every reduction runs along one row, so each row's result is
-    that of a batch of that row alone. The end point y of a row is
+    linearized system holds; no row is rejected for singularity. The
+    rows share one scatter per derivative and one stacked solve per
+    step, and every reduction runs along one row, so each row's result
+    is that of a batch of that row alone. The end point y of a row is
     accepted only if it is a local maximum of the face that does not
     lower P and is stationary for every coordinate positive in x:
 
     - every y_S > 0 and P(y) >= values[i];
     - |g_i - rP(y)| <= opts.kkt_tol on the face;
     - g_j - rP(y) <= opts.kkt_tol for every j positive in x off the face;
-    - the Hessian on the face's tangent space {1^T d = 0} has no
-      eigenvalue above CURVATURE_TOL, so y is not a saddle; a zero
-      eigenvalue, along a plateau, passes.
+    - the Hessian projected on the face's tangent space {d_S^T 1 = 0,
+      d = 0 off S} has no eigenvalue above CURVATURE_TOL, so y is not a
+      saddle; a zero eigenvalue, along a plateau or off the face,
+      passes.
 
-    These checks take P and g of the full y, through ``plan``, a
-    ``_kernels._tile_plan`` of ``edges`` for at least R rows.
+    ``grad_rows`` and ``hess_rows`` are the ``_kernels._tile_plan``s of
+    the gradient and Hessian plans of ``edges`` for at least R rows.
     Coordinates at exactly zero are ignored: the growth transform never
     revives them. Returns, per row, (y, P(y), steps), or None when y is
     rejected.
     """
     R, n = X.shape
-    k = faces.shape[1]
     r = edges.shape[1]
-    local, grad_plans, hess_plans = zip(*(_face_plans(f, edges, n, face_plans) for f in faces))
-    face_grad = _kernels._stack_plans(grad_plans, k, k)
-    face_hess = _kernels._stack_plans(hess_plans, k, k * k)
-    Z = X[np.arange(R)[:, None], faces]
+    grad_plan = _kernels._plan_rows(grad_rows, R)
+    hess_plan = _kernels._plan_rows(hess_rows, R)
+    both = faces[:, :, None] & faces[:, None, :]
+    pinned = np.where(faces[:, :, None], 0.0, np.eye(n))
+    Z = np.where(faces, X, 0.0)
     Z /= Z.sum(axis=1, keepdims=True)
-    mu = np.array([r * _kernels.eval_poly(z, e) for z, e in zip(Z, local)])
-    jac = np.zeros((R, k + 1, k + 1))
-    jac[:, :k, k] = -1.0
-    jac[:, k, :k] = 1.0
+    mu = r * _kernels.eval_rows(Z, edges)
+    jac = np.zeros((R, n + 1, n + 1))
+    jac[:, :n, n] = np.where(faces, -1.0, 0.0)
+    jac[:, n, :n] = faces
+    resid = np.empty((R, n + 1))
     steps = np.zeros(R, dtype=np.int64)
     live = np.arange(R)
     for _ in range(NEWTON_STEPS):
-        resid = np.concatenate(
-            (_kernels._grad(Z, face_grad) - mu[:, None], Z.sum(axis=1, keepdims=True) - 1.0),
-            axis=1,
-        )
+        resid[:, :n] = np.where(faces, _kernels._grad(Z, grad_plan) - mu[:, None], 0.0)
+        resid[:, n] = Z.sum(axis=1) - 1.0
         live = live[~(np.abs(resid[live]).max(axis=1) < NEWTON_TOL)]
         if not live.shape[0]:
             break
-        jac[live, :k, :k] = _kernels._hess(Z, face_hess)[live]
+        hess = _kernels._hess(Z, hess_plan)[live]
+        jac[live, :n, :n] = np.where(both[live], hess, pinned[live])
         step = _solve_rows(jac[live], -resid[live])
-        Z[live] += step[:, :k]
-        mu[live] += step[:, k]
+        Z[live] += np.where(faces[live], step[:, :n], 0.0)
+        mu[live] += step[:, n]
         steps[live] += 1
 
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
-    keep = np.flatnonzero((Z > 0.0).all(axis=1))
-    Y = np.zeros((keep.shape[0], n))
-    at = np.arange(keep.shape[0])[:, None]
-    Y[at, faces[keep]] = Z[keep]
-    new_values = np.array([math.fsum(p) for p in np.prod(Y[:, edges], axis=2)])
+    keep = np.flatnonzero(((Z > 0.0) | ~faces).all(axis=1))
+    Y = Z[keep]
+    new_values = _kernels.eval_rows(Y, edges)
     higher = new_values >= values[keep]
     keep, Y, new_values = keep[higher], Y[higher], new_values[higher]
     if not keep.shape[0]:
         return out
-    at = at[: keep.shape[0]]
-    gap = _kernels._grad(Y, _kernels._plan_rows(plan, edges, keep.shape[0]))
+    face = faces[keep]
+    gap = _kernels._grad(Y, _kernels._plan_rows(grad_rows, keep.shape[0]))
     gap -= r * new_values[:, None]
-    off_face = X[keep] > 0.0
-    off_face[at, faces[keep]] = False
-    stationary = ~(np.abs(gap[at, faces[keep]]).max(axis=1) > opts.kkt_tol) & ~(
-        (gap > opts.kkt_tol) & off_face
-    ).any(axis=1)
+    # |gap| on the face, the gap itself off it where x has weight.
+    gap = np.where(face, np.abs(gap), gap)
+    stationary = ~((gap > opts.kkt_tol) & (face | (X[keep] > 0.0))).any(axis=1)
     keep, Y, new_values = keep[stationary], Y[stationary], new_values[stationary]
     if not keep.shape[0]:
         return out
-    tangent = np.eye(k) - 1.0 / k
-    hess = _kernels._hess(
-        Z[keep], _kernels._stack_plans([hess_plans[i] for i in keep], k, k * k)
-    )
+    k = faces[keep].sum(axis=1)[:, None, None]
+    tangent = np.where(both[keep], np.eye(n) - 1.0 / k, 0.0)
+    hess = _kernels._hess(Y, _kernels._plan_rows(hess_rows, keep.shape[0]))
     concave = ~(np.linalg.eigvalsh(tangent @ hess @ tangent).max(axis=1) > CURVATURE_TOL)
     for i, y, value in zip(keep[concave], Y[concave], new_values[concave]):
         out[i] = y, float(value), int(steps[i])
@@ -448,10 +430,10 @@ def _face_newton(
 def _face_finish(
     X: np.ndarray,
     edges: np.ndarray,
-    plan: _kernels.Plan,
+    grad_rows: _kernels.Plan,
+    hess_rows: _kernels.Plan,
     values: np.ndarray,
     opts: OptOptions,
-    face_plans: dict,
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Per row of X, the first candidate face that ``_face_newton``
     accepts, or None.
@@ -460,36 +442,32 @@ def _face_finish(
     the j = 0..FACE_DROPS of them with the most negative gaps
     g_i - rP(x): those are decaying towards zero under the growth
     transform, slowly near a boundary maximum. The candidates stop at
-    the first gap >= -GAP_TOL. ``plan`` is a ``_kernels._tile_plan`` of
-    ``edges`` for at least len(X) rows. Every row still open tries its
-    j-th candidate in the same round, the rows of one face size as one
-    ``_face_newton`` batch.
+    the first gap >= -GAP_TOL. ``grad_rows`` and ``hess_rows`` are the
+    tiled plans of ``_face_newton`` for at least len(X) rows. Every row
+    still open tries its j-th candidate in drop round j, and each round
+    is one ``_face_newton`` batch, whatever its face sizes.
     """
     R, n = X.shape
     r = edges.shape[1]
-    grads = _kernels._grad(X, _kernels._plan_rows(plan, edges, R))
-    candidates = []
-    for x, grad, value in zip(X, grads, values):
-        base = np.flatnonzero(x > FACE_FLOOR * x.max())
-        gap = grad[base] - r * value
-        order = np.argsort(gap, kind="stable")
-        faces = []
-        for j in range(min(FACE_DROPS, base.shape[0] - 1) + 1):
-            if j and gap[order[j - 1]] >= -GAP_TOL:
-                break
-            faces.append(np.sort(base[order[j:]]))
-        candidates.append(faces)
+    base = X > FACE_FLOOR * X.max(axis=1, keepdims=True)
+    gap = _kernels._grad(X, _kernels._plan_rows(grad_rows, R)) - r * values[:, None]
+    # The base coordinates first, by gap, ties by index.
+    order = np.argsort(np.where(base, gap, np.inf), axis=1, kind="stable")
+    # Drop j needs the j-th smallest gap below -GAP_TOL and a vertex left.
+    drops = np.take_along_axis(gap, order[:, :FACE_DROPS], axis=1)
+    left = base.sum(axis=1)[:, None] - 1
+    droppable = ~(drops >= -GAP_TOL) & (np.arange(drops.shape[1]) < left)
+    candidates = 1 + np.cumprod(droppable, axis=1).sum(axis=1)
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
     for j in range(FACE_DROPS + 1):
-        by_size: dict[int, list[int]] = {}
-        for i, row_faces in enumerate(candidates):
-            if out[i] is None and j < len(row_faces):
-                by_size.setdefault(row_faces[j].shape[0], []).append(i)
-        for rows in by_size.values():
-            faces = np.array([candidates[i][j] for i in rows])
-            tried = _face_newton(X[rows], edges, plan, values[rows], faces, opts, face_plans)
-            for i, res in zip(rows, tried):
-                out[i] = res
+        rows = [i for i in np.flatnonzero(candidates > j).tolist() if out[i] is None]
+        if not rows:
+            break
+        faces = base[rows]
+        faces[np.arange(len(rows))[:, None], order[rows, :j]] = False
+        tried = _face_newton(X[rows], edges, grad_rows, hess_rows, values[rows], faces, opts)
+        for i, res in zip(rows, tried):
+            out[i] = res
     return out
 
 
@@ -507,25 +485,27 @@ def _ascend_rows(
     Each phase runs the rows that need it as one ``ascent_rows`` batch,
     and the rows that try a face finish after it as one ``_face_finish``
     batch, so every row ends where a separate ``ascend`` from its start
-    ends, bit for bit. ``_ascent_result`` keeps the best row and
-    certifies only it. One gradient plan, tiled for every row, serves
-    the whole call: the face finish, the KKT checks after each phase
-    (one ``_kkt_rows`` batch) and, as its first row, the rescue and the
-    certificate take prefixes of it. The face plans are built once per
-    face and kept for the whole call.
+    ends, bit for bit. A start bit-identical to an earlier one would end
+    where that one does, so it runs once. ``_ascent_result`` keeps the
+    best row and certifies only it. One gradient and one Hessian plan,
+    each tiled for every row, serve the whole call: the face finish, the
+    KKT checks after each phase (one ``_kkt_rows`` batch) and, as its
+    first row, the rescue and the certificate take prefixes of them.
     """
-    xs: list[np.ndarray] = []
+    unique: dict[bytes, np.ndarray] = {}
     for x0 in starts:
         arr = as_weighting(x0, g.n)
         if arr.shape[0] > g.n:
             if np.any(arr[g.n :] > 0.0):
                 raise ValueError("start point puts weight on vertices beyond the graph")
             arr = arr[: g.n]
-        xs.append(arr)
+        unique.setdefault(arr.tobytes(), arr)
+    xs = list(unique.values())
     edges = g.edge_array()
-    rows_plan = _kernels._tile_plan(edges, len(xs), g.n)
-    plan = _kernels._plan_rows(rows_plan, edges, 1)
-    face_plans: dict = {}
+    n = g.n
+    grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), len(xs), n, n)
+    hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), len(xs), n, n * n)
+    plan = _kernels._plan_rows(grad_rows, 1)
     values = [0.0] * len(xs)
     total_iters = [0] * len(xs)
     closed: set[int] = set()
@@ -544,7 +524,7 @@ def _ascend_rows(
         if not idx:
             return {}
         residuals = _kkt_rows(
-            np.array([xs[k] for k in idx]), edges, rows_plan,
+            np.array([xs[k] for k in idx]), edges, grad_rows,
             np.array([values[k] for k in idx]), opts.trim,
         )
         return dict(zip(idx, residuals.tolist()))
@@ -554,8 +534,8 @@ def _ascend_rows(
         if not idx:
             return []
         outs = _face_finish(
-            np.array([xs[k] for k in idx]), edges, rows_plan,
-            np.array([values[k] for k in idx]), opts, face_plans,
+            np.array([xs[k] for k in idx]), edges, grad_rows, hess_rows,
+            np.array([values[k] for k in idx]), opts,
         )
         left = []
         for k, out in zip(idx, outs):
@@ -639,7 +619,7 @@ def _ascent_result(
     X = np.where(X > opts.trim, X, 0.0)
     total = X.sum(axis=1, keepdims=True)
     X = np.divide(X, total, out=X, where=total > 0.0)
-    values = np.array([math.fsum(p) for p in np.prod(X[:, edges], axis=2)])
+    values = _kernels.eval_rows(X, edges)
     sizes = np.where(values > 0.0, (X > 0.0).sum(axis=1), 0)
     best = min(range(X.shape[0]), key=lambda k: (-values[k], sizes[k], tuple(-X[k])))
     x, value = X[best], float(values[best])
@@ -808,19 +788,24 @@ def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
 
 
 def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
-    """res with its weights sorted non-increasing, unless that lowers P.
+    """res with its weights sorted non-increasing, unless that lowers P
+    beyond rounding.
 
     On a left-compressed graph moving the larger weight to the smaller
     vertex never lowers P, so the sorted weighting is optimal too and
     its support is an initial segment; without the sort, ties at the
-    last ulp can leave the optimum on another support.
+    last ulp can leave the optimum on another support. The computed P of
+    a weighting is an fsum of products rounded r - 1 times, within about
+    r * eps / 2 of the exact value, relative; so the sorted weighting
+    can evaluate lower by up to about r * eps, relative, and is kept
+    unless it falls below res.value by more than twice that.
     """
     x = np.ascontiguousarray(np.sort(res.weighting)[::-1])
     if np.array_equal(x, res.weighting):
         return res
     edges = g.edge_array()
     value = float(_kernels.eval_poly(x, edges))
-    if value < res.value:
+    if value < res.value * (1.0 - 2 * g.r * np.finfo(np.float64).eps):
         return res
     support = _support(x)
     return replace(

@@ -70,27 +70,41 @@ class TestBackendEquivalence:
 
     def test_face_plans_match_the_full_derivatives(self):
         # Off a face y is exactly 0, so the edges leaving the face add only
-        # +-0.0 to the face's bins: the plans of the face's own edges,
-        # relabelled 0..k-1, give g_S and H_SS bit for bit. Weights on the
-        # face may be negative, as at a Newton iterate.
+        # +-0.0 to the face's bins: the graph's own plans give g_S and H_SS
+        # bit for bit as the plans of the face's own edges, relabelled
+        # 0..k-1, would. Both plans, tiled for four rows and cut to three,
+        # give every row of a batch whose rows have different faces as
+        # one-row calls do. Weights on a face may be negative, as at a
+        # Newton iterate.
         rng = random.Random(79)
         inner_free = 0
         for x, edges in cases(67, 60):
             n = x.shape[0]
-            face = np.asarray(sorted(rng.sample(range(n), rng.randint(1, n))))
-            k = face.shape[0]
-            y = np.zeros(n)
-            y[face] = [rng.uniform(-0.5, 1.0) for _ in range(k)]
-            label = np.full(n, -1)
-            label[face] = np.arange(k)
-            local = label[edges]
-            local = local[(local >= 0).all(axis=1)]
-            inner_free += local.shape[0] == 0
-            z = y[face]
-            got = _kernels._hess(z, _kernels._hess_plan(local, k))
-            assert np.array_equal(got, _kernels.link_hessian(y, edges)[np.ix_(face, face)])
-            got = _kernels._grad(z, _kernels._grad_plan(local))
-            assert np.array_equal(got, _kernels.link_grad(y, edges)[face])
+            Y = np.zeros((3, n))
+            faces = []
+            for y in Y:
+                face = np.asarray(sorted(rng.sample(range(n), rng.randint(1, n))))
+                y[face] = [rng.uniform(-0.5, 1.0) for _ in range(face.shape[0])]
+                faces.append(face)
+            grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), 4, n, n)
+            hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), 4, n, n * n)
+            grads = _kernels._grad(Y, _kernels._plan_rows(grad_rows, 3))
+            hessians = _kernels._hess(Y, _kernels._plan_rows(hess_rows, 3))
+            assert hessians.shape == (3, n, n)
+            for y, face, grad, hess in zip(Y, faces, grads, hessians):
+                assert np.array_equal(grad, _kernels.link_grad(y, edges))
+                assert np.array_equal(hess, _kernels.link_hessian(y, edges))
+                k = face.shape[0]
+                label = np.full(n, -1)
+                label[face] = np.arange(k)
+                local = label[edges]
+                local = local[(local >= 0).all(axis=1)]
+                inner_free += local.shape[0] == 0
+                z = y[face]
+                got = _kernels._hess(z, _kernels._hess_plan(local, k))
+                assert np.array_equal(got, hess[np.ix_(face, face)])
+                got = _kernels._grad(z, _kernels._grad_plan(local))
+                assert np.array_equal(got, grad[face])
         assert inner_free > 0
 
     def test_every_arity_and_size_covered(self):
