@@ -15,8 +15,7 @@ products summed into n * n bins.
 The index arrays depend on the edge array only, so each derivative order
 has a plan, built once per edge array and passed in: ``_grad_plan`` with
 ``_grad``, and ``_hess_plan`` with ``_hess``. Callers that take many
-derivatives of one graph build the plan once and keep it; ``link_grad``
-and ``link_hessian`` are one-shot wrappers over the same two paths.
+derivatives of one graph build the plan once and keep it.
 ``_tile_plan`` repeats either plan for a batch of rows, each row's
 gathers shifted by its offset into the flattened (K, n) batch and its
 scatter bins by its offset into the K * n (gradient) or K * n * n
@@ -147,17 +146,6 @@ def eval_rows(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(p) for p in np.prod(X[:, edges], axis=2).tolist()])
 
 
-def link_grad(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Gradient of the form: per vertex, the sum of leave-one-out products."""
-    return _grad(x, _grad_plan(edges))
-
-
-def link_hessian(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Hessian of the form: entry (i, j) sums, over the edges holding both
-    i and j, the product of the other r - 2 members' weights."""
-    return _hess(x, _hess_plan(edges, x.shape[0]))
-
-
 def ascent_rows(
     X: np.ndarray, edges: np.ndarray, max_iters, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +234,8 @@ def ascent_loop(
     Stops after max_iters steps, when a step gains less than tol (a
     negative tol disables this stop), or when the gradient vanishes on
     the support. value is eval_poly at the returned x. A one-row
-    ``ascent_rows``.
+    ``ascent_rows``; no solver path calls it, but the tests' reference
+    ascent does and the benchmark's tracer patches it.
     """
     X, values, iters, worst = ascent_rows(x[None, :], edges, max_iters, tol)
     return X[0], float(values[0]), int(iters[0]), float(worst[0])

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import textwrap
@@ -65,6 +66,9 @@ EXIT_INTERNAL = 5
 
 # --parallelism above this many workers per core is a usage error
 MAX_WORKERS_PER_CPU = 4
+# --random-starts above this is a usage error: every start is one row of
+# each batch the ascent holds in memory
+MAX_RANDOM_STARTS = 1000
 
 _VERDICT_EXIT = {
     "pass": EXIT_PASS,
@@ -97,8 +101,13 @@ class RunConfig:
     verify: VerifyOptions = DEFAULT_VERIFY
 
     def __post_init__(self):
-        if self.verify.tol <= 0 or self.verify.margin <= 0:
-            raise CliUsageError("tolerances must be positive")
+        # Written so that NaN fails too: it compares false with anything.
+        if not all(0 < tol < math.inf for tol in (self.verify.tol, self.verify.margin)):
+            raise CliUsageError("tolerances must be finite and positive")
+        if not 0 <= self.verify.opt.random_starts <= MAX_RANDOM_STARTS:
+            raise CliUsageError(f"random starts must be in [0, {MAX_RANDOM_STARTS}]")
+        if self.verify.opt.max_iters < 0:
+            raise CliUsageError("max iterations must be at least 0")
         if self.verify.parallelism < 1:
             raise CliUsageError("parallelism must be at least 1")
         limit = MAX_WORKERS_PER_CPU * (os.cpu_count() or 1)

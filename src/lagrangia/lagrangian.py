@@ -12,37 +12,36 @@ finish: Newton steps on the KKT system of a face of its support
 (``_face_finish``), accepted only at a stationary local maximum of the
 face that does not lower P. On a plateau, where twin vertices trade
 weight freely and the face Jacobian is singular, the step is the
-minimum-norm one, so plateau faces close by Newton too. What no face
-closes, a stall, falls back to fixed-length bursts and a
-projected-gradient rescue (``_pg_polish``). Multi-start covers the
-structured optima: uniform, uniform on maximum cliques, uniform on
-initial segments, and seeded Dirichlet draws.
+minimum-norm one, so plateau faces close by Newton too. A row whose
+gain stop fires off stationarity tries its faces once more; what no
+face closes ends at its gain stop and reports its residual, which
+``certify`` checks again. Multi-start covers the structured optima:
+uniform, uniform on maximum cliques, uniform on initial segments, and
+seeded Dirichlet draws.
 
-The starts of one graph run in lockstep: every growth-transform phase
-(each chunk of the gain-stopped run, each round of fixed-length bursts,
-the run after a rescue) takes the rows that need it as one
-``_kernels.ascent_rows`` batch, and a row leaves the batch when it
-stops or a face closes it. The face finish runs in lockstep too: the
-rows that try it after a phase form one ``_face_finish`` batch, whose
-j-th candidate faces, of whatever sizes, are one ``_face_newton``
-batch with one stacked solve per Newton step; the KKT checks after
-each phase are one batch too (``_kkt_rows``). A face is a boolean
-mask, and every row solves the graph's own (n + 1) x (n + 1) bordered
-KKT system, with the coordinates off its face pinned at 0, so the size
-of each solve depends on n alone. Every scatter bin, solve and
-reduction belongs to one row, so each row is bit-identical to a
-separate run and the result of each start is that of ``ascend`` from
-it alone; the batches only cut per-call numpy overhead. Bit-identical
-starts run once. Only the kept row, the best by value, support size and
-weights, is certified.
+The starts of one graph run in lockstep: each chunk of the gain-stopped
+run takes the rows still moving as one ``_kernels.ascent_rows`` batch,
+and a row leaves the batch when it stops or a face closes it. The face
+finish runs in lockstep too: the rows that try it after a chunk form
+one ``_face_finish`` batch, whose j-th candidate faces, of whatever
+sizes, are one ``_face_newton`` batch with one stacked solve per Newton
+step; the KKT check after the run is one batch too (``_kkt_rows``). A
+face is a boolean mask, and every row solves the graph's own
+(n + 1) x (n + 1) bordered KKT system, with the coordinates off its
+face pinned at 0, so the size of each solve depends on n alone. Every
+scatter bin, solve and reduction belongs to one row, so each row is
+bit-identical to a separate run and the result of each start is that
+of ``ascend`` from it alone; the batches only cut per-call numpy
+overhead. Bit-identical starts run once. Only the kept row, the best by
+value, support size and weights, is certified.
 
 On graphs of a few vertices numpy call overhead, not arithmetic, is
 most of every derivative, so none rebuilds its index arrays: each
 ``_ascend_rows`` call builds the gradient and the Hessian plan of the
 graph's edges once, each tiled for all its rows
 (``_kernels._tile_plan``); the face finish, the Newton steps, the face
-checks and the KKT checks take the prefix for their rows, and the
-rescue and the certificate the gradient plan's first row.
+checks and the KKT check take the prefix for their rows, and the
+certificate the gradient plan's first row.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -79,6 +78,16 @@ from .structure import clique_number, is_left_compressed, maximum_cliques
 FEAS_TOL = 1e-12  # absolute slack on the simplex sum constraint
 MONOTONE_SLACK = 1e-14  # tolerated per-iteration objective decrease
 
+# The ascent: the objective gain below which a growth run stops, the
+# stationarity residual that an accepted face point meets and above which
+# a stopped row tries its faces again, the value gap within which a
+# support drop is kept, and the weight at or below which a coordinate is
+# zeroed before certification.
+GAIN_TOL = 1e-12
+KKT_TOL = 1e-8
+VALUE_TOL = 1e-9
+TRIM = 1e-13
+
 # The face finish (``_face_finish``): growth steps between face attempts,
 # the most decaying coordinates left off a candidate face, the relative
 # weight below which a coordinate is on no face, the gap at or above which
@@ -98,10 +107,6 @@ class OptOptions:
     """Knobs shared by every optimization entry point."""
 
     max_iters: int = 20000
-    tol: float = 1e-12  # stop ascent when the objective gain drops below
-    kkt_tol: float = 1e-8  # stationarity certificate threshold
-    value_tol: float = 1e-9  # values this close count as equal for support drops
-    trim: float = 1e-13  # weights at or below are zeroed before certification
     random_starts: int = 8
     seed: int = 0
 
@@ -278,7 +283,9 @@ def _pg_polish(
     """Projected-gradient steps restricted to the positive support of x.
 
     Keeps zero weights at zero so the support can only shrink, matching
-    the growth transform; returns (improved, x, value, steps).
+    the growth transform; returns (improved, x, value, steps). No solver
+    path calls it: it stays because the tests' reference ascent uses it
+    as its rescue and the benchmark's tracer patches it.
     """
     mask = x > 0.0
     improved = False
@@ -334,7 +341,6 @@ def _face_newton(
     hess_rows: _kernels.Plan,
     values: np.ndarray,
     faces: np.ndarray,
-    opts: OptOptions,
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Newton steps on the KKT system of one face of the simplex, per row.
 
@@ -360,8 +366,8 @@ def _face_newton(
     lower P and is stationary for every coordinate positive in x:
 
     - every y_S > 0 and P(y) >= values[i];
-    - |g_i - rP(y)| <= opts.kkt_tol on the face;
-    - g_j - rP(y) <= opts.kkt_tol for every j positive in x off the face;
+    - |g_i - rP(y)| <= KKT_TOL on the face;
+    - g_j - rP(y) <= KKT_TOL for every j positive in x off the face;
     - the Hessian projected on the face's tangent space {d_S^T 1 = 0,
       d = 0 off S} has no eigenvalue above CURVATURE_TOL, so y is not a
       saddle; a zero eigenvalue, along a plateau or off the face,
@@ -414,7 +420,7 @@ def _face_newton(
     gap -= r * new_values[:, None]
     # |gap| on the face, the gap itself off it where x has weight.
     gap = np.where(face, np.abs(gap), gap)
-    stationary = ~((gap > opts.kkt_tol) & (face | (X[keep] > 0.0))).any(axis=1)
+    stationary = ~((gap > KKT_TOL) & (face | (X[keep] > 0.0))).any(axis=1)
     keep, Y, new_values = keep[stationary], Y[stationary], new_values[stationary]
     if not keep.shape[0]:
         return out
@@ -433,7 +439,6 @@ def _face_finish(
     grad_rows: _kernels.Plan,
     hess_rows: _kernels.Plan,
     values: np.ndarray,
-    opts: OptOptions,
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Per row of X, the first candidate face that ``_face_newton``
     accepts, or None.
@@ -465,7 +470,7 @@ def _face_finish(
             break
         faces = base[rows]
         faces[np.arange(len(rows))[:, None], order[rows, :j]] = False
-        tried = _face_newton(X[rows], edges, grad_rows, hess_rows, values[rows], faces, opts)
+        tried = _face_newton(X[rows], edges, grad_rows, hess_rows, values[rows], faces)
         for i, res in zip(rows, tried):
             out[i] = res
     return out
@@ -482,15 +487,19 @@ def _ascend_rows(
 ) -> OptResult:
     """The best ``ascend`` result over the starts, run in lockstep.
 
-    Each phase runs the rows that need it as one ``ascent_rows`` batch,
-    and the rows that try a face finish after it as one ``_face_finish``
-    batch, so every row ends where a separate ``ascend`` from its start
-    ends, bit for bit. A start bit-identical to an earlier one would end
-    where that one does, so it runs once. ``_ascent_result`` keeps the
-    best row and certifies only it. One gradient and one Hessian plan,
-    each tiled for every row, serve the whole call: the face finish, the
-    KKT checks after each phase (one ``_kkt_rows`` batch) and, as its
-    first row, the rescue and the certificate take prefixes of them.
+    Two phases. The gain-stopped run goes in chunks of FACE_CHUNK
+    steps, each one ``ascent_rows`` batch of the rows still moving, and
+    the rows that ran a whole chunk try a face finish as one
+    ``_face_finish`` batch. Then one ``_kkt_rows`` batch finds the rows
+    whose gain stop fired off stationarity, and they try their faces once
+    more as one batch; a row that no face closes keeps its gain-stop
+    point and its residual. Every row ends where a separate ``ascend``
+    from its start ends, bit for bit. A start bit-identical to an earlier
+    one would end where that one does, so it runs once.
+    ``_ascent_result`` keeps the best row and certifies only it. One
+    gradient and one Hessian plan, each tiled for every row, serve the
+    whole call: the face finish, the KKT check and, as its first row,
+    the certificate take prefixes of them.
     """
     unique: dict[bytes, np.ndarray] = {}
     for x0 in starts:
@@ -510,32 +519,13 @@ def _ascend_rows(
     total_iters = [0] * len(xs)
     closed: set[int] = set()
 
-    def run(idx: list[int], caps, tol: float) -> None:
-        X, vals, its, worst = _kernels.ascent_rows(
-            np.array([xs[k] for k in idx]), edges, caps, tol
-        )
-        _check_monotone(worst)
-        for i, k in enumerate(idx):
-            xs[k], values[k] = X[i], float(vals[i])
-            total_iters[k] += int(its[i])
-
-    def kkt(idx: list[int]) -> dict[int, float]:
-        """The KKT residuals of the rows idx, as one batch."""
-        if not idx:
-            return {}
-        residuals = _kkt_rows(
-            np.array([xs[k] for k in idx]), edges, grad_rows,
-            np.array([values[k] for k in idx]), opts.trim,
-        )
-        return dict(zip(idx, residuals.tolist()))
-
     def finish(idx: list[int]) -> list[int]:
         """Try the faces of the rows idx as one batch; the rows left open."""
         if not idx:
             return []
         outs = _face_finish(
             np.array([xs[k] for k in idx]), edges, grad_rows, hess_rows,
-            np.array([values[k] for k in idx]), opts,
+            np.array([values[k] for k in idx]),
         )
         left = []
         for k, out in zip(idx, outs):
@@ -551,12 +541,17 @@ def _ascend_rows(
     # runs a whole chunk is still moving, often because coordinates are
     # decaying onto a face at a linear rate near 1: Newton steps on that
     # face finish it, and the row leaves the batch.
-    everyone = list(range(len(xs)))
-    live = everyone
+    live = list(range(len(xs)))
     while live:
         done = [total_iters[k] for k in live]
         caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
-        run(live, caps, opts.tol)
+        X, vals, its, worst = _kernels.ascent_rows(
+            np.array([xs[k] for k in live]), edges, caps, GAIN_TOL
+        )
+        _check_monotone(worst)
+        for i, k in enumerate(live):
+            xs[k], values[k] = X[i], float(vals[i])
+            total_iters[k] += int(its[i])
         live = finish([
             k
             for k, d, cap in zip(live, done, caps)
@@ -565,39 +560,17 @@ def _ascend_rows(
 
     # A row whose gain stop fired while it was still off stationarity
     # tries its faces once more; a plateau, where H_SS is singular,
-    # closes there too. What no face closes is a stall: extra
-    # fixed-length bursts (tol < 0 disables the gain stop) let the
-    # multiplicative decay finish, and a projected-gradient rescue
-    # handles a genuine stall. A row leaves the rounds for good once it
-    # is stationary, out of iterations or not improved by a rescue.
-    residual = kkt([k for k in everyone if k not in closed])
-    live = finish([k for k, res in residual.items() if res > opts.kkt_tol])
-    for _ in range(40):
-        live = [
-            k for k in live
-            if residual[k] > opts.kkt_tol and total_iters[k] < opts.max_iters
-        ]
-        if not live:
-            break
-        run(live, [min(200, opts.max_iters - total_iters[k]) for k in live], -1.0)
-        polished, stalled = [], set()
-        for k, new_residual in kkt(live).items():
-            if new_residual > 0.95 * residual[k]:
-                improved, xs[k], values[k], steps = _pg_polish(
-                    xs[k], edges, plan, values[k], max_steps=30
-                )
-                total_iters[k] += steps
-                if improved:
-                    polished.append(k)
-                    continue
-                stalled.add(k)
-            residual[k] = new_residual
-        if polished:
-            run(polished, [max(opts.max_iters - total_iters[k], 1) for k in polished], opts.tol)
-            residual.update(kkt(polished))
-        live = [k for k in live if k not in stalled]
+    # closes there too. A row that no face closes ends at its gain stop
+    # and keeps its residual.
+    open_rows = [k for k in range(len(xs)) if k not in closed]
+    if open_rows:
+        residuals = _kkt_rows(
+            np.array([xs[k] for k in open_rows]), edges, grad_rows,
+            np.array([values[k] for k in open_rows]), TRIM,
+        )
+        finish([k for k, res in zip(open_rows, residuals.tolist()) if res > KKT_TOL])
 
-    return _ascent_result(g, edges, plan, np.array(xs), total_iters, opts)
+    return _ascent_result(g, edges, plan, np.array(xs), total_iters)
 
 
 def _ascent_result(
@@ -606,17 +579,16 @@ def _ascent_result(
     plan: _kernels.Plan,
     X: np.ndarray,
     iterations: Sequence[int],
-    opts: OptOptions,
 ) -> OptResult:
     """Trim and renormalize the end point of every ascent, one per row of
     X, and certify the best.
 
-    Weights at or below opts.trim are zeroed. Rows rank by value desc,
+    Weights at or below TRIM are zeroed. Rows rank by value desc,
     support size asc, weights lex desc, and the first of equal rows
     wins; a row of value 0 has an empty support. Every reduction runs
     along one row, so each row is trimmed as it would be alone.
     """
-    X = np.where(X > opts.trim, X, 0.0)
+    X = np.where(X > TRIM, X, 0.0)
     total = X.sum(axis=1, keepdims=True)
     X = np.divide(X, total, out=X, where=total > 0.0)
     values = _kernels.eval_rows(X, edges)
@@ -652,12 +624,12 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
     """Monotone ascent from one start; certificates computed at the end.
 
     Growth-transform iterations run until the objective gain falls below
-    opts.tol, with a Newton face finish tried every FACE_CHUNK steps;
-    if the stationarity residual on the support is still above
-    opts.kkt_tol and no face closes it, the optimizer interleaves
-    growth bursts and projected-gradient rescues. Newton and rescue
-    steps count as iterations.
-    Weights at or below opts.trim are then zeroed and the vector
+    GAIN_TOL or opts.max_iters steps have run, with a Newton face finish
+    tried every FACE_CHUNK steps; if the stationarity residual on the
+    support is then above KKT_TOL, the faces are tried once more. A
+    point that no face closes is returned as the gain stop left it, with
+    its residual in ``kkt_residual``. Newton steps count as iterations.
+    Weights at or below TRIM are then zeroed and the vector
     renormalized. A zero objective with zero gradient comes back as
     value 0 with an empty support.
     """
@@ -695,7 +667,7 @@ def minimize_support(
     so all of it moves to the vertex with the larger link value and the
     other leaves the support. Otherwise the smallest-weight vertex
     (ties: largest index) is dropped and the remainder re-optimized; the
-    shrink is kept only when the value matches within opts.value_tol.
+    shrink is kept only when the value matches within VALUE_TOL.
     """
     opts = opts or DEFAULT_OPTIONS
     plan = _kernels._grad_plan(g.edge_array())
@@ -711,7 +683,7 @@ def minimize_support(
             x[keeper - 1] += x[donor - 1]
             x[donor - 1] = 0.0
             cand = ascend(g, x, opts)
-            if cand.value >= best.value - opts.value_tol:
+            if cand.value >= best.value - VALUE_TOL:
                 best = cand
                 changed = True
                 continue
@@ -725,7 +697,7 @@ def minimize_support(
             break
         remaining = [v for v in best.support if v != drop]
         cand = _ascend_rows(g, [x / total, uniform_weighting(g.n, remaining)], opts)
-        if cand.value >= best.value - opts.value_tol:
+        if cand.value >= best.value - VALUE_TOL:
             best = cand
             changed = True
         else:

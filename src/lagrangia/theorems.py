@@ -27,6 +27,7 @@ from ._version import VERSION
 from .core import Edge, Hypergraph, binomial, colex_graph, pair_link
 from .lagrangian import (
     DEFAULT_OPTIONS,
+    VALUE_TOL,
     OptOptions,
     OptResult,
     complete_lagrangian,
@@ -489,7 +490,7 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
         vmax = max(res.value for _, res in batch)
         maxima.append([m, vmax])
         for g, res in batch:
-            if res.value < vmax - opts.opt.value_tol:
+            if res.value < vmax - VALUE_TOL:
                 continue
             audited += 1
             k = max(res.support)

@@ -302,9 +302,12 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
 
 
 def test_negative_tolerance_rejected(capsys):
-    code, _, err = run_main(capsys, "verify", "pz18", "--t", "5", "--tol", "-1")
-    assert code == EXIT_USAGE
-    assert "positive" in err
+    # NaN compares false with any error, so it would pass every check.
+    for flag in ("--tol", "--margin"):
+        for value in ("-1", "nan", "inf", "-inf"):
+            code, _, err = run_main(capsys, "verify", "pz18", "--t", "5", f"{flag}={value}")
+            assert code == EXIT_USAGE, (flag, value)
+            assert "finite and positive" in err
 
 
 def test_output_flag_writes_file_and_silences_stdout(tmp_path, capsys):
@@ -378,6 +381,21 @@ def test_parse_args_builds_config():
 def test_parse_args_rejects_bad_parallelism():
     with pytest.raises(CliUsageError):
         parse_args(["verify", "pz18", "--t", "5", "--parallelism", "0"])
+
+
+def test_parse_args_bounds_starts_and_iterations():
+    verify = ["verify", "pz18", "--t", "5"]
+    config = parse_args(verify + ["--random-starts", "1000", "--max-iters", "0"])
+    assert config.verify.opt.random_starts == 1000
+    assert config.verify.opt.max_iters == 0
+    for flag, absurd in (
+        ("--random-starts", "-1"),
+        ("--random-starts", "1001"),
+        ("--random-starts", "3000000"),
+        ("--max-iters", "-1"),
+    ):
+        with pytest.raises(CliUsageError):
+            parse_args(verify + [f"{flag}={absurd}"])
 
 
 def test_parse_args_bounds_parallelism_by_cpu_count(monkeypatch):

@@ -57,14 +57,14 @@ class TestBackendEquivalence:
 
     def test_grad_matches(self):
         for x, edges in cases(67, 60):
-            got = _kernels.link_grad(x, edges)
+            got = _kernels._grad(x, _kernels._grad_plan(edges))
             assert got.shape == x.shape
             assert np.allclose(got, python_grad(x, edges), atol=1e-15, rtol=0)
 
     def test_hessian_matches(self):
         # Same cases as the gradient, so every r = 2..4 and n = 3..9 occurs.
         for x, edges in cases(67, 60):
-            got = _kernels.link_hessian(x, edges)
+            got = _kernels._hess(x, _kernels._hess_plan(edges, x.shape[0]))
             assert got.shape == (x.shape[0], x.shape[0])
             assert np.allclose(got, python_hessian(x, edges), atol=1e-15, rtol=0)
 
@@ -92,8 +92,8 @@ class TestBackendEquivalence:
             hessians = _kernels._hess(Y, _kernels._plan_rows(hess_rows, 3))
             assert hessians.shape == (3, n, n)
             for y, face, grad, hess in zip(Y, faces, grads, hessians):
-                assert np.array_equal(grad, _kernels.link_grad(y, edges))
-                assert np.array_equal(hess, _kernels.link_hessian(y, edges))
+                assert np.array_equal(grad, _kernels._grad(y, _kernels._grad_plan(edges)))
+                assert np.array_equal(hess, _kernels._hess(y, _kernels._hess_plan(edges, n)))
                 k = face.shape[0]
                 label = np.full(n, -1)
                 label[face] = np.arange(k)
@@ -130,7 +130,7 @@ class TestBackendEquivalence:
         # Leave-one-out products must not divide by a zero weight.
         x = np.array([0.5, 0.5, 0.0, 0.0])
         edges = np.asarray([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
-        g = _kernels.link_grad(x, edges)
+        g = _kernels._grad(x, _kernels._grad_plan(edges))
         assert g[2] == 0.25 and g[3] == 0.25
         assert g[0] == 0.0 and g[1] == 0.0
 
@@ -138,8 +138,8 @@ class TestBackendEquivalence:
         x = np.array([0.5, 0.5])
         edges = np.empty((0, 2), dtype=np.int64)
         assert _kernels.eval_poly(x, edges) == 0.0
-        assert np.array_equal(_kernels.link_grad(x, edges), np.zeros(2))
-        assert np.array_equal(_kernels.link_hessian(x, edges), np.zeros((2, 2)))
+        assert np.array_equal(_kernels._grad(x, _kernels._grad_plan(edges)), np.zeros(2))
+        assert np.array_equal(_kernels._hess(x, _kernels._hess_plan(edges, 2)), np.zeros((2, 2)))
         _, val, iters, worst = _kernels.ascent_loop(x, edges, 100, 1e-12)
         assert val == 0.0 and iters == 0 and worst == 0.0
 
@@ -176,17 +176,18 @@ class TestAscentLoop:
 
 
 def one_row(x, edges, cap, tol):
-    """The growth transform on one vector, as a plain loop over link_grad."""
+    """The growth transform on one vector, as a plain loop over ``_grad``."""
     r = edges.shape[1]
+    plan = _kernels._grad_plan(edges)
     x = x.copy()
-    g = _kernels.link_grad(x, edges)
+    g = _kernels._grad(x, plan)
     denom = (x * g).sum()
     val = denom / r
     worst, it = 0.0, 0
     while it < cap and denom > 0.0:
         x = x * g / denom
         x /= x.sum()
-        g = _kernels.link_grad(x, edges)
+        g = _kernels._grad(x, plan)
         denom = (x * g).sum()
         gain = denom / r - val
         worst = min(worst, gain)

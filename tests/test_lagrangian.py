@@ -220,12 +220,12 @@ def reference_ascend(g, x0, opts):
         return x, value, iters
 
     def kkt(x, value):
-        return L._kkt_residual(x, plan, value, g.r, floor=opts.trim)
+        return L._kkt_residual(x, plan, value, g.r, floor=L.TRIM)
 
-    x, value, total = loop(as_weighting(x0, g.n)[: g.n].copy(), opts.max_iters, opts.tol)
+    x, value, total = loop(as_weighting(x0, g.n)[: g.n].copy(), opts.max_iters, L.GAIN_TOL)
     residual = kkt(x, value)
     for _ in range(40):
-        if residual <= opts.kkt_tol or total >= opts.max_iters:
+        if residual <= L.KKT_TOL or total >= opts.max_iters:
             break
         x, value, it = loop(x, min(200, opts.max_iters - total), -1.0)
         total += it
@@ -235,11 +235,11 @@ def reference_ascend(g, x0, opts):
             total += steps
             if not improved:
                 break
-            x, value, it = loop(x, max(opts.max_iters - total, 1), opts.tol)
+            x, value, it = loop(x, max(opts.max_iters - total, 1), L.GAIN_TOL)
             total += it
             new_residual = kkt(x, value)
         residual = new_residual
-    return L._ascent_result(g, edges, plan, x[None, :], [total], opts)
+    return L._ascent_result(g, edges, plan, x[None, :], [total])
 
 
 def merge_key(res):
@@ -253,20 +253,14 @@ class TestLockstepMultistart:
 
     def per_start(self, monkeypatch, g):
         opts = OptOptions()
-        seen = {"polish": 0}
+        seen = {}
         real = lagrangian_module._ascend_rows
-        polish = lagrangian_module._pg_polish
 
         def spy_rows(g, starts, opts):
             seen.setdefault("starts", [np.array(s) for s in starts])
             return real(g, starts, opts)
 
-        def spy_polish(*args, **kwargs):
-            seen["polish"] += 1
-            return polish(*args, **kwargs)
-
         monkeypatch.setattr(lagrangian_module, "_ascend_rows", spy_rows)
-        monkeypatch.setattr(lagrangian_module, "_pg_polish", spy_polish)
         batched = ascend_multistart(g, opts)
         monkeypatch.undo()
         best = None
@@ -277,7 +271,7 @@ class TestLockstepMultistart:
             # end elsewhere, but never lower and always stationary.
             ref = reference_ascend(g, x0, opts)
             assert res.value >= ref.value - 1e-12
-            assert res.kkt_residual <= opts.kkt_tol
+            assert res.kkt_residual <= lagrangian_module.KKT_TOL
             seen["results"].append(res)
             best = res if best is None or merge_key(res) < merge_key(best) else best
         assert batched.value == best.value
@@ -309,15 +303,14 @@ class TestLockstepMultistart:
         )
         seen = self.per_start(monkeypatch, g)
         assert len(seen["starts"]) > 1
-        assert seen["polish"] == 0
         assert all(res.kkt_residual <= 1e-14 for res in seen["results"])
         assert reference_ascend(g, seen["starts"][0], OptOptions()).iterations == 6048
         assert seen["results"][0].iterations < 200
 
     def test_gain_stopped_rows_get_a_face_finish(self, monkeypatch):
         # P = x1 (x2 x3 + x2 x4 + x3 x4): the gain stop fires while the
-        # residual is still above kkt_tol; a face closes those rows at
-        # once instead of a 200-step burst.
+        # residual is still above KKT_TOL; a face closes those rows at
+        # once.
         g = Hypergraph.from_edges(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
         seen = self.per_start(monkeypatch, g)
         assert all(res.iterations < 100 for res in seen["results"])
@@ -385,12 +378,12 @@ def tiled_plans(edges, rows, n):
     )
 
 
-def one_face_newton(x, edges, value, face, opts):
+def one_face_newton(x, edges, value, face):
     """``_face_newton`` on a batch of one row: x on its face (0-based)."""
     n = x.shape[0]
     return lagrangian_module._face_newton(
         x[None, :], edges, *tiled_plans(edges, 1, n), np.asarray([value]),
-        face_mask(face, n)[None, :], opts,
+        face_mask(face, n)[None, :],
     )[0]
 
 
@@ -399,7 +392,7 @@ def face_newton(edges, x, face):
     edges = np.asarray(edges, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     value = _kernels.eval_poly(x, edges)
-    return one_face_newton(x, edges, value, face, OptOptions())
+    return one_face_newton(x, edges, value, face)
 
 
 class TestFaceNewton:
@@ -452,7 +445,7 @@ class TestFaceNewton:
         )
         value = _kernels.eval_poly(x, edges)
         y, _, _ = lagrangian_module._face_finish(
-            x[None, :], edges, *tiled_plans(edges, 1, 5), np.asarray([value]), OptOptions()
+            x[None, :], edges, *tiled_plans(edges, 1, 5), np.asarray([value])
         )[0]
         assert np.allclose(y, [1 / 3, 2 / 9, 2 / 9, 2 / 9, 0], atol=1e-15, rtol=0)
         assert y[4] == 0.0
@@ -465,8 +458,8 @@ class TestFaceNewton:
         assert face_newton(edges, x, [0, 1, 2, 3, 4]) is None
 
 
-def full_edge_face_newton(x, edges, value, face, opts):
-    """``_face_newton`` on one row from ``link_grad`` and ``link_hessian``:
+def full_edge_face_newton(x, edges, value, face):
+    """``_face_newton`` on one row from one-shot gradient and Hessian plans:
     the face's bordered KKT system embedded in the graph's n + 1
     coordinates, each coordinate off the face pinned at 0 by an identity
     row, with masked Hessian, border and steps; a singular Jacobian takes
@@ -486,11 +479,12 @@ def full_edge_face_newton(x, edges, value, face, opts):
     steps = 0
     singular = False
     for _ in range(L.NEWTON_STEPS):
-        grad = _kernels.link_grad(y, edges)
+        grad = _kernels._grad(y, _kernels._grad_plan(edges))
         resid = np.append(np.where(mask, grad - mu, 0.0), y.sum() - 1.0)
         if np.max(np.abs(resid)) < L.NEWTON_TOL:
             break
-        jac[:n, :n] = np.where(both, _kernels.link_hessian(y, edges), np.diag(~mask))
+        hess = _kernels._hess(y, _kernels._hess_plan(edges, n))
+        jac[:n, :n] = np.where(both, hess, np.diag(~mask))
         # ``_solve_rows`` finds the matrices ``solve`` cannot factor by
         # the sign of ``slogdet``: the two must agree.
         zero_pivot = np.linalg.slogdet(jac).sign == 0.0
@@ -510,13 +504,13 @@ def full_edge_face_newton(x, edges, value, face, opts):
     new_value = float(_kernels.eval_poly(y, edges))
     if not new_value >= value:
         return None, "lower value"
-    gap = _kernels.link_grad(y, edges) - r * new_value
-    if np.max(np.abs(gap[mask])) > opts.kkt_tol:
+    gap = _kernels._grad(y, _kernels._grad_plan(edges)) - r * new_value
+    if np.max(np.abs(gap[mask])) > L.KKT_TOL:
         return None, "not stationary"
-    if np.any(gap[(x > 0.0) & ~mask] > opts.kkt_tol):
+    if np.any(gap[(x > 0.0) & ~mask] > L.KKT_TOL):
         return None, "off-face gap"
     tangent = np.where(both, np.eye(n) - 1.0 / mask.sum(), 0.0)
-    hess = _kernels.link_hessian(y, edges)
+    hess = _kernels._hess(y, _kernels._hess_plan(edges, n))
     if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > L.CURVATURE_TOL:
         return None, "saddle"
     return (y, new_value, steps), "accepted singular" if singular else "accepted"
@@ -568,7 +562,6 @@ class TestFaceLocalNewton:
     ]
 
     def test_bit_identical_to_the_full_edge_newton(self):
-        opts = OptOptions()
         cases = [
             (np.asarray(x), np.asarray(edges, dtype=np.int64), [np.asarray(face)])
             for edges, x, face in self.EXAMPLES
@@ -580,8 +573,8 @@ class TestFaceLocalNewton:
             value = _kernels.eval_poly(x, edges)
             for face in faces:
                 with np.errstate(all="ignore"):
-                    got = one_face_newton(x, edges, value, face, opts)
-                    want, reason = full_edge_face_newton(x, edges, value, face, opts)
+                    got = one_face_newton(x, edges, value, face)
+                    want, reason = full_edge_face_newton(x, edges, value, face)
                 reasons[reason] = reasons.get(reason, 0) + 1
                 inner = np.isin(edges, face).all(axis=1).any()
                 shapes["no inner edge"] += face.shape[0] > 1 and not inner
@@ -606,7 +599,6 @@ class TestFaceLocalNewton:
         # one batch whatever the face sizes, as a drop round of
         # ``_face_finish`` runs them; each row must equal a call on that
         # row alone.
-        opts = OptOptions()
         cases = [
             (np.asarray(x), np.asarray(edges, dtype=np.int64), [np.asarray(face)])
             for edges, x, face in self.EXAMPLES
@@ -628,10 +620,10 @@ class TestFaceLocalNewton:
             F = np.asarray([face_mask(face, n) for _, face in attempts])
             with np.errstate(all="ignore"):
                 got = lagrangian_module._face_newton(
-                    X, edges, *tiled_plans(edges, len(attempts), n), values, F, opts
+                    X, edges, *tiled_plans(edges, len(attempts), n), values, F
                 )
                 want = [
-                    one_face_newton(p, edges, v, face, opts)
+                    one_face_newton(p, edges, v, face)
                     for (p, face), v in zip(attempts, values)
                 ]
             sizes = len(set(F.sum(axis=1).tolist()))
@@ -667,10 +659,7 @@ class TestFaceLocalNewton:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(path, np.ones(4))
         values = np.asarray([_kernels.eval_poly(x, edges) for x in X])
-        opts = OptOptions()
-        got = lagrangian_module._face_newton(
-            X, edges, *tiled_plans(edges, 3, 6), values, faces, opts
-        )
+        got = lagrangian_module._face_newton(X, edges, *tiled_plans(edges, 3, 6), values, faces)
         y, value, steps = got[1]
         assert np.allclose(y, [0, 0, 0, 0.25, 0.5, 0.25], atol=1e-15, rtol=0)
         assert y[4] == 0.5 and y[3] + y[5] == 0.5
@@ -681,7 +670,7 @@ class TestFaceLocalNewton:
             assert np.allclose(y, [1 / 3] * 3 + [0] * 3, atol=1e-15, rtol=0)
             assert steps == 1
         for i, (y, value, steps) in enumerate(got):
-            want = one_face_newton(X[i], edges, values[i], np.flatnonzero(faces[i]), opts)
+            want = one_face_newton(X[i], edges, values[i], np.flatnonzero(faces[i]))
             assert np.array_equal(y, want[0]) and value == want[1] and steps == want[2]
 
     def test_solve_rows_splits_a_singular_stack_once(self):
@@ -757,7 +746,7 @@ class TestFaceLocalNewton:
         for seen in batches:
             growth = seen["ascent_rows", "_ascend_rows"]
             # One gradient and one Hessian plan for the batch, each tiled
-            # once, shared by every KKT check, face attempt and rescue;
+            # once, shared by every KKT check and face attempt;
             # one tiled gradient plan per growth phase, inside
             # ``ascent_rows``; none in the face finish.
             assert seen["_grad_plan", "_ascend_rows"] == 1, seen
@@ -782,65 +771,42 @@ class TestFaceLocalNewton:
         assert sum(newton_steps) > 1
 
 
-def burst_rows(monkeypatch):
-    """Spy on ``ascent_rows``: the row count of each burst call (tol < 0)."""
-    rows: list[int] = []
-    real = _kernels.ascent_rows
-
-    def spy(X, edges, max_iters, tol):
-        out = real(X, edges, max_iters, tol)
-        if tol < 0:
-            rows.append(out[2].shape[0])
-        return out
-
-    monkeypatch.setattr(_kernels, "ascent_rows", spy)
-    return rows
-
-
 class TestPlateauFaces:
     """Plateaus, where twin vertices trade weight freely and the face
     Hessian is singular, close by Newton steps on a face."""
 
-    def test_ascend_closes_a_plateau_face(self, monkeypatch):
+    def test_ascend_closes_a_plateau_face(self):
         # From the uniform start the growth transform heads for the
         # plateau of 126 136 247 467 at value 1/27; it used to take 223
         # iterations there, one 200-step burst included.
-        bursts = burst_rows(monkeypatch)
         g = Hypergraph.from_edges(3, 7, [(1, 2, 6), (1, 3, 6), (2, 4, 7), (4, 6, 7)])
         res = ascend(g, uniform_weighting(7))
-        assert bursts == []
         assert res.iterations <= 30
         assert abs(res.value - 1 / 27) <= 1e-16
         assert res.kkt_residual <= 1e-14
 
     @pytest.mark.parametrize("name", ["pz18", "colex-30"])
-    def test_multistart_makes_no_burst(self, monkeypatch, name):
+    def test_multistart_closes_twin_faces(self, name):
         # The pz18 graph, every triple of [5] and ab6 for ab in [4], and
         # colex_graph(3, 30), every triple of [6] and ab7 for ab in [5]:
         # in each the last two vertices are twins, with one link and no
-        # common edge, so weight moves freely between them. With seed 0
-        # they sent 2 and 4 rows to burst rounds before.
+        # common edge, so weight moves freely between them.
         if name == "pz18":
             edges = list(combinations(range(1, 6), 3))
             edges += [(a, b, 6) for a, b in combinations(range(1, 5), 2)]
             g = Hypergraph.from_edges(3, 6, edges)
         else:
             g = colex_graph(3, 30)
-        bursts = burst_rows(monkeypatch)
         res = ascend_multistart(g, OptOptions(seed=0))
-        assert bursts == []
         assert res.kkt_residual <= 1e-14
 
-    def test_bursts_still_close_a_nearly_singular_face(self, monkeypatch):
+    def test_multistart_closes_beside_a_nearly_singular_face(self):
         # With seed 1 one start of colex_graph(3, 30) ends near a face
-        # whose Jacobian is nearly singular: ``solve`` factors it, Newton
-        # does not close it, and the row goes to a burst round. Keeps the
-        # burst and rescue path under test.
-        bursts = burst_rows(monkeypatch)
-        opts = OptOptions(seed=1)
-        res = ascend_multistart(colex_graph(3, 30), opts)
-        assert bursts
-        assert res.kkt_residual <= opts.kkt_tol
+        # whose Jacobian is nearly singular: ``solve`` factors it and
+        # Newton does not close it, so that row keeps its gain-stop
+        # residual. The best start still ends stationary.
+        res = ascend_multistart(colex_graph(3, 30), OptOptions(seed=1))
+        assert res.kkt_residual <= 1e-14
 
 
 class TestKKTRows:
@@ -849,7 +815,7 @@ class TestKKTRows:
         # steps on, the point with its largest weight zeroed and a row
         # with every weight at or below trim, as one batch.
         L = lagrangian_module
-        trim = OptOptions().trim
+        trim = L.TRIM
         zero_rows = 0
         for x, edges, _ in face_cases(151, 150):
             n, r = x.shape[0], edges.shape[1]
