@@ -10,38 +10,28 @@ slowly: coordinates decay onto a face at a linear rate near 1, or like
 ``FACE_CHUNK`` steps, and a row still moving after a chunk tries a face
 finish: Newton steps on the KKT system of a face of its support
 (``_face_finish``), accepted only at a stationary local maximum of the
-face that does not lower P. On a plateau, where twin vertices trade
-weight freely and the face Jacobian is singular, the step is the
-minimum-norm one, so plateau faces close by Newton too. A row whose
-gain stop fires off stationarity tries its faces once more; what no
-face closes ends at its gain stop and reports its residual, which
-``certify`` checks again. Multi-start covers the structured optima:
-uniform, uniform on maximum cliques, uniform on initial segments, and
-seeded Dirichlet draws.
+face that does not lower P; on a plateau, where the face Jacobian is
+singular, the step is the minimum-norm one. A row whose gain stop fires
+off stationarity tries its faces once more. If none closes it and two
+of its vertices lie in no common edge, as at a saddle of a 2-graph on a
+support that is not a clique, P is linear along the pair, so their
+weight moves to one of them (``_pair_transfer``, as in
+``minimize_support``) and the row runs again. Any other row ends at its
+gain stop and reports its residual, which ``certify`` checks again.
+Multi-start covers the structured optima: uniform, uniform on maximum
+cliques, uniform on initial segments, and seeded Dirichlet draws.
 
-The starts of one graph run in lockstep: each chunk of the gain-stopped
-run takes the rows still moving as one ``_kernels.ascent_rows`` batch,
-and a row leaves the batch when it stops or a face closes it. The face
-finish runs in lockstep too: the rows that try it after a chunk form
-one ``_face_finish`` batch, whose j-th candidate faces, of whatever
-sizes, are one ``_face_newton`` batch with one stacked solve per Newton
-step; the KKT check after the run is one batch too (``_kkt_rows``). A
-face is a boolean mask, and every row solves the graph's own
-(n + 1) x (n + 1) bordered KKT system, with the coordinates off its
-face pinned at 0, so the size of each solve depends on n alone. Every
-scatter bin, solve and reduction belongs to one row, so each row is
-bit-identical to a separate run and the result of each start is that
-of ``ascend`` from it alone; the batches only cut per-call numpy
-overhead. Bit-identical starts run once. Only the kept row, the best by
-value, support size and weights, is certified.
-
-On graphs of a few vertices numpy call overhead, not arithmetic, is
-most of every derivative, so none rebuilds its index arrays: each
-``_ascend_rows`` call builds the gradient and the Hessian plan of the
-graph's edges once, each tiled for all its rows
-(``_kernels._tile_plan``); the face finish, the Newton steps, the face
-checks and the KKT check take the prefix for their rows, and the
-certificate the gradient plan's first row.
+The starts of one graph run in lockstep (``_ascend_rows``): the growth
+steps of each chunk, the Newton steps of each face round
+(``_face_newton``) and the KKT check are one batch each. Every row
+solves the graph's own (n + 1) x (n + 1) system, with the coordinates
+off its face pinned at 0, and every scatter bin, solve and reduction
+belongs to one row, so each start ends bit for bit as ``ascend`` from
+it alone; the batches only cut per-call numpy overhead, which on a few
+vertices is most of every derivative. So each call also builds the
+gradient and the Hessian plan of the edges once, tiled for all its rows
+(``_kernels._tile_plan``). Bit-identical starts run once, and only the
+kept row is certified.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -232,19 +222,20 @@ def _kkt_residual(
 
 
 def _kkt_rows(
-    X: np.ndarray, edges: np.ndarray, plan: _kernels.Plan, values: np.ndarray, floor: float
+    X: np.ndarray, edges: np.ndarray, plan: _kernels.Plan, values: np.ndarray
 ) -> np.ndarray:
-    """``_kkt_residual`` of every row of X, from one gradient scatter.
+    """``_kkt_residual`` over the weights above TRIM of every row of X,
+    from one gradient scatter.
 
     ``plan`` is a ``_kernels._tile_plan`` of ``edges`` for at least
     len(X) rows. Each row's gradient is bit-identical to a one-row call,
     and the masked max along a row takes the same values, so each
-    residual equals ``_kkt_residual`` bit for bit: 0.0 for a row with no
-    weight above ``floor``.
+    residual equals ``_kkt_residual(x, ..., TRIM)`` bit for bit: 0.0 for
+    a row with no weight above TRIM.
     """
     grad = _kernels._grad(X, _kernels._plan_rows(plan, X.shape[0]))
     gap = np.abs(grad - edges.shape[1] * values[:, None])
-    return np.max(gap, axis=1, initial=0.0, where=X > floor)
+    return np.max(gap, axis=1, initial=0.0, where=X > TRIM)
 
 
 def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, int] | None:
@@ -260,6 +251,19 @@ def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, in
         verts = [v for v in ordered if edge_bits >> (v - 1) & 1]
         needed.difference_update(combinations(verts, 2))
     return min(needed, default=None)
+
+
+def _pair_transfer(x: np.ndarray, plan: _kernels.Plan, pair: tuple[int, int]) -> np.ndarray:
+    """x with the weight of ``pair``, two vertices in no common edge, all
+    on the one with the larger link value (ties: the first). P is linear
+    along the pair, so this never lowers it."""
+    i, j = pair
+    x = x.copy()
+    grad = _kernels._grad(x, plan)
+    keeper, donor = (i, j) if grad[i - 1] >= grad[j - 1] else (j, i)
+    x[keeper - 1] += x[donor - 1]
+    x[donor - 1] = 0.0
+    return x
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -476,30 +480,28 @@ def _face_finish(
     return out
 
 
-def _check_monotone(worst: np.ndarray) -> None:
-    drops = worst[worst < -MONOTONE_SLACK]
-    if drops.shape[0]:
-        raise AssertionError(f"ascent decreased the objective by {-drops[0]:.3e}")
-
-
 def _ascend_rows(
     g: Hypergraph, starts: Sequence[Sequence[float]], opts: OptOptions
 ) -> OptResult:
     """The best ``ascend`` result over the starts, run in lockstep.
 
-    Two phases. The gain-stopped run goes in chunks of FACE_CHUNK
-    steps, each one ``ascent_rows`` batch of the rows still moving, and
-    the rows that ran a whole chunk try a face finish as one
+    Rounds of two phases. The gain-stopped run goes in chunks of
+    FACE_CHUNK steps, each one ``ascent_rows`` batch of the rows still
+    moving, and the rows that ran a whole chunk try a face finish as one
     ``_face_finish`` batch. Then one ``_kkt_rows`` batch finds the rows
-    whose gain stop fired off stationarity, and they try their faces once
-    more as one batch; a row that no face closes keeps its gain-stop
-    point and its residual. Every row ends where a separate ``ascend``
-    from its start ends, bit for bit. A start bit-identical to an earlier
-    one would end where that one does, so it runs once.
-    ``_ascent_result`` keeps the best row and certifies only it. One
-    gradient and one Hessian plan, each tiled for every row, serve the
-    whole call: the face finish, the KKT check and, as its first row,
-    the certificate take prefixes of them.
+    whose gain stop fired off stationarity, and they try their faces
+    once more as one batch. A row that no face closes, with iterations
+    left and two vertices above FACE_FLOOR * max in no common edge,
+    takes the pair transfer and runs another round; the weights below
+    are decaying and on no face. Each transfer shrinks the support, so
+    at most n rounds run. Any other row keeps its gain-stop point and
+    its residual. Every row ends where a separate ``ascend`` from its
+    start ends, bit for bit. A start bit-identical to an earlier one
+    would end where that one does, so it runs once. ``_ascent_result``
+    keeps the best row and certifies only it. One gradient and one
+    Hessian plan, each tiled for every row, serve the whole call: the
+    face finish, the KKT check and, as its first row, the certificate
+    take prefixes of them.
     """
     unique: dict[bytes, np.ndarray] = {}
     for x0 in starts:
@@ -537,38 +539,43 @@ def _ascend_rows(
             closed.add(k)
         return left
 
-    # The gain-stopped run, in chunks of FACE_CHUNK steps. A row that
-    # runs a whole chunk is still moving, often because coordinates are
-    # decaying onto a face at a linear rate near 1: Newton steps on that
-    # face finish it, and the row leaves the batch.
     live = list(range(len(xs)))
     while live:
-        done = [total_iters[k] for k in live]
-        caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
-        X, vals, its, worst = _kernels.ascent_rows(
-            np.array([xs[k] for k in live]), edges, caps, GAIN_TOL
-        )
-        _check_monotone(worst)
-        for i, k in enumerate(live):
-            xs[k], values[k] = X[i], float(vals[i])
-            total_iters[k] += int(its[i])
-        live = finish([
-            k
-            for k, d, cap in zip(live, done, caps)
-            if total_iters[k] - d == cap and total_iters[k] < opts.max_iters
-        ])
+        rows = live
+        # A row that runs a whole chunk is still moving, often because
+        # coordinates are decaying onto a face at a linear rate near 1:
+        # Newton steps on that face finish it, and the row leaves.
+        while live:
+            done = [total_iters[k] for k in live]
+            caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
+            X, vals, its, worst = _kernels.ascent_rows(
+                np.array([xs[k] for k in live]), edges, caps, GAIN_TOL
+            )
+            drops = worst[worst < -MONOTONE_SLACK]
+            if drops.shape[0]:
+                raise AssertionError(f"ascent decreased the objective by {-drops[0]:.3e}")
+            for i, k in enumerate(live):
+                xs[k], values[k] = X[i], float(vals[i])
+                total_iters[k] += int(its[i])
+            live = finish([
+                k
+                for k, d, cap in zip(live, done, caps)
+                if total_iters[k] - d == cap and total_iters[k] < opts.max_iters
+            ])
 
-    # A row whose gain stop fired while it was still off stationarity
-    # tries its faces once more; a plateau, where H_SS is singular,
-    # closes there too. A row that no face closes ends at its gain stop
-    # and keeps its residual.
-    open_rows = [k for k in range(len(xs)) if k not in closed]
-    if open_rows:
+        open_rows = [k for k in rows if k not in closed]
+        if not open_rows:
+            break
         residuals = _kkt_rows(
             np.array([xs[k] for k in open_rows]), edges, grad_rows,
-            np.array([values[k] for k in open_rows]), TRIM,
+            np.array([values[k] for k in open_rows]),
         )
-        finish([k for k, res in zip(open_rows, residuals.tolist()) if res > KKT_TOL])
+        for k in finish([k for k, res in zip(open_rows, residuals.tolist()) if res > KKT_TOL]):
+            base = np.flatnonzero(xs[k] > FACE_FLOOR * xs[k].max()) + 1
+            pair = _find_uncovered_pair(g, base.tolist())
+            if pair is not None and total_iters[k] < opts.max_iters:
+                xs[k] = _pair_transfer(xs[k], plan, pair)
+                live.append(k)
 
     return _ascent_result(g, edges, plan, np.array(xs), total_iters)
 
@@ -627,8 +634,10 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
     GAIN_TOL or opts.max_iters steps have run, with a Newton face finish
     tried every FACE_CHUNK steps; if the stationarity residual on the
     support is then above KKT_TOL, the faces are tried once more. A
-    point that no face closes is returned as the gain stop left it, with
-    its residual in ``kkt_residual``. Newton steps count as iterations.
+    point that no face closes, with a support pair in no edge, moves the
+    pair's weight to one vertex and the ascent runs again; any other is
+    returned as the gain stop left it, with its residual in
+    ``kkt_residual``. Newton steps count as iterations.
     Weights at or below TRIM are then zeroed and the vector
     renormalized. A zero objective with zero gradient comes back as
     value 0 with an empty support.
@@ -676,13 +685,7 @@ def minimize_support(
     while len(best.support) > 1:
         pair = _find_uncovered_pair(g, best.support)
         if pair is not None:
-            i, j = pair
-            x = best.weighting.copy()
-            grad = _kernels._grad(x, plan)
-            keeper, donor = (i, j) if grad[i - 1] >= grad[j - 1] else (j, i)
-            x[keeper - 1] += x[donor - 1]
-            x[donor - 1] = 0.0
-            cand = ascend(g, x, opts)
+            cand = ascend(g, _pair_transfer(best.weighting, plan, pair), opts)
             if cand.value >= best.value - VALUE_TOL:
                 best = cand
                 changed = True

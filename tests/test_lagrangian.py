@@ -182,6 +182,25 @@ class TestAscend:
             assert res.value >= evaluate(g, x0) - 1e-14
             assert res.value == pytest.approx(evaluate(g, res.weighting), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, edges, value",
+        [
+            (6, "12 13 34 15 25 45 46 56", Fraction(1, 3)),
+            (7, "12 13 23 14 34 15 45 16 46 56 17 27 37", Fraction(3, 8)),
+        ],
+        ids=["saddle-2-7", "saddle-1-3"],
+    )
+    def test_saddle_row_takes_the_pair_transfer(self, n, edges, value):
+        # From uniform the gain stop fires near a saddle on a support
+        # that is not a clique (at 2/7 and at 1/3), off stationarity,
+        # and no face closes the row. Moving the weight of a support pair
+        # inside no edge leaves that saddle without lowering P.
+        g = Hypergraph.from_edges(2, n, [tuple(map(int, e)) for e in edges.split()])
+        res = ascend(g, uniform_weighting(n))
+        assert res.value == pytest.approx(float(value), abs=1e-14)
+        assert res.kkt_residual <= 1e-14
+        assert res.edge_cover_ok
+
 
 class TestMultistart:
     def test_beats_every_start(self):
@@ -321,6 +340,15 @@ class TestLockstepMultistart:
         g = Hypergraph.from_edges(2, 6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
         seen = self.per_start(monkeypatch, g)
         assert len(seen["starts"]) > 1
+
+    def test_equals_per_start_ascend_with_pair_transfer(self, monkeypatch):
+        # The uniform row stops near the 2/7 saddle and takes the pair
+        # transfer inside the batch; each row still ends as alone.
+        g = Hypergraph.from_edges(
+            2, 6, [(1, 2), (1, 3), (3, 4), (1, 5), (2, 5), (4, 5), (4, 6), (5, 6)]
+        )
+        seen = self.per_start(monkeypatch, g)
+        assert seen["results"][0].value == pytest.approx(1 / 3, abs=1e-14)
 
     def test_duplicate_start_runs_once(self, monkeypatch):
         # A start bit-identical to an earlier one ends where it does, so
@@ -803,8 +831,9 @@ class TestPlateauFaces:
     def test_multistart_closes_beside_a_nearly_singular_face(self):
         # With seed 1 one start of colex_graph(3, 30) ends near a face
         # whose Jacobian is nearly singular: ``solve`` factors it and
-        # Newton does not close it, so that row keeps its gain-stop
-        # residual. The best start still ends stationary.
+        # Newton does not close it. Its twins 6 and 7 lie in no common
+        # edge, so that row takes the pair transfer. The best start
+        # ends stationary.
         res = ascend_multistart(colex_graph(3, 30), OptOptions(seed=1))
         assert res.kkt_residual <= 1e-14
 
@@ -824,7 +853,7 @@ class TestKKTRows:
             z[np.argmax(z)] = 0.0
             X = np.asarray([x, y, z, np.full(n, trim) * (np.arange(n) % 2)])
             values = np.asarray([_kernels.eval_poly(row, edges) for row in X])
-            got = L._kkt_rows(X, edges, tiled_plans(edges, 4, n)[0], values, trim)
+            got = L._kkt_rows(X, edges, tiled_plans(edges, 4, n)[0], values)
             plan = _kernels._grad_plan(edges)
             want = [L._kkt_residual(row, plan, v, r, floor=trim) for row, v in zip(X, values)]
             assert got.tolist() == want
