@@ -36,8 +36,10 @@ the compensated ``eval_poly`` of the point it returns.
 ``ascent_rows`` runs the loop on a batch of start vectors at once, one
 gradient scatter per step for all of them; on graphs of a few vertices
 numpy call overhead, not arithmetic, is most of a step, so a batch of K
-rows costs little more per step than one row. ``ascent_loop`` is its
-one-row case.
+rows costs little more per step than one row. Like ``_grad`` it takes
+its plan from the caller, a tiled gradient plan for at least K rows, so
+a caller that runs many chunks on one graph tiles it once.
+``ascent_loop`` is its one-row case and tiles its own one-row plan.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def eval_rows(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def ascent_rows(
-    X: np.ndarray, edges: np.ndarray, max_iters, tol: float
+    X: np.ndarray, edges: np.ndarray, grad_rows: Plan, max_iters, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Growth-transform iterations on every row of a (K, n) batch.
 
@@ -161,15 +163,15 @@ def ascent_rows(
     row-offset indices k * n + flat. Each bin adds the same edge terms
     in the same order as a one-row run, and every other operation is
     elementwise or a reduction along one row, so every row is
-    bit-identical to a batch of that row alone. A row that stops is
-    dropped from the batch; the live rows are kept first, so their plan
-    is a prefix of the one tiled for all K rows.
+    bit-identical to a batch of that row alone. ``grad_rows`` is a
+    ``_tile_plan`` of the gradient plan of ``edges`` for at least K
+    rows. A row that stops is dropped from the batch; the live rows are
+    kept first, so their plan is a prefix of it.
     """
     X = np.array(X, dtype=np.float64, ndmin=2)
     K, n = X.shape
     iters = np.zeros(K, dtype=np.int64)
     worst = np.zeros(K)
-    batch = _tile_plan(_grad_plan(edges), K, n, n)
     r = np.array(float(edges.shape[1]))  # divides as the int r does
 
     # Batch state: row i is row live[i] of X; the column vectors (denom,
@@ -180,7 +182,7 @@ def ascent_rows(
     cap = np.broadcast_to(np.asarray(max_iters), (K,)).reshape(K, 1)
     low = np.zeros((K, 1))
     step = 0
-    plan = _plan_rows(batch, K)
+    plan = _plan_rows(grad_rows, K)
     xg = rows * _grad(rows, plan)
     denom = np.add.reduce(xg, axis=1, keepdims=True)
     val = denom / r
@@ -196,7 +198,7 @@ def ascent_rows(
                 a[keep] for a in (live, rows, xg, denom, val, cap, low)
             )
             # The live rows come first, so their plan is a prefix.
-            plan = _plan_rows(batch, live.shape[0])
+            plan = _plan_rows(grad_rows, live.shape[0])
         if live.shape[0] == 0:
             break
         next_cap = cap.min()
@@ -237,5 +239,6 @@ def ascent_loop(
     ``ascent_rows``; no solver path calls it, but the tests' reference
     ascent does and the benchmark's tracer patches it.
     """
-    X, values, iters, worst = ascent_rows(x[None, :], edges, max_iters, tol)
+    plan = _tile_plan(_grad_plan(edges), 1, x.shape[0], x.shape[0])
+    X, values, iters, worst = ascent_rows(x[None, :], edges, plan, max_iters, tol)
     return X[0], float(values[0]), int(iters[0]), float(worst[0])

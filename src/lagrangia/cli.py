@@ -44,6 +44,7 @@ from .structure import (
 from .theorems import (
     DEFAULT_VERIFY,
     VerifyOptions,
+    _check_ground,
     bp_check,
     lemma_tal9_audit,
     lemmaeq_dichotomy_audit,
@@ -414,11 +415,7 @@ _GRAPHS_MARK = "\0graphs"
 def _cmd_enumerate(config: RunConfig) -> int:
     params = config.params
     t, r, m = params["t"], params["r"], params["m"]
-    if t > config.verify.max_ground:
-        raise CliUsageError(
-            f"ground set [{t}] exceeds the enumeration guard"
-            f" (max_ground={config.verify.max_ground})"
-        )
+    _check_ground(t)
     if config.count_only:
         count = count_left_compressed(t, r, m)
         if config.fmt == "json":

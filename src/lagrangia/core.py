@@ -17,6 +17,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_VERTICES = 64
+# The most edges ``complete_graph`` and ``colex_graph`` build: every
+# 3-graph on MAX_VERTICES vertices (C(64, 3) = 41,664 edges) fits.
+MAX_EDGES = 100_000
 
 Edge = tuple[int, ...]
 
@@ -98,7 +101,8 @@ def colex_unrank(r: int, k: int) -> Edge:
     """Inverse of :func:`colex_rank`: the r-set at 0-based colex rank k.
 
     Greedy from the top coordinate: pick the largest a with
-    C(a - 1, p) <= remainder.
+    C(a - 1, p) <= remainder, found by doubling and bisection, so the
+    cost grows with log k rather than k.
     """
     if r < 1:
         raise ValueError("arity must be >= 1")
@@ -107,11 +111,19 @@ def colex_unrank(r: int, k: int) -> Edge:
     out = []
     rem = k
     for p in range(r, 0, -1):
-        a = p  # smallest feasible value at position p
-        while binomial(a, p) <= rem:
-            a += 1
-        out.append(a)
-        rem -= binomial(a - 1, p)
+        # Keep C(lo, p) <= rem; double hi until C(hi, p) > rem, then
+        # bisect to the smallest such hi, which is the answer.
+        lo, hi = p - 1, p
+        while binomial(hi, p) <= rem:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if binomial(mid, p) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        out.append(hi)
+        rem -= binomial(hi - 1, p)
     return tuple(reversed(out))
 
 
@@ -189,10 +201,19 @@ class Hypergraph:
         return Hypergraph(self.r, n, self.edges)
 
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse, before building it, a graph beyond MAX_VERTICES or MAX_EDGES."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"at most {MAX_VERTICES} vertices supported, got n={n}")
+    if m > MAX_EDGES:
+        raise ValueError(f"at most {MAX_EDGES} edges supported, got m={m}")
+
+
 def complete_graph(t: int, r: int) -> Hypergraph:
     """The complete r-graph on [t]: all C(t, r) edges."""
     if t < r:
         raise ValueError(f"need t >= r, got t={t}, r={r}")
+    _check_size(t, binomial(t, r))
     masks = frozenset(edge_mask(c) for c in combinations(range(1, t + 1), r))
     return Hypergraph(r, t, masks)
 
@@ -205,9 +226,10 @@ def colex_graph(r: int, m: int) -> Hypergraph:
     """
     if m < 1:
         raise ValueError("need at least one edge")
-    edges = [colex_unrank(r, k) for k in range(m)]
-    n = max(e[-1] for e in edges)
-    return Hypergraph.from_edges(r, max(n, r), edges)
+    # The last set has the largest top vertex.
+    n = max(colex_unrank(r, m - 1)[-1], r)
+    _check_size(n, m)
+    return Hypergraph.from_edges(r, n, [colex_unrank(r, k) for k in range(m)])
 
 
 @dataclass(frozen=True)

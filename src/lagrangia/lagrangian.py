@@ -7,13 +7,13 @@ a homogeneous form with nonnegative coefficients. Near a maximum on the
 boundary of the simplex, or a non-isolated one, its last digits come
 slowly: coordinates decay onto a face at a linear rate near 1, or like
 1/k, over thousands of steps. So the gain-stopped run goes in chunks of
-``FACE_CHUNK`` steps, and a row still moving after a chunk tries a face
-finish: Newton steps on the KKT system of a face of its support
-(``_face_finish``), accepted only at a stationary local maximum of the
-face that does not lower P; on a plateau, where the face Jacobian is
-singular, the step is the minimum-norm one. A row whose gain stop fires
-off stationarity tries its faces once more. If none closes it and two
-of its vertices lie in no common edge, as at a saddle of a 2-graph on a
+``FACE_CHUNK`` steps, and a row still moving after a chunk, or stopped
+by the gain test off stationarity, tries a face finish: Newton steps on
+the KKT system of a face of its support (``_face_finish``), accepted
+only at a stationary local maximum of the face that does not lower P;
+on a plateau, where the face Jacobian is singular, the step is the
+minimum-norm one. If no face closes a stopped row and two of its
+vertices lie in no common edge, as at a saddle of a 2-graph on a
 support that is not a clique, P is linear along the pair, so their
 weight moves to one of them (``_pair_transfer``, as in
 ``minimize_support``) and the row runs again. Any other row ends at its
@@ -21,17 +21,18 @@ gain stop and reports its residual, which ``certify`` checks again.
 Multi-start covers the structured optima: uniform, uniform on maximum
 cliques, uniform on initial segments, and seeded Dirichlet draws.
 
-The starts of one graph run in lockstep (``_ascend_rows``): the growth
-steps of each chunk, the Newton steps of each face round
-(``_face_newton``) and the KKT check are one batch each. Every row
-solves the graph's own (n + 1) x (n + 1) system, with the coordinates
-off its face pinned at 0, and every scatter bin, solve and reduction
-belongs to one row, so each start ends bit for bit as ``ascend`` from
-it alone; the batches only cut per-call numpy overhead, which on a few
-vertices is most of every derivative. So each call also builds the
-gradient and the Hessian plan of the edges once, tiled for all its rows
-(``_kernels._tile_plan``). Bit-identical starts run once, and only the
-kept row is certified.
+The starts of one graph run in lockstep (``_ascend_rows``), in one
+loop: each pass runs one growth chunk, one KKT check of the rows that
+stopped in it and one face finish, whose drop rounds are one Newton
+batch each (``_face_newton``). Every row solves the graph's own
+(n + 1) x (n + 1) system, with the coordinates off its face pinned at
+0, and every scatter bin, solve and reduction belongs to one row, so
+each start ends bit for bit as ``ascend`` from it alone; the batches
+only cut per-call numpy overhead, which on a few vertices is most of
+every derivative. So each call also builds the gradient and the Hessian
+plan of the edges once, tiled for all its rows
+(``_kernels._tile_plan``), and every batch of the loop takes a prefix.
+Bit-identical starts run once, and only the kept row is certified.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -485,23 +486,24 @@ def _ascend_rows(
 ) -> OptResult:
     """The best ``ascend`` result over the starts, run in lockstep.
 
-    Rounds of two phases. The gain-stopped run goes in chunks of
-    FACE_CHUNK steps, each one ``ascent_rows`` batch of the rows still
-    moving, and the rows that ran a whole chunk try a face finish as one
-    ``_face_finish`` batch. Then one ``_kkt_rows`` batch finds the rows
-    whose gain stop fired off stationarity, and they try their faces
-    once more as one batch. A row that no face closes, with iterations
-    left and two vertices above FACE_FLOOR * max in no common edge,
-    takes the pair transfer and runs another round; the weights below
-    are decaying and on no face. Each transfer shrinks the support, so
-    at most n rounds run. Any other row keeps its gain-stop point and
-    its residual. Every row ends where a separate ``ascend`` from its
-    start ends, bit for bit. A start bit-identical to an earlier one
-    would end where that one does, so it runs once. ``_ascent_result``
-    keeps the best row and certifies only it. One gradient and one
-    Hessian plan, each tiled for every row, serve the whole call: the
-    face finish, the KKT check and, as its first row, the certificate
-    take prefixes of them.
+    One loop over the live rows, each pass three batches. One
+    ``ascent_rows`` chunk runs the gain-stopped growth for FACE_CHUNK
+    steps at most. One ``_kkt_rows`` batch checks the rows that stopped
+    in it. One ``_face_finish`` batch then takes the rows still moving
+    (a whole chunk run, with iterations left) and the stopped rows whose
+    residual is above KKT_TOL; a row that a face closes leaves. A
+    stopped row that no face closes, with iterations left and two
+    vertices above FACE_FLOOR * max in no common edge, takes the pair
+    transfer and stays live; the weights below are decaying and on no
+    face. Each transfer shrinks the support, so a row takes at most n of
+    them. Any other stopped row keeps its gain-stop point and its
+    residual. Every row ends where a separate ``ascend`` from its start
+    ends, bit for bit. A start bit-identical to an earlier one would end
+    where that one does, so it runs once. ``_ascent_result`` keeps the
+    best row and certifies only it. One gradient and one Hessian plan,
+    each tiled for every row, serve the whole call: the growth chunks,
+    the face finish, the KKT check and, as its first row, the
+    certificate take prefixes of them.
     """
     unique: dict[bytes, np.ndarray] = {}
     for x0 in starts:
@@ -511,73 +513,51 @@ def _ascend_rows(
                 raise ValueError("start point puts weight on vertices beyond the graph")
             arr = arr[: g.n]
         unique.setdefault(arr.tobytes(), arr)
-    xs = list(unique.values())
+    X = np.array(list(unique.values()))
     edges = g.edge_array()
     n = g.n
-    grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), len(xs), n, n)
-    hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), len(xs), n, n * n)
+    grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), X.shape[0], n, n)
+    hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), X.shape[0], n, n * n)
     plan = _kernels._plan_rows(grad_rows, 1)
-    values = [0.0] * len(xs)
-    total_iters = [0] * len(xs)
-    closed: set[int] = set()
-
-    def finish(idx: list[int]) -> list[int]:
-        """Try the faces of the rows idx as one batch; the rows left open."""
-        if not idx:
-            return []
-        outs = _face_finish(
-            np.array([xs[k] for k in idx]), edges, grad_rows, hess_rows,
-            np.array([values[k] for k in idx]),
+    iters = np.zeros(X.shape[0], dtype=np.int64)
+    live = np.arange(X.shape[0])
+    while live.shape[0]:
+        caps = [min(FACE_CHUNK, opts.max_iters - d) for d in iters[live].tolist()]
+        Y, values, its, worst = _kernels.ascent_rows(X[live], edges, grad_rows, caps, GAIN_TOL)
+        drops = worst[worst < -MONOTONE_SLACK]
+        if drops.shape[0]:
+            raise AssertionError(f"ascent decreased the objective by {-drops[0]:.3e}")
+        X[live] = Y
+        iters[live] += its
+        # A row still moving after a whole chunk is often decaying onto a
+        # face at a linear rate near 1, and Newton steps on that face
+        # finish it. A row that the gain stop left off stationarity may
+        # be near such a face too.
+        moving = (its == caps) & (iters[live] < opts.max_iters)
+        tried = moving.copy()
+        stopped = np.flatnonzero(~moving)
+        if stopped.shape[0]:
+            tried[stopped] = _kkt_rows(Y[stopped], edges, grad_rows, values[stopped]) > KKT_TOL
+        rows = np.flatnonzero(tried)
+        outs = (
+            _face_finish(Y[rows], edges, grad_rows, hess_rows, values[rows])
+            if rows.shape[0] else []
         )
-        left = []
-        for k, out in zip(idx, outs):
-            if out is None:
-                left.append(k)
-                continue
-            xs[k], values[k], steps = out
-            total_iters[k] += steps
-            closed.add(k)
-        return left
-
-    live = list(range(len(xs)))
-    while live:
-        rows = live
-        # A row that runs a whole chunk is still moving, often because
-        # coordinates are decaying onto a face at a linear rate near 1:
-        # Newton steps on that face finish it, and the row leaves.
-        while live:
-            done = [total_iters[k] for k in live]
-            caps = [min(FACE_CHUNK, opts.max_iters - d) for d in done]
-            X, vals, its, worst = _kernels.ascent_rows(
-                np.array([xs[k] for k in live]), edges, caps, GAIN_TOL
-            )
-            drops = worst[worst < -MONOTONE_SLACK]
-            if drops.shape[0]:
-                raise AssertionError(f"ascent decreased the objective by {-drops[0]:.3e}")
-            for i, k in enumerate(live):
-                xs[k], values[k] = X[i], float(vals[i])
-                total_iters[k] += int(its[i])
-            live = finish([
-                k
-                for k, d, cap in zip(live, done, caps)
-                if total_iters[k] - d == cap and total_iters[k] < opts.max_iters
-            ])
-
-        open_rows = [k for k in rows if k not in closed]
-        if not open_rows:
-            break
-        residuals = _kkt_rows(
-            np.array([xs[k] for k in open_rows]), edges, grad_rows,
-            np.array([values[k] for k in open_rows]),
-        )
-        for k in finish([k for k, res in zip(open_rows, residuals.tolist()) if res > KKT_TOL]):
-            base = np.flatnonzero(xs[k] > FACE_FLOOR * xs[k].max()) + 1
-            pair = _find_uncovered_pair(g, base.tolist())
-            if pair is not None and total_iters[k] < opts.max_iters:
-                xs[k] = _pair_transfer(xs[k], plan, pair)
-                live.append(k)
-
-    return _ascent_result(g, edges, plan, np.array(xs), total_iters)
+        keep = moving.copy()
+        for i, out in zip(rows.tolist(), outs):
+            k = live[i]
+            if out is not None:
+                X[k], _, steps = out
+                iters[k] += steps
+                keep[i] = False
+            elif not moving[i]:
+                base = np.flatnonzero(X[k] > FACE_FLOOR * X[k].max()) + 1
+                pair = _find_uncovered_pair(g, base.tolist())
+                if pair is not None and iters[k] < opts.max_iters:
+                    X[k] = _pair_transfer(X[k], plan, pair)
+                    keep[i] = True
+        live = live[keep]
+    return _ascent_result(g, edges, plan, X, iters.tolist())
 
 
 def _ascent_result(
@@ -630,13 +610,13 @@ def _certified(
 def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -> OptResult:
     """Monotone ascent from one start; certificates computed at the end.
 
-    Growth-transform iterations run until the objective gain falls below
-    GAIN_TOL or opts.max_iters steps have run, with a Newton face finish
-    tried every FACE_CHUNK steps; if the stationarity residual on the
-    support is then above KKT_TOL, the faces are tried once more. A
-    point that no face closes, with a support pair in no edge, moves the
-    pair's weight to one vertex and the ascent runs again; any other is
-    returned as the gain stop left it, with its residual in
+    Growth-transform iterations run in chunks of FACE_CHUNK steps until
+    the objective gain falls below GAIN_TOL or opts.max_iters steps have
+    run. After a whole chunk, or a gain stop with a stationarity residual
+    on the support above KKT_TOL, a Newton face finish is tried. A
+    stopped point that no face closes, with a support pair in no edge,
+    moves the pair's weight to one vertex and the ascent runs again; any
+    other is returned as the gain stop left it, with its residual in
     ``kkt_residual``. Newton steps count as iterations.
     Weights at or below TRIM are then zeroed and the vector
     renormalized. A zero objective with zero gradient comes back as
@@ -782,15 +762,8 @@ def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
     value = float(_kernels.eval_poly(x, edges))
     if value < res.value * (1.0 - 2 * g.r * np.finfo(np.float64).eps):
         return res
-    support = _support(x)
-    return replace(
-        res,
-        value=value,
-        weighting=x,
-        support=support,
-        kkt_residual=_kkt_residual(x, _kernels._grad_plan(edges), value, g.r),
-        edge_cover_ok=_find_uncovered_pair(g, support) is None,
-    )
+    plan = _kernels._grad_plan(edges)
+    return _certified(g, plan, x, value, _support(x), res.method, res.iterations)
 
 
 @dataclass(frozen=True)

@@ -61,21 +61,24 @@ __all__ = [
 ]
 
 
+# The largest ground set [t] admitted to exhaustive enumeration.
+MAX_GROUND = 8
+
+
 @dataclass(frozen=True)
 class VerifyOptions:
     """Shared verifier configuration.
 
     tol bounds |observed - target| for equality-style claims; margin is
     the slack demanded before a strict inequality counts as confirmed;
-    max_ground caps the ground-set size admitted to exhaustive
-    enumeration; seed feeds per-instance optimizer seeds; parallelism
-    fans instances out over processes when greater than one (capped at
-    the cpu count and the number of instances).
+    seed feeds per-instance optimizer seeds; parallelism fans instances
+    out over processes when greater than one (capped at the cpu count
+    and the number of instances). The ground-set guard of the exhaustive
+    verifiers is the constant MAX_GROUND.
     """
 
     tol: float = 1e-7
     margin: float = 1e-6
-    max_ground: int = 8
     seed: int = 0
     parallelism: int = 1
     opt: OptOptions = DEFAULT_OPTIONS
@@ -197,11 +200,11 @@ def _make_report(
     )
 
 
-def _check_ground(t: int, opts: VerifyOptions) -> None:
-    if t > opts.max_ground:
+def _check_ground(t: int) -> None:
+    """Refuse a ground set [t] too large to enumerate exhaustively."""
+    if t > MAX_GROUND:
         raise ValueError(
-            f"ground set [{t}] exceeds the enumeration guard"
-            f" (max_ground={opts.max_ground})"
+            f"ground set [{t}] exceeds the enumeration guard (max_ground={MAX_GROUND})"
         )
 
 
@@ -332,7 +335,7 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     compress into a violation inside the enumerated one.
     """
     rng = theorem1_range(t)
-    _check_ground(t, opts)
+    _check_ground(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
     solved = _map_lagrangian(
@@ -373,7 +376,7 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     """Check that left-compressed 3-graphs on the plateau range that do
     contain a clique on t-1 vertices attain exactly the complete value."""
     rng = plateau_range(t)
-    _check_ground(t, opts)
+    _check_ground(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
     solved = _map_lagrangian(
@@ -478,7 +481,7 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
     """
     if t < 4:
         raise ValueError("need t >= 4")
-    _check_ground(t, opts)
+    _check_ground(t)
     total = binomial(t, 3)
     solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []
@@ -562,7 +565,7 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     """
     bound = theorem2_bound(t)
     bf = float(bound)
-    _check_ground(t, opts)
+    _check_ground(t)
     s = (t - 2) // 2
     violations: list[dict] = []
     notes: list[str] = []
@@ -636,7 +639,7 @@ def verify_corollary(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
     """Check that every left-compressed 3-graph on [t] with at least
     ceil(threshold) edges contains a clique on floor((t - 2)/2) vertices."""
     threshold = corollary_threshold(t)
-    _check_ground(t, opts)
+    _check_ground(t)
     s = (t - 2) // 2
     m_min = math.ceil(threshold)
     total = binomial(t, 3)
@@ -678,7 +681,7 @@ def proposition_k4_check(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     """
     if t < 4:
         raise ValueError("need t >= 4")
-    _check_ground(t, opts)
+    _check_ground(t)
     cap = Fraction(2 * t**3, 27)
     graphs = _clique_free_class(t, 4)
     violations: list[dict] = []
@@ -735,7 +738,7 @@ def bp_check(t: int, p: int = 4, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     the whole class and a single maximal instance settles the bound.
     """
     bound = bp_bound(t, p, 3)
-    _check_ground(t, opts)
+    _check_ground(t)
     universe = _clique_free_universe(t, p)
     g = Hypergraph.from_edges(3, t, universe)
     if clique_number(g) >= p:
@@ -778,7 +781,7 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         raise ValueError("need t >= 5")
     if not 1 <= a <= t - 2:
         raise ValueError("need 1 <= a <= t - 2")
-    _check_ground(t, opts)
+    _check_ground(t)
     m = binomial(t - 1, 3) + binomial(t - 2, 2) + a
     cap = Fraction(2 * t + 3 * a - 4, 5)
     kept = _left_compressed(
@@ -823,7 +826,7 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
     such a tail are logged as out of scope rather than as violations.
     """
     bound = float(theorem2_bound(t))
-    _check_ground(t, opts)
+    _check_ground(t)
     total = binomial(t, 3)
     solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []

@@ -234,6 +234,13 @@ def test_verify_guard_is_usage_error(capsys):
     assert "guard" in err
 
 
+def test_enumerate_guard_is_usage_error(capsys):
+    # The enumerate command shares the verifiers' guard and its message.
+    code, out, err = run_main(capsys, "enumerate", "9", "3", "4")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: ground set [9] exceeds the enumeration guard (max_ground=8)\n"
+
+
 def test_verify_csv_has_header_even_when_clean(capsys):
     code, out, _ = run_main(
         capsys, "verify", "colex-plateau", "--t", "5", "--format", "csv"
@@ -288,7 +295,7 @@ def test_io_errors_exit_4(tmp_path, capsys):
 
 def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     # An ascent that reports a decrease trips the monotonicity assertion.
-    def decreasing(X, edges, max_iters, tol):
+    def decreasing(X, edges, grad_rows, max_iters, tol):
         X = np.array(X)
         values = np.array([_kernels.eval_poly(x, edges) for x in X])
         return X, values, np.ones(len(X), dtype=np.int64), np.full(len(X), -1e-3)

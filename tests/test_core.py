@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrangia.core import (
+    MAX_EDGES,
+    MAX_VERTICES,
     EdgeListFormatError,
     Hypergraph,
     binomial,
@@ -109,6 +111,17 @@ class TestColexOrder:
         r, edge = r_and_edge
         assert colex_unrank(r, colex_rank(edge)) == edge
 
+    def test_unrank_far_ranks(self):
+        # Each coordinate is found by doubling and bisection, so huge
+        # ranks cost no more than a few hundred binomials.
+        assert colex_unrank(1, 10**12) == (10**12 + 1,)
+        assert colex_unrank(2, binomial(10**9, 2)) == (1, 10**9 + 1)
+        for r in (3, 7):
+            edge = colex_unrank(r, 10**40)
+            assert list(edge) == sorted(set(edge))
+            assert colex_rank(edge) == 10**40
+            assert colex_rank(colex_unrank(r, 10**40 - 1)) == 10**40 - 1
+
     def test_unrank_rejects_bad_input(self):
         with pytest.raises(ValueError):
             colex_unrank(0, 5)
@@ -187,6 +200,24 @@ class TestGraphConstructors:
     def test_colex_graph_rejects_empty(self):
         with pytest.raises(ValueError):
             colex_graph(3, 0)
+
+    def test_absurd_sizes_are_refused_before_building(self):
+        # Each would take tens of seconds or exhaust memory if built.
+        with pytest.raises(ValueError, match="got n=183"):
+            colex_graph(3, 10**6)
+        with pytest.raises(ValueError, match="vertices"):
+            colex_graph(3, 10**40)
+        with pytest.raises(ValueError, match="vertices"):
+            complete_graph(65, 2)
+        with pytest.raises(ValueError, match=f"got m={binomial(40, 20)}"):
+            complete_graph(40, 20)
+        with pytest.raises(ValueError, match="edges"):
+            colex_graph(30, MAX_EDGES + 1)
+
+    def test_size_bounds_admit_every_3_graph_on_64_vertices(self):
+        assert binomial(MAX_VERTICES, 3) <= MAX_EDGES
+        g = colex_graph(3, binomial(MAX_VERTICES, 3))
+        assert g.n == MAX_VERTICES and g.m == binomial(MAX_VERTICES, 3)
 
 
 class TestLinks:

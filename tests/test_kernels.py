@@ -198,6 +198,11 @@ def one_row(x, edges, cap, tol):
     return x, _kernels.eval_poly(x, edges), it, worst
 
 
+def tiled(edges, rows, n):
+    """The tiled gradient plan that ``ascent_rows`` takes, for ``rows`` rows."""
+    return _kernels._tile_plan(_kernels._grad_plan(edges), rows, n, n)
+
+
 def batch(rng, n, k):
     """k simplex rows: dense, sparse, and one dead row (weight on one vertex)."""
     rows = []
@@ -232,7 +237,9 @@ class TestAscentRows:
                     X = batch(rng, n, 6)
                     caps = np.asarray([0, 1, rng.randint(2, 9), 3000, 40, 1], dtype=np.int64)
                     X0 = X.copy()
-                    Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, caps, tol)
+                    # A plan tiled for 6 rows or more: the batch takes its prefix.
+                    plan = tiled(edges, 6 + n % 3, n)
+                    Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, plan, caps, tol)
                     assert np.array_equal(X, X0)  # the input is not modified
                     assert Xr.shape == X.shape and vals.shape == iters.shape == (6,)
                     for k in range(6):
@@ -253,7 +260,8 @@ class TestAscentRows:
         for x, edges in cases(97, 12):
             rng = random.Random(x.shape[0])
             X = np.vstack([x, batch(rng, x.shape[0], 3)])
-            Xr, vals, iters, _ = _kernels.ascent_rows(X, edges, 40, -1.0)
+            plan = tiled(edges, 4, x.shape[0])
+            Xr, vals, iters, _ = _kernels.ascent_rows(X, edges, plan, 40, -1.0)
             for k, row in enumerate(X):
                 y = [float(v) for v in row]
                 steps = 0
@@ -271,7 +279,9 @@ class TestAscentRows:
     def test_single_row_and_int_cap(self):
         for x, edges in cases(101, 10):
             for tol in (1e-12, -1.0):
-                Xr, vals, iters, worst = _kernels.ascent_rows(x[None, :], edges, 300, tol)
+                Xr, vals, iters, worst = _kernels.ascent_rows(
+                    x[None, :], edges, tiled(edges, 1, x.shape[0]), 300, tol
+                )
                 self.assert_row_equals(
                     (Xr[0], vals[0], iters[0], worst[0]), one_row(x, edges, 300, tol)
                 )
@@ -279,7 +289,8 @@ class TestAscentRows:
     def test_empty_edge_set(self):
         X = np.asarray([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         edges = np.empty((0, 2), dtype=np.int64)
-        Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, np.asarray([5, 0]), 1e-12)
+        plan = tiled(edges, 2, 3)
+        Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, plan, np.asarray([5, 0]), 1e-12)
         assert np.array_equal(Xr, X)
         assert vals.tolist() == [0.0, 0.0]
         assert iters.tolist() == [0, 0] and worst.tolist() == [0.0, 0.0]

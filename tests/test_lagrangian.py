@@ -361,9 +361,9 @@ class TestLockstepMultistart:
         calls = []
         real = _kernels.ascent_rows
 
-        def spy(X, edges, max_iters, tol):
+        def spy(X, edges, grad_rows, max_iters, tol):
             calls.append(X.shape[0])
-            return real(X, edges, max_iters, tol)
+            return real(X, edges, grad_rows, max_iters, tol)
 
         monkeypatch.setattr(_kernels, "ascent_rows", spy)
         want = lagrangian_module._ascend_rows(g, [uniform_weighting(6), x], opts)
@@ -774,19 +774,20 @@ class TestFaceLocalNewton:
         for seen in batches:
             growth = seen["ascent_rows", "_ascend_rows"]
             # One gradient and one Hessian plan for the batch, each tiled
-            # once, shared by every KKT check and face attempt;
-            # one tiled gradient plan per growth phase, inside
-            # ``ascent_rows``; none in the face finish.
+            # once, shared by every growth chunk, KKT check and face
+            # attempt; none inside ``ascent_rows`` or the face finish.
             assert seen["_grad_plan", "_ascend_rows"] == 1, seen
             assert seen["_hess_plan", "_ascend_rows"] == 1, seen
             assert seen["_tile_plan", "_ascend_rows"] == 2, seen
-            assert seen["_grad_plan", "ascent_rows"] == growth, seen
-            assert seen["_tile_plan", "ascent_rows"] == growth, seen
             builds = sum(
                 n for key, n in seen.items()
                 if key[0] in ("_grad_plan", "_hess_plan", "_tile_plan")
             )
-            assert builds == 4 + 2 * growth, seen
+            assert builds == 4, seen
+            # One loop: each pass runs one growth chunk, at most one KKT
+            # batch and at most one face finish batch.
+            assert seen["_face_finish", "_ascend_rows"] <= growth, seen
+            assert seen["_kkt_rows", "_ascend_rows"] <= growth, seen
         # At most one ``_face_newton`` batch per drop round, and some batch
         # holds faces of different sizes and more than one row.
         assert rounds and max(rounds) <= L.FACE_DROPS + 1, rounds

@@ -362,10 +362,9 @@ def test_theorem43_rejects_bad_a():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError, match="guard"):
-        verify_theorem1(9)
-    with pytest.raises(ValueError, match="guard"):
-        verify_theorem1(7, VerifyOptions(max_ground=6))
+    for check in (verify_theorem1, lemma_tal9_audit, proposition_k4_check):
+        with pytest.raises(ValueError, match="guard"):
+            check(9)
     # plateau never enumerates, so large t stays fine
     assert verify_colex_plateau(9, FAST).verdict == "pass"
 
