@@ -214,13 +214,17 @@ def ascent_rows(
             # Python comparisons are the cheapest test on a few values;
             # NaN fails them as it fails the masks below.
             gains = gain.ravel().tolist()
-            if not all(g >= 0.0 for g in gains):
+            ok = all(g >= tol for g in gains)
+            # With tol > 0, ok means no gain is negative, so ``low``
+            # stands, and every value is at least tol, so every denom > 0.
+            sure = ok and tol > 0.0
+            if not sure and not all(g >= 0.0 for g in gains):
                 # min(worst, gain) as Python's min takes it, NaN included.
                 low = np.where(gain < low, gain, low)
             if not (
                 step < next_cap
-                and all(g >= tol for g in gains)
-                and all(d > 0.0 for d in denom.ravel().tolist())
+                and ok
+                and (sure or all(d > 0.0 for d in denom.ravel().tolist()))
             ):
                 break
         # Some row may stop: build the row masks.

@@ -29,10 +29,16 @@ batch each (``_face_newton``). Every row solves the graph's own
 0, and every scatter bin, solve and reduction belongs to one row, so
 each start ends bit for bit as ``ascend`` from it alone; the batches
 only cut per-call numpy overhead, which on a few vertices is most of
-every derivative. So each call also builds the gradient and the Hessian
-plan of the edges once, tiled for all its rows
-(``_kernels._tile_plan``), and every batch of the loop takes a prefix.
-Bit-identical starts run once, and only the kept row is certified.
+every derivative. So each call also builds the gradient plan of the
+edges once, tiled for all its rows (``_kernels._tile_plan``), and every
+batch of the loop takes a prefix. The Hessian plan, which only the face
+finish uses, is built and tiled the same way before the call's first
+finish; a call that runs no finish builds none. Bit-identical starts
+run once, and only the kept row is certified.
+
+``minimize_support`` runs a support drop only when the complete graph
+on the s - 1 vertices left, whose Lagrangian C(s - 1, r) / (s - 1)^r
+bounds every weighting there, could reach the value it must keep.
 
 Closed forms (complete graphs, 2-graphs via the clique number) are exact
 rationals.
@@ -62,6 +68,7 @@ from .core import (
     binomial,
     difference_link,
     edge_mask,
+    mask_to_edge,
     pair_link,
 )
 from .structure import clique_number, is_left_compressed, maximum_cliques
@@ -187,12 +194,26 @@ def link_value(g: Hypergraph, i: int, x: Sequence[float]) -> float:
     """The partial derivative of the form at x: the value of the link of i."""
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range [1, {g.n}]")
-    arr = as_weighting(x, g.n)
-    terms = []
-    for edge in g.edge_list():
-        if i in edge:
-            terms.append(math.prod(arr[v - 1] for v in edge if v != i))
-    return math.fsum(terms)
+    return _link_values(g, as_weighting(x, g.n), (i,))[i]
+
+
+def _link_values(g: Hypergraph, x: np.ndarray, vertices: Iterable[int]) -> dict[int, float]:
+    """The link value at x of each of the given 1-based vertices.
+
+    One pass over the edges, each decoded once: an edge adds, for each
+    of its members asked for, the product of its other members' weights
+    in vertex order. ``math.fsum`` rounds each sum once, so no order of
+    the edges changes a value. No kernel is called: ``certify`` checks
+    the kernels' results with this.
+    """
+    w = x.tolist()
+    terms: dict[int, list[float]] = {i: [] for i in vertices}
+    for mask in g.edges:
+        edge = mask_to_edge(mask)
+        for i in edge:
+            if i in terms:
+                terms[i].append(math.prod(w[v - 1] for v in edge if v != i))
+    return {i: math.fsum(t) for i, t in terms.items()}
 
 
 def family_value(link: LinkSet, x: Sequence[float]) -> float:
@@ -242,16 +263,25 @@ def _kkt_rows(
 def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, int] | None:
     """The first support pair, in lexicographic order, inside no edge.
 
-    One pass over the edges, discarding the pairs each edge covers.
+    One pass over the edges builds, for every support vertex, the mask
+    of the vertices that share an edge with it. The first pair is then
+    (i, j) for the smallest i whose mask misses a support vertex j > i,
+    with the smallest such j.
     """
-    ordered = sorted(support)
-    needed = set(combinations(ordered, 2))
+    want = edge_mask(support)
+    cover = dict.fromkeys(support, 0)
     for edge_bits in g.edges:
-        if not needed:
-            return None
-        verts = [v for v in ordered if edge_bits >> (v - 1) & 1]
-        needed.difference_update(combinations(verts, 2))
-    return min(needed, default=None)
+        inside = edge_bits & want
+        if inside & (inside - 1):  # two support vertices or more
+            while inside:
+                low = inside & -inside
+                cover[low.bit_length()] |= edge_bits
+                inside ^= low
+    for i in sorted(support):
+        above = want & ~cover[i] & -(1 << i)
+        if above:
+            return i, (above & -above).bit_length()
+    return None
 
 
 def _pair_transfer(x: np.ndarray, plan: _kernels.Plan, pair: tuple[int, int]) -> np.ndarray:
@@ -481,10 +511,13 @@ def _face_finish(
     return out
 
 
-def _ascend_rows(
-    g: Hypergraph, starts: Sequence[Sequence[float]], opts: OptOptions
-) -> OptResult:
+def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResult:
     """The best ``ascend`` result over the starts, run in lockstep.
+
+    ``starts`` holds one simplex point of length g.n per row, already
+    checked: ``ascend`` checks its start with ``as_weighting``, and so
+    does ``minimize_support`` its drop start; ``ascend_multistart`` and
+    ``uniform_weighting`` build valid ones.
 
     One loop over the live rows, each pass three batches. One
     ``ascent_rows`` chunk runs the gain-stopped growth for FACE_CHUNK
@@ -500,24 +533,20 @@ def _ascend_rows(
     residual. Every row ends where a separate ``ascend`` from its start
     ends, bit for bit. A start bit-identical to an earlier one would end
     where that one does, so it runs once. ``_ascent_result`` keeps the
-    best row and certifies only it. One gradient and one Hessian plan,
-    each tiled for every row, serve the whole call: the growth chunks,
-    the face finish, the KKT check and, as its first row, the
-    certificate take prefixes of them.
+    best row and certifies only it. One gradient plan, tiled for every
+    row, serves the whole call: the growth chunks, the face finish, the
+    KKT check and, as its first row, the certificate take prefixes of
+    it. The Hessian plan, which only the face finish uses, is built and
+    tiled once, before the call's first finish.
     """
     unique: dict[bytes, np.ndarray] = {}
-    for x0 in starts:
-        arr = as_weighting(x0, g.n)
-        if arr.shape[0] > g.n:
-            if np.any(arr[g.n :] > 0.0):
-                raise ValueError("start point puts weight on vertices beyond the graph")
-            arr = arr[: g.n]
-        unique.setdefault(arr.tobytes(), arr)
+    for x0 in np.asarray(starts, dtype=np.float64):
+        unique.setdefault(x0.tobytes(), x0)
     X = np.array(list(unique.values()))
     edges = g.edge_array()
     n = g.n
     grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), X.shape[0], n, n)
-    hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), X.shape[0], n, n * n)
+    hess_rows = None
     plan = _kernels._plan_rows(grad_rows, 1)
     iters = np.zeros(X.shape[0], dtype=np.int64)
     live = np.arange(X.shape[0])
@@ -539,10 +568,12 @@ def _ascend_rows(
         if stopped.shape[0]:
             tried[stopped] = _kkt_rows(Y[stopped], edges, grad_rows, values[stopped]) > KKT_TOL
         rows = np.flatnonzero(tried)
-        outs = (
-            _face_finish(Y[rows], edges, grad_rows, hess_rows, values[rows])
-            if rows.shape[0] else []
-        )
+        outs = []
+        if rows.shape[0]:
+            if hess_rows is None:
+                hess_plan = _kernels._hess_plan(edges, n)
+                hess_rows = _kernels._tile_plan(hess_plan, X.shape[0], n, n * n)
+            outs = _face_finish(Y[rows], edges, grad_rows, hess_rows, values[rows])
         keep = moving.copy()
         for i, out in zip(rows.tolist(), outs):
             k = live[i]
@@ -580,7 +611,10 @@ def _ascent_result(
     X = np.divide(X, total, out=X, where=total > 0.0)
     values = _kernels.eval_rows(X, edges)
     sizes = np.where(values > 0.0, (X > 0.0).sum(axis=1), 0)
-    best = min(range(X.shape[0]), key=lambda k: (-values[k], sizes[k], tuple(-X[k])))
+    # Only rows tied in value and size compare weights.
+    tied = np.flatnonzero(values == values.max())
+    tied = tied[sizes[tied] == sizes[tied].min()].tolist()
+    best = min(tied, key=lambda k: tuple(-X[k])) if len(tied) > 1 else tied[0]
     x, value = X[best], float(values[best])
     support = _support(x) if value > 0.0 else ()
     return _certified(g, plan, x, value, support, "ascent", iterations[best])
@@ -622,7 +656,12 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
     renormalized. A zero objective with zero gradient comes back as
     value 0 with an empty support.
     """
-    return _ascend_rows(g, [x0], opts or DEFAULT_OPTIONS)
+    x = as_weighting(x0, g.n)
+    if x.shape[0] > g.n:
+        if np.any(x[g.n :] > 0.0):
+            raise ValueError("start point puts weight on vertices beyond the graph")
+        x = x[: g.n]
+    return _ascend_rows(g, x[None, :], opts or DEFAULT_OPTIONS)
 
 
 def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
@@ -643,7 +682,7 @@ def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResul
         rng = np.random.default_rng(opts.seed)
         for _ in range(opts.random_starts):
             starts.append(rng.dirichlet(np.ones(n)))
-    return _ascend_rows(g, starts, opts)
+    return _ascend_rows(g, np.array(starts), opts)
 
 
 def minimize_support(
@@ -657,6 +696,14 @@ def minimize_support(
     other leaves the support. Otherwise the smallest-weight vertex
     (ties: largest index) is dropped and the remainder re-optimized; the
     shrink is kept only when the value matches within VALUE_TOL.
+
+    That re-optimization never leaves the other s - 1 vertices of the
+    support: growth keeps zeros at zero, and faces and pair transfers
+    stay inside the support. So its value is at most the complete
+    graph's, C(s - 1, r) / (s - 1)^r (0 when s - 1 < r), up to rounding
+    (``_complete_ceiling``). When that is below the value less
+    VALUE_TOL, the drop cannot be kept, and the loop ends without
+    running it.
     """
     opts = opts or DEFAULT_OPTIONS
     plan = _kernels._grad_plan(g.edge_array())
@@ -671,6 +718,8 @@ def minimize_support(
                 changed = True
                 continue
             break
+        if _complete_ceiling(len(best.support) - 1, g.r) < best.value - VALUE_TOL:
+            break
         weights = best.weighting
         drop = min(best.support, key=lambda v: (weights[v - 1], -v))
         x = weights.copy()
@@ -679,7 +728,8 @@ def minimize_support(
         if total <= 0.0:
             break
         remaining = [v for v in best.support if v != drop]
-        cand = _ascend_rows(g, [x / total, uniform_weighting(g.n, remaining)], opts)
+        starts = [as_weighting(x / total, g.n), uniform_weighting(g.n, remaining)]
+        cand = _ascend_rows(g, np.array(starts), opts)
         if cand.value >= best.value - VALUE_TOL:
             best = cand
             changed = True
@@ -688,6 +738,22 @@ def minimize_support(
     if changed:
         best = replace(best, method="refined")
     return best
+
+
+def _complete_ceiling(k: int, r: int) -> float:
+    """The largest value that a weighting on k vertices can evaluate to:
+    the Lagrangian of the complete r-graph on them, C(k, r) / k^r (0
+    when k < r), raised by a rounding slack.
+
+    Any r-graph's form is at most the complete one's on the same
+    vertices. A weighting renormalized to sum 1 sums to within about k
+    half-ulps of 1, so its exact value is at most the Lagrangian times
+    (1 + k eps / 2)^r; each product of r weights rounds r - 1 times and
+    the fsum once. The slack r (k + 1) eps, relative, is about twice
+    all of that.
+    """
+    lam = Fraction(binomial(k, r), k**r)
+    return float(lam) * (1.0 + r * (k + 1) * math.ulp(1.0))
 
 
 def motzkin_straus(g: Hypergraph) -> Fraction:
@@ -806,8 +872,8 @@ def certify(g: Hypergraph, res: OptResult, tol: float = 1e-8) -> CertificateRepo
     value = float(_kernels.eval_poly(x, g.edge_array()))
     support = _support(x) if value > 0.0 else ()
     residual = 0.0
-    for i in support:
-        residual = max(residual, abs(link_value(g, i, x) - g.r * value))
+    for link in _link_values(g, x, support).values():
+        residual = max(residual, abs(link - g.r * value))
     kkt_ok = residual <= tol
     cover_ok = _find_uncovered_pair(g, support) is None
     lc = is_left_compressed(g)

@@ -113,6 +113,24 @@ class TestLinkValue:
                 fd = (_kernels.eval_poly(y, edges) - _kernels.eval_poly(x, edges)) / h
                 assert fd == pytest.approx(link_value(g, i, x), abs=1e-9)
 
+    def test_one_pass_equals_one_vertex_sums(self):
+        # The link values of every vertex from one pass over the edges
+        # equal, bit for bit, the fsum over the colex-sorted edges of
+        # each vertex alone.
+        rng = random.Random(71)
+        for r in (2, 3, 4):
+            for _ in range(20):
+                n = rng.randint(r, 9)
+                g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
+                x = random_weighting(rng, n)
+                got = lagrangian_module._link_values(g, x, g.vertices())
+                for i in g.vertices():
+                    want = math.fsum(
+                        math.prod(x[v - 1] for v in edge if v != i)
+                        for edge in g.edge_list() if i in edge
+                    )
+                    assert got[i] == want == link_value(g, i, x)
+
     def test_euler_identity(self):
         rng = random.Random(37)
         for r in (2, 3, 4):
@@ -375,9 +393,15 @@ class TestLockstepMultistart:
         assert got.to_record() == want.to_record()
 
     def test_drop_step_candidates(self, monkeypatch):
-        # minimize_support runs its two drop candidates as one batch.
-        g = complete_graph(4, 3).with_vertex_count(5)
+        # minimize_support runs its two drop candidates as one batch. From
+        # uniform, K4 plus 125 135 145 ends on all of [5], 5.7e-13 below
+        # 1/16, with every support pair in an edge; dropping vertex 5
+        # keeps the value, and 1/16 is the complete bound on four
+        # vertices, so the bound lets the drop run.
+        edges = list(combinations(range(1, 5), 3)) + [(1, 2, 5), (1, 3, 5), (1, 4, 5)]
+        g = Hypergraph.from_edges(3, 5, edges)
         res = ascend(g, uniform_weighting(5))
+        assert res.support == (1, 2, 3, 4, 5)
         calls = []
         real = lagrangian_module._ascend_rows
 
@@ -770,20 +794,26 @@ class TestFaceLocalNewton:
             spy(owner, name)
         res = lagrangian(g)
         assert certify(g, res).ok
-        assert len(batches) > 1
+        # A call whose rows all stop stationary runs no face finish.
+        ascend(complete_graph(5, 3), uniform_weighting(5))
+        assert len(batches) > 2
+        assert any(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
+        assert not all(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
         for seen in batches:
             growth = seen["ascent_rows", "_ascend_rows"]
-            # One gradient and one Hessian plan for the batch, each tiled
-            # once, shared by every growth chunk, KKT check and face
-            # attempt; none inside ``ascent_rows`` or the face finish.
+            # One gradient plan for the batch, tiled once, shared by every
+            # growth chunk, KKT check and face attempt; and one Hessian
+            # plan, tiled once, in a call that runs a face finish, none
+            # in any other. None inside ``ascent_rows`` or the face finish.
+            finish = 1 if seen["_face_finish", "_ascend_rows"] else 0
             assert seen["_grad_plan", "_ascend_rows"] == 1, seen
-            assert seen["_hess_plan", "_ascend_rows"] == 1, seen
-            assert seen["_tile_plan", "_ascend_rows"] == 2, seen
+            assert seen["_hess_plan", "_ascend_rows"] == finish, seen
+            assert seen["_tile_plan", "_ascend_rows"] == 1 + finish, seen
             builds = sum(
                 n for key, n in seen.items()
                 if key[0] in ("_grad_plan", "_hess_plan", "_tile_plan")
             )
-            assert builds == 4, seen
+            assert builds == 2 + 2 * finish, seen
             # One loop: each pass runs one growth chunk, at most one KKT
             # batch and at most one face finish batch.
             assert seen["_face_finish", "_ascend_rows"] <= growth, seen
@@ -957,6 +987,130 @@ class TestMinimizeSupport:
         assert out.value == pytest.approx(0.08, abs=1e-12)
 
 
+def unbounded_minimize_support(g, res, opts):
+    """``minimize_support`` without the complete-graph bound: every drop
+    runs its ascent. Kept as the reference for the bound."""
+    L = lagrangian_module
+    plan = _kernels._grad_plan(g.edge_array())
+    best = res
+    changed = False
+    while len(best.support) > 1:
+        pair = L._find_uncovered_pair(g, best.support)
+        if pair is not None:
+            cand = ascend(g, L._pair_transfer(best.weighting, plan, pair), opts)
+            if cand.value >= best.value - L.VALUE_TOL:
+                best = cand
+                changed = True
+                continue
+            break
+        weights = best.weighting
+        drop = min(best.support, key=lambda v: (weights[v - 1], -v))
+        x = weights.copy()
+        x[drop - 1] = 0.0
+        total = x.sum()
+        if total <= 0.0:
+            break
+        remaining = [v for v in best.support if v != drop]
+        starts = np.array([x / total, uniform_weighting(g.n, remaining)])
+        cand = L._ascend_rows(g, starts, opts)
+        if cand.value >= best.value - L.VALUE_TOL:
+            best = cand
+            changed = True
+        else:
+            break
+    if changed:
+        best = replace(best, method="refined")
+    return best
+
+
+class TestSupportBound:
+    """The complete-graph bound that settles a support drop unrun."""
+
+    def drop_calls(self, monkeypatch):
+        calls = []
+        real = lagrangian_module._ascend_rows
+
+        def spy_rows(g, starts, opts):
+            res = real(g, starts, opts)
+            calls.append((len(starts), res))
+            return res
+
+        monkeypatch.setattr(lagrangian_module, "_ascend_rows", spy_rows)
+        return calls
+
+    def test_equals_the_unbounded_loop(self, monkeypatch):
+        # Each graph from its multistart result and from the uniform
+        # start: every left-compressed 3-graph on [6] and [7], and random
+        # 3- and 4-graphs on 5 to 8 vertices.
+        rng = random.Random(61)
+        graphs = [
+            g for t in (6, 7) for m in range(1, binomial(t, 3) + 1)
+            for g in enumerate_left_compressed(t, 3, m)
+        ]
+        for _ in range(60):
+            r = rng.choice((3, 4))
+            n = rng.randint(5, 8)
+            graphs.append(random_graph(rng, r, n, rng.randint(1, binomial(n, r))))
+        opts = OptOptions()
+        calls = self.drop_calls(monkeypatch)
+        ran = settled = kept = 0
+        for g in graphs:
+            for res in (ascend_multistart(g, opts), ascend(g, uniform_weighting(g.n), opts)):
+                calls.clear()
+                want = unbounded_minimize_support(g, res, opts)
+                unbounded = sum(k == 2 for k, _ in calls)
+                calls.clear()
+                got = minimize_support(g, res, opts)
+                assert got.to_record() == want.to_record(), g.edge_list()
+                assert np.array_equal(got.weighting, want.weighting)
+                drops = [out for k, out in calls if k == 2]
+                ran += len(drops)
+                settled += unbounded - len(drops)
+                # A drop kept last: the result holds its weighting.
+                kept += any(got.weighting is out.weighting for out in drops)
+        # The bound settles most drops, and some drops run and are kept.
+        assert settled > ran > 0 and kept > 0, (settled, ran, kept)
+
+    def test_settled_drop_makes_no_ascent_call(self, monkeypatch):
+        # On K5 every pair is covered, and no weighting on four vertices
+        # reaches 0.08: the complete bound there is 1/16.
+        g = complete_graph(5, 3)
+        res = ascend(g, uniform_weighting(5))
+        calls = self.drop_calls(monkeypatch)
+        assert minimize_support(g, res) is res
+        assert calls == []
+
+    def test_no_drop_below_the_arity(self, monkeypatch):
+        # A single edge: two vertices carry no edge, so the bound is 0.
+        g = Hypergraph.from_edges(3, 4, [(1, 2, 3)])
+        res = ascend(g, uniform_weighting(4))
+        assert res.support == (1, 2, 3)
+        calls = self.drop_calls(monkeypatch)
+        assert minimize_support(g, res) is res
+        assert calls == []
+
+    def test_ceiling_bounds_every_weighting(self):
+        # No computed value on k vertices exceeds the ceiling: the
+        # complete r-graph at uniform and at random weightings, the
+        # largest there is, and 0 below the arity.
+        L = lagrangian_module
+        rng = np.random.default_rng(67)
+        for r in (2, 3, 4):
+            for k in range(1, 13):
+                ceiling = L._complete_ceiling(k, r)
+                if k < r:
+                    assert ceiling == 0.0
+                    continue
+                exact = complete_lagrangian(k, r)
+                assert float(exact) <= ceiling <= float(exact) * (1 + 1e-12)
+                edges = complete_graph(k, r).edge_array()
+                points = [np.full(k, 1.0 / k)] + list(rng.dirichlet(np.ones(k), size=50))
+                for x in points:
+                    x = np.where(x > 0.0, x, 0.0)
+                    x = x / x.sum()
+                    assert _kernels.eval_poly(x, edges) <= ceiling
+
+
 class TestClosedForms:
     def test_motzkin_straus_values(self):
         k3 = Hypergraph.from_edges(2, 3, [(1, 2), (1, 3), (2, 3)])
@@ -981,6 +1135,42 @@ class TestClosedForms:
         # C(t,3)/t^3 = (t-1)(t-2)/(6 t^2) as exact rationals
         for t in range(3, 41):
             assert complete_lagrangian(t, 3) == Fraction((t - 1) * (t - 2), 6 * t**2)
+
+
+class TestUncoveredPair:
+    def test_matches_brute_force(self):
+        # The first support pair in lexicographic order that lies in no
+        # edge, or None: r = 2..4, n <= 9, with empty, singleton, full
+        # and random supports given in any order.
+        rng = random.Random(73)
+        find = lagrangian_module._find_uncovered_pair
+        cases = found = 0
+        for r in (2, 3, 4):
+            for _ in range(60):
+                n = rng.randint(r, 9)
+                g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
+                edges = [set(e) for e in g.edge_list()]
+                supports = [(), (rng.randint(1, n),), tuple(range(1, n + 1))]
+                supports.append(tuple(rng.sample(range(1, n + 1), rng.randint(2, n))))
+                for support in supports:
+                    want = next(
+                        (
+                            (i, j) for i, j in combinations(sorted(support), 2)
+                            if not any(i in e and j in e for e in edges)
+                        ),
+                        None,
+                    )
+                    assert find(g, support) == want, (g.edge_list(), support)
+                    cases += 1
+                    found += want is not None
+        assert 0 < found < cases
+
+    def test_far_vertices(self):
+        # Bit 63 holds vertex 64.
+        g = Hypergraph.from_edges(3, 64, [(1, 63, 64), (2, 63, 64)])
+        assert lagrangian_module._find_uncovered_pair(g, (63, 64)) is None
+        assert lagrangian_module._find_uncovered_pair(g, (1, 2, 63, 64)) == (1, 2)
+        assert lagrangian_module._find_uncovered_pair(g, (64, 3, 63)) == (3, 63)
 
 
 class TestCertify:
