@@ -5,6 +5,14 @@ vacuous verdict, 3 usage error, 4 input/output error, 5 internal error
 (a bug, never a verdict).  Identical
 configuration (flags plus LAGRANGIA_SEED) produces byte-identical
 structured output.
+
+Each command hands its result to one writer, which prints the record,
+under the run's version, seed and tolerances, as JSON with --format
+json and the text form otherwise, to standard output or the --output
+file.  verify writes its report as text, JSON or CSV, and enumerate
+streams its listing, to the same place.  One handler maps every
+exception, raised while parsing the flags or while running, to its
+exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import math
 import os
 import sys
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._version import VERSION
 from .core import (
@@ -98,7 +106,6 @@ class RunConfig:
     params: dict
     fmt: str = "text"
     output: str | None = None
-    count_only: bool = False
     verify: VerifyOptions = DEFAULT_VERIFY
 
     def __post_init__(self):
@@ -218,33 +225,14 @@ def parse_args(argv=None) -> RunConfig:
         parallelism=ns.parallelism,
         opt=opt,
     )
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k
-        not in {
-            "tol",
-            "margin",
-            "seed",
-            "random_starts",
-            "max_iters",
-            "parallelism",
-            "format",
-            "output",
-            "command",
-            "count_only",
-        }
-    }
-    if ns.command == "verify" and ns.format == "csv":
-        pass  # violation tables are the one CSV surface
-    elif ns.format == "csv":
+    # violation tables are the one CSV surface
+    if ns.format == "csv" and ns.command != "verify":
         raise CliUsageError("--format csv is only available for verify")
     return RunConfig(
         command=ns.command,
-        params=params,
+        params=vars(ns),
         fmt=ns.format,
         output=ns.output,
-        count_only=getattr(ns, "count_only", False),
         verify=verify,
     )
 
@@ -268,27 +256,31 @@ def _output(config: RunConfig):
             yield fh.write
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    with _output(config) as write:
-        write(text)
-
-
 def _json_dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
+def _emit(config: RunConfig, record: dict, text: str) -> None:
+    """Write one result: ``record`` under the run's metadata as JSON with
+    --format json, ``text`` otherwise."""
+    if config.fmt == "json":
+        text = _json_dump({**_meta(config), **record})
+    with _output(config) as write:
+        write(text)
+
+
+def _graph_record(g: Hypergraph) -> dict:
+    return {"r": g.r, "n": g.n, "m": g.m}
+
+
 def _input_graph(config: RunConfig) -> tuple[Hypergraph, str]:
     params = config.params
-    sources = [
-        params.get("file") is not None,
-        params.get("colex") is not None,
-        params.get("complete") is not None,
-    ]
-    if sum(sources) != 1:
+    sources = [params["file"], params["colex"], params["complete"]]
+    if sum(source is not None for source in sources) != 1:
         raise CliUsageError("provide exactly one of FILE, --colex R M, --complete T R")
-    if params.get("file") is not None:
+    if params["file"] is not None:
         return load_edge_list(params["file"]), params["file"]
-    if params.get("colex") is not None:
+    if params["colex"] is not None:
         r, m = params["colex"]
         return colex_graph(r, m), f"colex r={r} m={m}"
     t, r = params["complete"]
@@ -299,30 +291,24 @@ def _cmd_lagrangian(config: RunConfig) -> int:
     g, desc = _input_graph(config)
     res = lagrangian(g, config.verify.opt)
     cert = certify(g, res)
-    if config.fmt == "json":
-        rec = _meta(config)
-        rec.update(
-            {
-                "input": desc,
-                "search_space": "single graph",
-                "graph": {"r": g.r, "n": g.n, "m": g.m},
-                "result": res.to_record(),
-                "certificate": cert.to_record(),
-            }
-        )
-        _emit(config, _json_dump(rec))
-    else:
-        lines = [
-            f"graph: {desc} (r={g.r} n={g.n} m={g.m})",
-            f"value: {res.value!r}",
-            f"method: {res.method}",
-            f"iterations: {res.iterations}",
-            f"support: {' '.join(map(str, res.support)) or '-'}",
-            f"kkt_residual: {res.kkt_residual!r}",
-            f"certificate_ok: {cert.ok}",
-            "weights: " + " ".join(repr(float(w)) for w in res.weighting),
-        ]
-        _emit(config, "\n".join(lines) + "\n")
+    record = {
+        "input": desc,
+        "search_space": "single graph",
+        "graph": _graph_record(g),
+        "result": res.to_record(),
+        "certificate": cert.to_record(),
+    }
+    lines = [
+        f"graph: {desc} (r={g.r} n={g.n} m={g.m})",
+        f"value: {res.value!r}",
+        f"method: {res.method}",
+        f"iterations: {res.iterations}",
+        f"support: {' '.join(map(str, res.support)) or '-'}",
+        f"kkt_residual: {res.kkt_residual!r}",
+        f"certificate_ok: {cert.ok}",
+        "weights: " + " ".join(repr(float(w)) for w in res.weighting),
+    ]
+    _emit(config, record, "\n".join(lines) + "\n")
     return EXIT_PASS
 
 
@@ -330,46 +316,34 @@ def _cmd_clique(config: RunConfig) -> int:
     g, desc = _input_graph(config)
     omega = clique_number(g)
     cliques = maximum_cliques(g)
-    if config.fmt == "json":
-        rec = _meta(config)
-        rec.update(
-            {
-                "input": desc,
-                "graph": {"r": g.r, "n": g.n, "m": g.m},
-                "clique_number": omega,
-                "maximum_cliques": [list(c) for c in cliques],
-            }
-        )
-        _emit(config, _json_dump(rec))
-    else:
-        lines = [f"clique_number: {omega}"]
-        lines += ["  " + " ".join(map(str, c)) for c in cliques]
-        _emit(config, "\n".join(lines) + "\n")
+    record = {
+        "input": desc,
+        "graph": _graph_record(g),
+        "clique_number": omega,
+        "maximum_cliques": [list(c) for c in cliques],
+    }
+    lines = [f"clique_number: {omega}"]
+    lines += ["  " + " ".join(map(str, c)) for c in cliques]
+    _emit(config, record, "\n".join(lines) + "\n")
     return EXIT_PASS
 
 
 def _cmd_compress(config: RunConfig) -> int:
     g, desc = _input_graph(config)
     out, trace = compress(g)
-    if config.fmt == "json":
-        rec = _meta(config)
-        rec.update(
-            {
-                "input": desc,
-                "fixed_point": trace.fixed_point,
-                "steps": [[list(a), list(b)] for a, b in trace.steps],
-                "graph": {"r": out.r, "n": out.n, "m": out.m},
-                "edges": [list(e) for e in out.edge_list()],
-            }
-        )
-        _emit(config, _json_dump(rec))
-    else:
-        head = (
-            "# already left-compressed\n"
-            if trace.fixed_point
-            else f"# compression steps: {len(trace.steps)}\n"
-        )
-        _emit(config, head + format_edge_list(out))
+    record = {
+        "input": desc,
+        "fixed_point": trace.fixed_point,
+        "steps": [[list(a), list(b)] for a, b in trace.steps],
+        "graph": _graph_record(out),
+        "edges": [list(e) for e in out.edge_list()],
+    }
+    head = (
+        "# already left-compressed\n"
+        if trace.fixed_point
+        else f"# compression steps: {len(trace.steps)}\n"
+    )
+    _emit(config, record, head + format_edge_list(out))
     return EXIT_PASS
 
 
@@ -379,33 +353,15 @@ def _cmd_colex(config: RunConfig) -> int:
     if sub == "rank":
         edge = as_edge(params["vertices"])
         rank = colex_rank(edge)
-        if config.fmt == "json":
-            rec = _meta(config)
-            rec.update({"edge": list(edge), "rank": rank})
-            _emit(config, _json_dump(rec))
-        else:
-            _emit(config, f"{rank}\n")
+        _emit(config, {"edge": list(edge), "rank": rank}, f"{rank}\n")
     elif sub == "unrank":
         edge = colex_unrank(params["r"], params["k"])
-        if config.fmt == "json":
-            rec = _meta(config)
-            rec.update({"edge": list(edge), "rank": params["k"]})
-            _emit(config, _json_dump(rec))
-        else:
-            _emit(config, " ".join(map(str, edge)) + "\n")
+        record = {"edge": list(edge), "rank": params["k"]}
+        _emit(config, record, " ".join(map(str, edge)) + "\n")
     else:
         g = colex_graph(params["r"], params["m"])
-        if config.fmt == "json":
-            rec = _meta(config)
-            rec.update(
-                {
-                    "graph": {"r": g.r, "n": g.n, "m": g.m},
-                    "edges": [list(e) for e in g.edge_list()],
-                }
-            )
-            _emit(config, _json_dump(rec))
-        else:
-            _emit(config, format_edge_list(g))
+        record = {"graph": _graph_record(g), "edges": [list(e) for e in g.edge_list()]}
+        _emit(config, record, format_edge_list(g))
     return EXIT_PASS
 
 
@@ -416,26 +372,20 @@ def _cmd_enumerate(config: RunConfig) -> int:
     params = config.params
     t, r, m = params["t"], params["r"], params["m"]
     _check_ground(t)
-    if config.count_only:
+    if params["count_only"]:
         count = count_left_compressed(t, r, m)
-        if config.fmt == "json":
-            rec = _meta(config)
-            rec.update({"t": t, "r": r, "m": m, "count": count})
-            _emit(config, _json_dump(rec))
-        else:
-            _emit(config, f"{count}\n")
+        _emit(config, {"t": t, "r": r, "m": m, "count": count}, f"{count}\n")
         return EXIT_PASS
     graphs = enumerate_left_compressed(t, r, m)
     # Taking the first graph checks (t, r, m) before the output is opened;
     # every valid m has at least one graph, the colex initial segment.
     graphs = itertools.chain([next(graphs)], graphs)
     if config.fmt == "json":
-        # The record as _json_dump writes it, with the graph list written
-        # one graph at a time in the place of a marker.
-        rec = _meta(config)
-        rec.update({"t": t, "r": r, "m": m, "count": count_left_compressed(t, r, m)})
-        rec["graphs"] = _GRAPHS_MARK
-        head, tail = _json_dump(rec).split(json.dumps(_GRAPHS_MARK))
+        # The record as _emit writes it, with the graph list written one
+        # graph at a time in the place of a marker.
+        record = {"t": t, "r": r, "m": m, "count": count_left_compressed(t, r, m)}
+        marked = _json_dump({**_meta(config), **record, "graphs": _GRAPHS_MARK})
+        head, tail = marked.split(json.dumps(_GRAPHS_MARK))
         with _output(config) as write:
             write(head + "[\n")
             for i, g in enumerate(graphs):
@@ -474,18 +424,17 @@ def _violations_csv(report) -> str:
 def _cmd_verify(config: RunConfig) -> int:
     params = config.params
     theorem_id = params["theorem_id"]
-    if theorem_id == "theorem43" and params.get("a") is None:
+    if theorem_id == "theorem43" and params["a"] is None:
         raise CliUsageError("verify theorem43 requires --a")
-    try:
-        report = _VERIFIERS[theorem_id](params, config.verify)
-    except ValueError as exc:
-        raise CliUsageError(str(exc))
+    report = _VERIFIERS[theorem_id](params, config.verify)
     if config.fmt == "json":
-        _emit(config, report.to_json())
+        text = report.to_json()
     elif config.fmt == "csv":
-        _emit(config, _violations_csv(report))
+        text = _violations_csv(report)
     else:
-        _emit(config, report.to_text())
+        text = report.to_text()
+    with _output(config) as write:
+        write(text)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -505,23 +454,16 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one invocation; every exception becomes an exit code."""
     try:
-        config = parse_args(argv)
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(config)
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return run(parse_args(argv))
     except EdgeListFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

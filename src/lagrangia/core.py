@@ -101,8 +101,9 @@ def colex_unrank(r: int, k: int) -> Edge:
     """Inverse of :func:`colex_rank`: the r-set at 0-based colex rank k.
 
     Greedy from the top coordinate: pick the largest a with
-    C(a - 1, p) <= remainder, found by doubling and bisection, so the
-    cost grows with log k rather than k.
+    C(a - 1, p) <= remainder, found by galloping on a - p and bisection,
+    so the cost grows with log k rather than k, and a large arity never
+    pays for a binomial far above the answer.
     """
     if r < 1:
         raise ValueError("arity must be >= 1")
@@ -111,11 +112,12 @@ def colex_unrank(r: int, k: int) -> Edge:
     out = []
     rem = k
     for p in range(r, 0, -1):
-        # Keep C(lo, p) <= rem; double hi until C(hi, p) > rem, then
-        # bisect to the smallest such hi, which is the answer.
+        # Keep C(lo, p) <= rem; double the offset hi - (p - 1) until
+        # C(hi, p) > rem, then bisect to the smallest such hi, which is
+        # the answer.
         lo, hi = p - 1, p
         while binomial(hi, p) <= rem:
-            lo, hi = hi, 2 * hi
+            lo, hi = hi, 2 * hi - p + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if binomial(mid, p) <= rem:
@@ -226,6 +228,9 @@ def colex_graph(r: int, m: int) -> Hypergraph:
     """
     if m < 1:
         raise ValueError("need at least one edge")
+    # n >= r, so an arity over the limit is refused before any unranking.
+    if r > MAX_VERTICES:
+        raise ValueError(f"at most {MAX_VERTICES} vertices supported, got r={r}")
     # The last set has the largest top vertex.
     n = max(colex_unrank(r, m - 1)[-1], r)
     _check_size(n, m)

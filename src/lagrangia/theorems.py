@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._version import VERSION
-from .core import Edge, Hypergraph, binomial, colex_graph, pair_link
+from .core import Edge, Hypergraph, _check_size, binomial, colex_graph, pair_link
 from .lagrangian import (
     DEFAULT_OPTIONS,
     VALUE_TOL,
@@ -449,11 +449,12 @@ def counterexample_witness(r: int, t: int) -> WitnessResult:
         raise ValueError("need r >= 2")
     if t < r + 2:
         raise ValueError("need t >= r + 2")
+    expected_m = binomial(t - 1, r) + binomial(t - 2, r - 1) + 1
+    _check_size(t, expected_m)
     edges: list[Edge] = list(combinations(range(1, t), r))
     edges += [a + (t,) for a in combinations(range(1, t - 1), r - 1)]
     edges.append(tuple(range(1, r - 1)) + (t - 1, t))
     g = Hypergraph.from_edges(r, t, edges)
-    expected_m = binomial(t - 1, r) + binomial(t - 2, r - 1) + 1
     if g.m != expected_m:
         raise AssertionError("witness construction produced a wrong edge count")
     heavy = Fraction(1, t - 1)

@@ -23,7 +23,7 @@ from lagrangia.cli import (
     main,
     parse_args,
 )
-from lagrangia import _kernels
+from lagrangia import _kernels, core, theorems
 from lagrangia.core import format_edge_list
 from lagrangia.structure import enumerate_left_compressed
 from lagrangia.theorems import TheoremReport
@@ -306,6 +306,36 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     assert code != EXIT_FAIL
     assert "internal error" in err and "decreased the objective" in err
     assert out == ""
+
+
+def test_parse_time_exception_is_internal(monkeypatch, capsys):
+    def broken_parser():
+        raise RuntimeError("parser broke")
+
+    monkeypatch.setattr(cli_module, "build_parser", broken_parser)
+    code, out, err = run_main(capsys, "colex", "rank", "1", "2", "6")
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: RuntimeError: parser broke\n"
+    assert out == ""
+
+
+def test_absurd_sizes_are_usage_errors(monkeypatch, capsys):
+    # Building any of these would take minutes or many GB; the size
+    # guards refuse them before unranking or listing a single edge.
+    def refuse(*args):
+        raise RuntimeError("built")
+
+    monkeypatch.setattr(core, "colex_unrank", refuse)
+    monkeypatch.setattr(theorems, "combinations", refuse)
+    for argv, message in (
+        (("colex", "generate", "3000000", "2"), "got r=3000000"),
+        (("lagrangian", "--colex", "3000000", "2"), "got r=3000000"),
+        (("verify", "witness", "--r", "10", "--t", "40"), "edges supported"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("usage error: at most") and message in err
+        assert out == ""
 
 
 def test_negative_tolerance_rejected(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrangia import core
 from lagrangia.core import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -122,6 +123,22 @@ class TestColexOrder:
             assert colex_rank(edge) == 10**40
             assert colex_rank(colex_unrank(r, 10**40 - 1)) == 10**40 - 1
 
+    def test_unrank_gallops_above_the_answer(self, monkeypatch):
+        # Doubling the offset a - p rather than a keeps every binomial
+        # below twice the answer's top vertex, so a large arity stays
+        # cheap: C(2r, r) for r in the millions would take tens of seconds.
+        evaluated = []
+
+        def counting(n, k):
+            evaluated.append(n)
+            return binomial(n, k)
+
+        monkeypatch.setattr(core, "binomial", counting)
+        for r, k in [(1000, 1), (200, 5000), (3, 10**12), (12, 10**30)]:
+            evaluated.clear()
+            top = colex_unrank(r, k)[-1]
+            assert max(evaluated) <= 2 * top - r, (r, k)
+
     def test_unrank_rejects_bad_input(self):
         with pytest.raises(ValueError):
             colex_unrank(0, 5)
@@ -213,6 +230,15 @@ class TestGraphConstructors:
             complete_graph(40, 20)
         with pytest.raises(ValueError, match="edges"):
             colex_graph(30, MAX_EDGES + 1)
+
+    def test_absurd_arity_is_refused_before_unranking(self, monkeypatch):
+        # Every r-set spans at least r vertices, so no unranking is needed.
+        def unrank(r, k):
+            raise RuntimeError("unranked")
+
+        monkeypatch.setattr(core, "colex_unrank", unrank)
+        with pytest.raises(ValueError, match=f"at most {MAX_VERTICES} vertices"):
+            colex_graph(MAX_VERTICES + 1, 2)
 
     def test_size_bounds_admit_every_3_graph_on_64_vertices(self):
         assert binomial(MAX_VERTICES, 3) <= MAX_EDGES

@@ -12,16 +12,24 @@ over shared helpers; regenerate them only for a deliberate change of
 report bytes, with ``python tests/test_golden.py``. It rewrites only the
 files whose bytes changed and prints, for each, the largest absolute
 shift of a float field and every other field that changed.
+
+The ``cli-`` cases lock the standard output and exit code of every
+command line command in text and JSON, and of the verify violation
+table in CSV.  They were written by the command line before its
+handlers were merged into one writer.
 """
 
+import contextlib
+import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagrangia import theorems
+from lagrangia import cli, theorems
 from lagrangia.lagrangian import DEFAULT_OPTIONS, OptResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +64,36 @@ STUB_CASES = {
     "stub-theorem43-t7-a1": (theorems.theorem43_check, (7, 1), {}),
     "stub-lemmaeq-t6": (theorems.lemmaeq_dichotomy_audit, (6,), {}),
 }
+
+
+_VERIFY_ARGV = ("verify", "theorem1", "--t", "5", "--parallelism", "1", "--random-starts", "2")
+
+# CLI runs: argv for each command, run once per format.  A relative
+# path is resolved in tests/golden, so the input name in the output
+# stays "cli-graph.txt".
+_CLI_COMMANDS = {
+    "lagrangian-file": ("lagrangian", "cli-graph.txt"),
+    "lagrangian-colex": ("lagrangian", "--colex", "3", "7"),
+    "clique-file": ("clique", "cli-graph.txt"),
+    "clique-colex": ("clique", "--colex", "3", "7"),
+    "compress-file": ("compress", "cli-graph.txt"),
+    "compress-colex": ("compress", "--colex", "3", "7"),
+    "colex-rank": ("colex", "rank", "1", "2", "6"),
+    "colex-unrank": ("colex", "unrank", "3", "10"),
+    "colex-generate": ("colex", "generate", "3", "7"),
+    "enumerate": ("enumerate", "5", "3", "4"),
+    "enumerate-count-only": ("enumerate", "5", "3", "4", "--count-only"),
+    "verify-theorem1-t5": _VERIFY_ARGV,
+}
+
+# golden file name -> (exit code, argv); "stub-" runs under the stub solver
+CLI_CASES = {
+    f"cli-{name}.{ext}": (0, (*argv, "--format", fmt))
+    for name, argv in _CLI_COMMANDS.items()
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+}
+CLI_CASES["cli-verify-theorem1-t5.csv"] = (0, (*_VERIFY_ARGV, "--format", "csv"))
+CLI_CASES["cli-stub-verify-theorem1-t5.csv"] = (1, (*_VERIFY_ARGV, "--format", "csv"))
 
 
 def stub_lagrangian(g, opts=None):
@@ -93,6 +131,28 @@ def test_stub_report_matches_golden(name, monkeypatch):
     assert _report_json(STUB_CASES[name]) == (GOLDEN / f"{name}.json").read_text()
 
 
+def _cli_run(argv) -> tuple[int, str]:
+    """Exit code and standard output of one CLI run in tests/golden."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("LAGRANGIA_SEED", raising=False)
+    if name.startswith("cli-stub-"):
+        monkeypatch.setattr(theorems, "lagrangian", stub_lagrangian)
+    code, argv = CLI_CASES[name]
+    assert _cli_run(argv) == (code, (GOLDEN / name).read_text())
+
+
 def _changes(old, new, path=""):
     """(path, |shift|) for every float field that moved between two parsed
     reports, and (path, None) for every other field that changed."""
@@ -111,13 +171,16 @@ def _changes(old, new, path=""):
 
 def _rewrite(name: str, text: str) -> None:
     """Write a golden file whose bytes changed, and say what changed."""
-    path = GOLDEN / f"{name}.json"
+    path = GOLDEN / name
     old = path.read_text() if path.exists() else None
     if text == old:
         return
     path.write_text(text)
     if old is None:
         print(f"{name}: new file")
+        return
+    if path.suffix != ".json":
+        print(f"{name}: changed")
         return
     changes = list(_changes(json.loads(old), json.loads(text)))
     shifts = [shift for _, shift in changes if shift is not None]
@@ -129,8 +192,15 @@ def _rewrite(name: str, text: str) -> None:
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    os.environ.pop("LAGRANGIA_SEED", None)
     for name, case in sorted(CASES.items()):
-        _rewrite(name, _report_json(case))
+        _rewrite(f"{name}.json", _report_json(case))
+    for name, (_, argv) in sorted(CLI_CASES.items()):
+        if not name.startswith("cli-stub-"):
+            _rewrite(name, _cli_run(argv)[1])
     theorems.lagrangian = stub_lagrangian
     for name, case in sorted(STUB_CASES.items()):
-        _rewrite(name, _report_json(case))
+        _rewrite(f"{name}.json", _report_json(case))
+    for name, (_, argv) in sorted(CLI_CASES.items()):
+        if name.startswith("cli-stub-"):
+            _rewrite(name, _cli_run(argv)[1])

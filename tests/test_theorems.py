@@ -183,6 +183,18 @@ def test_witness_rejects_bad_params():
         counterexample_witness(1, 5)
 
 
+def test_witness_refuses_absurd_sizes_before_listing_edges(monkeypatch):
+    # r=10, t=40 would list C(39, 10), about 6.4e8, sets.
+    def combinations(*args):
+        raise RuntimeError("listed edges")
+
+    monkeypatch.setattr(theorems, "combinations", combinations)
+    with pytest.raises(ValueError, match="edges"):
+        counterexample_witness(10, 40)
+    with pytest.raises(ValueError, match="vertices"):
+        counterexample_witness(3, 70)
+
+
 def test_witness_record_is_json_ready():
     rec = counterexample_witness(3, 6).to_record()
     parsed = json.loads(json.dumps(rec))
