@@ -12,7 +12,8 @@ json and the text form otherwise, to standard output or the --output
 file.  verify writes its report as text, JSON or CSV, and enumerate
 streams its listing, to the same place.  One handler maps every
 exception, raised while parsing the flags or while running, to its
-exit code.
+exit code; an internal error also names the innermost frame it was
+raised in.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import os
 import sys
 import textwrap
+import traceback
 from dataclasses import dataclass
 
 from ._version import VERSION
@@ -331,19 +333,20 @@ def _cmd_clique(config: RunConfig) -> int:
 def _cmd_compress(config: RunConfig) -> int:
     g, desc = _input_graph(config)
     out, trace = compress(g)
+    edges = out.edge_list()
     record = {
         "input": desc,
         "fixed_point": trace.fixed_point,
         "steps": [[list(a), list(b)] for a, b in trace.steps],
         "graph": _graph_record(out),
-        "edges": [list(e) for e in out.edge_list()],
+        "edges": [list(e) for e in edges],
     }
     head = (
         "# already left-compressed\n"
         if trace.fixed_point
         else f"# compression steps: {len(trace.steps)}\n"
     )
-    _emit(config, record, head + format_edge_list(out))
+    _emit(config, record, head + format_edge_list(out, edges))
     return EXIT_PASS
 
 
@@ -360,8 +363,9 @@ def _cmd_colex(config: RunConfig) -> int:
         _emit(config, record, " ".join(map(str, edge)) + "\n")
     else:
         g = colex_graph(params["r"], params["m"])
-        record = {"graph": _graph_record(g), "edges": [list(e) for e in g.edge_list()]}
-        _emit(config, record, format_edge_list(g))
+        edges = g.edge_list()
+        record = {"graph": _graph_record(g), "edges": [list(e) for e in edges]}
+        _emit(config, record, format_edge_list(g, edges))
     return EXIT_PASS
 
 
@@ -467,7 +471,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"  at {where.filename}:{where.lineno} in {where.name}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -62,12 +62,10 @@ def edge_mask(edge: Iterable[int]) -> int:
 
 def mask_to_edge(mask: int) -> Edge:
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -330,9 +328,11 @@ def difference_link(g: Hypergraph, i: int, j: int) -> LinkSet:
 #   '#' starts a comment line.
 # ---------------------------------------------------------------------------
 
-def format_edge_list(g: Hypergraph) -> str:
+def format_edge_list(g: Hypergraph, edges: Sequence[Edge] | None = None) -> str:
+    """The text form of ``g``; ``edges``, when given, is ``g.edge_list()``
+    already decoded by the caller."""
     lines = [f"{g.r} {g.n} {g.m}"]
-    for edge in g.edge_list():
+    for edge in g.edge_list() if edges is None else edges:
         lines.append(" ".join(str(v) for v in edge))
     return "\n".join(lines) + "\n"
 

@@ -11,15 +11,22 @@ The hot paths work on the edge bitmasks a ``Hypergraph`` stores (bit
 v-1 for vertex v). A cover step lowers one set bit whose lower
 neighbour is clear, so the edges one step below ``mask`` are
 ``mask ^ bit ^ (bit >> 1)`` for each ``bit`` of
-``mask & ~(mask << 1) & ~1``. A left-compressed graph spans a t-clique
-exactly when it holds the top r-set {t-r+1, ..., t} of [t], which
-dominates every r-subset of [t].
+``mask & ~(mask << 1) & ~1``. ``_COVERS`` memoizes these per mask, so
+the compression test is one C-level superset check and the enumeration
+poset takes its cover relation from the same routine. A left-compressed
+graph spans a t-clique exactly when it holds the top r-set
+{t-r+1, ..., t} of [t], which dominates every r-subset of [t].
+
+The clique search keeps its candidates as a vertex bitmask. Its link
+map sends each (r-1)-set mask to the bitmask of the vertices that
+complete it to an edge, so growing a clique C by v keeps the candidates
+inside ``link[S | bit(v)]`` for every (r-2)-subset S of C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 from .core import (
@@ -38,35 +45,35 @@ def dominance_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _cover_predecessors(edge: Edge) -> Iterator[Edge]:
-    """Sets directly below ``edge`` in dominance order.
+class _CoverMemo(dict):
+    """Edge mask -> the masks one cover step below it, built on first use.
 
-    Decrement one coordinate by 1; the result is valid only when it
-    does not collide with the previous coordinate.
+    Each ``bit`` of ``movable`` is a vertex whose lower neighbour is free
+    (vertex 1 never moves); lowering it gives one cover predecessor. The
+    memo holds one entry per distinct edge mask ever tested.
     """
-    present = set(edge)
-    for v in edge:
-        if v - 1 >= 1 and v - 1 not in present:
-            yield tuple(sorted(present - {v} | {v - 1}))
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        out = []
+        movable = mask & ~(mask << 1) & ~1
+        while movable:
+            bit = movable & -movable
+            out.append(mask ^ bit ^ (bit >> 1))
+            movable ^= bit
+        self[mask] = covers = tuple(out)
+        return covers
+
+
+_COVERS = _CoverMemo()
 
 
 def is_left_compressed(g: Hypergraph) -> bool:
     """Whether every set dominated by an edge is itself an edge.
 
     Checking cover predecessors suffices: a family closed one step down
-    is closed all the way down. Each ``bit`` of ``movable`` is a vertex
-    whose lower neighbour is free (vertex 1 never moves); lowering it
-    gives one cover predecessor.
+    is closed all the way down.
     """
-    edges = g.edges
-    for mask in edges:
-        movable = mask & ~(mask << 1) & ~1
-        while movable:
-            bit = movable & -movable
-            if mask ^ bit ^ (bit >> 1) not in edges:
-                return False
-            movable ^= bit
-    return True
+    return g.edges.issuperset(chain.from_iterable(map(_COVERS.__getitem__, g.edges)))
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,11 @@ def _max_cliques(
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Branch-and-bound clique number and every maximum clique, ascending.
 
-    A clique of size k extends by vertex v only if every (r-1)-subset
-    of the clique forms an edge with v, which is an O(1) bitmask lookup
-    per subset. With ``ties`` a branch is cut only when it cannot reach
-    the best size, so ties are visited too; depth-first order over
+    A candidate w stays when every (r-1)-subset of the clique forms an
+    edge with w; growing the clique by v only adds the subsets through
+    v, so the candidates are cut by one link bitmask per (r-2)-subset
+    of the old clique. With ``ties`` a branch is cut only when it cannot
+    reach the best size, so ties are visited too; depth-first order over
     ascending candidates meets equal-size cliques in lexicographic
     order. Without ``ties`` a branch is cut unless it can beat the best
     size, and the list holds only the first maximum clique met; use
@@ -144,21 +152,23 @@ def _max_cliques(
     reaches ``stop_at``.
     """
     r = g.r
-    edges = g.edges
     best = r - 1
     found: list[tuple[int, ...]] = []
-    if not edges:
+    if not g.edges:
         return best, found
-    verts = list(g.non_isolated())
+    # link[S]: the vertices that complete the (r-1)-set S to an edge.
+    link: dict[int, int] = {}
+    verts = 0
+    for mask in g.edges:
+        verts |= mask
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            link[mask ^ bit] = link.get(mask ^ bit, 0) | bit
+            rest ^= bit
     beat = 0 if ties else 1
 
-    def can_extend(clique: tuple[int, ...], v: int) -> bool:
-        if len(clique) < r - 1:
-            return True
-        bit = 1 << (v - 1)
-        return all(edge_mask(sub) | bit in edges for sub in combinations(clique, r - 1))
-
-    def rec(clique: tuple[int, ...], cands: list[int]) -> bool:
+    def rec(clique: tuple[int, ...], cands: int) -> bool:
         nonlocal best, found
         if len(clique) > best:
             best, found = len(clique), [clique]
@@ -166,12 +176,16 @@ def _max_cliques(
                 return True
         elif ties and len(clique) == best:
             found.append(clique)
-        for idx, v in enumerate(cands):
-            if len(clique) + (len(cands) - idx) < best + beat:
+        subs = [edge_mask(sub) for sub in combinations(clique, r - 2)]
+        while cands:
+            if len(clique) + cands.bit_count() < best + beat:
                 break
-            grown = clique + (v,)
-            nxt = [w for w in cands[idx + 1 :] if can_extend(grown, w)]
-            if rec(grown, nxt):
+            bit = cands & -cands
+            cands ^= bit
+            nxt = cands
+            for sub in subs:
+                nxt &= link.get(sub | bit, 0)
+            if rec(clique + (bit.bit_length(),), nxt):
                 return True
         return False
 
@@ -220,30 +234,35 @@ def _colex_universe(t: int, r: int) -> list[Edge]:
 
 def _cover_masks(elements: list[Edge]) -> list[int]:
     """Per element, a bitmask (over element indices) of its cover predecessors."""
-    index = {e: i for i, e in enumerate(elements)}
+    index = {edge_mask(e): i for i, e in enumerate(elements)}
     out = []
     for e in elements:
         pm = 0
-        for pred in _cover_predecessors(e):
+        for pred in _COVERS[edge_mask(e)]:
             if pred not in index:
                 raise ValueError(
-                    f"universe is not closed downward: {e} covers {pred} which is absent"
+                    f"universe is not closed downward: {e} covers"
+                    f" {mask_to_edge(pred)} which is absent"
                 )
             pm |= 1 << index[pred]
         out.append(pm)
     return out
 
 
-def _ideals(preds: list[int], m: int) -> Iterator[int]:
-    """Chosen-index bitmasks of all m-element down-sets, in DFS order.
+def _ideals(preds: list[int], m: int, values: Sequence) -> Iterator[list]:
+    """All m-element down-sets, in DFS order, as the path of their values.
 
     Elements are picked in increasing index order. ``avail`` holds the
     unchosen elements above the last pick whose predecessors are all
     chosen; picking j can admit only covers of j, so the frontier grows
-    from ``succs[j]`` instead of a rescan of every later element.
+    from ``succs[j]`` instead of a rescan of every later element. Each
+    down-set is yielded as the list of ``values[j]`` of its elements in
+    pick order; it is the same list every time, changed as the search
+    goes on, so a caller copies what it keeps.
     """
+    path: list = []
     if m == 0:
-        yield 0
+        yield path
         return
     n = len(preds)
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -252,21 +271,24 @@ def _ideals(preds: list[int], m: int) -> Iterator[int]:
             succs[j].append((1 << k, pm))
     roots = sum(1 << j for j, pm in enumerate(preds) if not pm)
 
-    def rec(avail: int, chosen: int, need: int) -> Iterator[int]:
+    def rec(avail: int, chosen: int, need: int) -> Iterator[list]:
         # Leave room above each pick for the need - 1 picks still to come.
         cands = avail & ((1 << (n - need + 1)) - 1)
         while cands:
             bit = cands & -cands
             cands ^= bit
-            grown = chosen | bit
+            j = bit.bit_length() - 1
+            path.append(values[j])
             if need == 1:
-                yield grown
-                continue
-            nxt = avail & ~((bit << 1) - 1)
-            for succ, pm in succs[bit.bit_length() - 1]:
-                if not pm & ~grown:
-                    nxt |= succ
-            yield from rec(nxt, grown, need - 1)
+                yield path
+            else:
+                grown = chosen | bit
+                nxt = avail & ~((bit << 1) - 1)
+                for succ, pm in succs[j]:
+                    if not pm & ~grown:
+                        nxt |= succ
+                yield from rec(nxt, grown, need - 1)
+            path.pop()
 
     yield from rec(roots, 0, m)
 
@@ -320,18 +342,17 @@ def enumerate_left_compressed(
     """
     elements, preds = _down_set_poset(t, r, m, universe)
     total = len(elements)
-    masks = [edge_mask(e) for e in elements]
 
     if universe is None and m > total // 2:
         # Complement path: enumerate the small side, reflect back.
-        full = frozenset(masks)
+        full = frozenset(map(edge_mask, elements))
         refl = [edge_mask(_reflect(e, t)) for e in elements]
-        for small in _ideals(preds, total - m):
-            yield Hypergraph(r, t, full.difference([refl[j] for j in _set_bits(small)]))
+        for path in _ideals(preds, total - m, refl):
+            yield Hypergraph(r, t, full.difference(path))
         return
 
-    for chosen in _ideals(preds, m):
-        yield Hypergraph(r, t, frozenset([masks[j] for j in _set_bits(chosen)]))
+    for path in _ideals(preds, m, list(map(edge_mask, elements))):
+        yield Hypergraph(r, t, frozenset(path))
 
 
 def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | None = None) -> int:
@@ -342,4 +363,4 @@ def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | 
     """
     elements, preds = _down_set_poset(t, r, m, universe)
     size = m if universe is not None else min(m, len(elements) - m)
-    return sum(1 for _ in _ideals(preds, size))
+    return sum(1 for _ in _ideals(preds, size, range(len(preds))))

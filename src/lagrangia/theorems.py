@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -252,6 +251,10 @@ def _map_lagrangian(
     if workers == 1:
         results = [_solve_task(task) for task in tasks]
     else:
+        # Imported here so that a serial run never loads the pool's
+        # modules (multiprocessing, subprocess).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so merged reports stay deterministic
             results = list(pool.map(_solve_task, tasks))

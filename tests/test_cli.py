@@ -315,7 +315,26 @@ def test_parse_time_exception_is_internal(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "build_parser", broken_parser)
     code, out, err = run_main(capsys, "colex", "rank", "1", "2", "6")
     assert code == EXIT_INTERNAL
-    assert err == "internal error: RuntimeError: parser broke\n"
+    code_obj = broken_parser.__code__
+    assert err == (
+        "internal error: RuntimeError: parser broke\n"
+        f"  at {code_obj.co_filename}:{code_obj.co_firstlineno + 1} in broken_parser\n"
+    )
+    assert out == ""
+
+
+def test_internal_error_names_where_it_happened(monkeypatch, capsys):
+    def broken_command(config):
+        return {}[config.command]
+
+    monkeypatch.setitem(cli_module._COMMANDS, "clique", broken_command)
+    code, out, err = run_main(capsys, "clique", "--colex", "3", "5")
+    assert code == EXIT_INTERNAL
+    code_obj = broken_command.__code__
+    assert err.splitlines() == [
+        "internal error: KeyError: 'clique'",
+        f"  at {code_obj.co_filename}:{code_obj.co_firstlineno + 1} in broken_command",
+    ]
     assert out == ""
 
 
@@ -448,7 +467,7 @@ def test_parse_args_bounds_parallelism_by_cpu_count(monkeypatch):
 # ------------------------------------------------------- determinism
 
 
-def run_cli(*argv, env_extra=None):
+def run_python(*argv, env_extra=None):
     env = dict(os.environ)
     env.pop("LAGRANGIA_SEED", None)
     # The child imports the package this process imported, installed or not.
@@ -457,12 +476,16 @@ def run_cli(*argv, env_extra=None):
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "lagrangia", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
     )
     return proc.returncode, proc.stdout
+
+
+def run_cli(*argv, env_extra=None):
+    return run_python("-m", "lagrangia", *argv, env_extra=env_extra)
 
 
 def test_repeated_runs_byte_identical():
@@ -478,3 +501,21 @@ def test_console_script_entry_point():
     code, out = run_cli("--version")
     assert code == 0
     assert out.startswith("lagrangia ")
+
+
+@pytest.mark.parametrize(
+    "parallelism, pool_loaded", [(1, False), (2, (os.cpu_count() or 1) > 1)]
+)
+def test_process_pool_loads_only_for_workers(parallelism, pool_loaded):
+    script = (
+        "import contextlib, io, sys\n"
+        "import lagrangia\n"
+        "from lagrangia import cli\n"
+        "argv = ['verify', 'pz18', '--t', '5', '--parallelism', sys.argv[1]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(argv)\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    code, out = run_python("-c", script, str(parallelism))
+    assert code == 0
+    assert out == f"{EXIT_PASS} {pool_loaded}\n"

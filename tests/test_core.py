@@ -146,6 +146,26 @@ class TestColexOrder:
             colex_unrank(3, -1)
 
 
+def reference_mask_to_edge(mask):
+    """The bit-by-bit scan: vertex v for each set bit v - 1."""
+    out = []
+    v = 1
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+def test_mask_to_edge_matches_bit_scan():
+    rng = random.Random(12)
+    masks = list(range(1 << 12)) + [rng.getrandbits(64) for _ in range(300)]
+    masks += [1 << 63, (1 << 64) - 1]
+    for mask in masks:
+        assert core.mask_to_edge(mask) == reference_mask_to_edge(mask)
+
+
 class TestHypergraph:
     def test_from_edges_basic(self):
         g = Hypergraph.from_edges(3, 5, [(1, 2, 3), (3, 4, 5)])

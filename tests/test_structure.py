@@ -92,15 +92,20 @@ class TestIsLeftCompressed:
         assert is_left_compressed(Hypergraph.from_edges(3, 5, []))
 
     def test_agrees_with_definition(self):
-        # r = 2..4, n up to 9 and the compressed image of each graph, so
-        # edges at vertex 1 and vertex n meet both outcomes of the bit test.
+        # r = 2..5, n up to 9, the compressed image of each graph and that
+        # image less one edge, so edges at vertex 1 and vertex n meet both
+        # outcomes of the bit test and near misses meet the closure test.
         rng = random.Random(3)
-        for r in (2, 3, 4):
+        for r in (2, 3, 4, 5):
             for _ in range(40):
                 n = rng.randint(r, 9)
                 g = random_graph(rng, r, n, rng.randint(0, binomial(n, r)))
-                for h in (g, compress(g)[0]):
-                    assert is_left_compressed(h) == brute_left_compressed(h)
+                h = compress(g)[0]
+                cases = [g, h]
+                if h.edges:
+                    cases.append(Hypergraph(r, n, h.edges - {rng.choice(sorted(h.edges))}))
+                for k in cases:
+                    assert is_left_compressed(k) == brute_left_compressed(k)
 
     def test_colex_graphs_are_left_compressed(self):
         for m in range(1, 36):
@@ -181,7 +186,7 @@ class TestCliqueNumber:
         # The size-only search (no ties) gives the clique number and one
         # maximum clique; the tie-collecting search gives all of them.
         rng = random.Random(31)
-        for r in (2, 3, 4):
+        for r in (2, 3, 4, 5):
             for _ in range(40):
                 n = rng.randint(r, 9)
                 total = binomial(n, r)
@@ -260,6 +265,18 @@ class TestEnumerate:
             got = [g.edges for g in enumerate_left_compressed(t, 3, m)]
             assert len(got) == len(set(got)), "duplicate family"
             assert set(got) == set(brute_enumerate(t, 3, m))
+
+    @pytest.mark.parametrize("t, r", [(5, 2), (5, 3), (6, 4)])
+    def test_listed_graphs_are_distinct_and_correct(self, t, r):
+        # list() keeps every graph while the search goes on, so a graph
+        # that shared the search's path would change under it here; m past
+        # the halfway point takes the complement path.
+        for m in range(binomial(t, r) + 1):
+            graphs = list(enumerate_left_compressed(t, r, m))
+            got = [g.edges for g in graphs]
+            assert len(set(got)) == len(got)
+            assert set(got) == set(brute_enumerate(t, r, m))
+            assert all(g.m == m and g.n == t and g.r == r for g in graphs)
 
     def test_every_output_is_left_compressed(self):
         for m in (0, 5, 9, 14, 19):
@@ -366,4 +383,9 @@ def test_ideals_match_reference_order(r, t, universe):
     )
     preds = structure._cover_masks(elements)
     for m in range(len(elements) + 1):
-        assert list(structure._ideals(preds, m)) == list(reference_ideals(preds, m))
+        # The path is one list that the search keeps changing, so each
+        # yield is checked before the next one.
+        paths = structure._ideals(preds, m, elements)
+        for chosen in reference_ideals(preds, m):
+            assert next(paths) == [e for j, e in enumerate(elements) if chosen >> j & 1]
+        assert next(paths, None) is None
