@@ -13,16 +13,21 @@ Newton steps on a face, is the same scatter one order down: leave-two-out
 products summed into n * n bins.
 
 The index arrays depend on the edge array only, so each derivative order
-has a plan, built once per edge array and passed in: ``_grad_plan`` with
-``_grad``, and ``_hess_plan`` with ``_hess``. Callers that take many
-derivatives of one graph build the plan once and keep it.
-``_tile_plan`` repeats either plan for a batch of rows, each row's
-gathers shifted by its offset into the flattened (K, n) batch and its
-scatter bins by its offset into the K * n (gradient) or K * n * n
-(Hessian) bins, so one scatter takes the derivative of every row; each
-bin still adds the same terms in the same order, so every row is
-bit-identical to a one-row call. A tiled plan keeps one row of slots per
-batch row, and ``_plan_rows`` cuts from it the plan of its first rows.
+has a plan, built once per edge array: ``_grad_plan`` with ``_grad``,
+and ``_hess_plan`` with ``_hess``. ``_tile_plan`` repeats a plan for a
+batch of rows, each row's gathers shifted by its offset into the
+flattened (K, n) batch and its scatter bins by its offset into the
+K * n (gradient) or K * n * n (Hessian) bins, so one scatter takes the
+derivative of every row; each bin still adds the same terms in the same
+order, so every row is bit-identical to a one-row call.
+
+``Form`` owns that layout for a caller: the form of one graph for
+batches of up to ``rows`` weightings. It tiles the gradient plan once,
+builds and tiles the Hessian plan on the first ``hess``, and its
+``grad``, ``hess`` and ``values`` take a (K, n) batch or an (n,) vector
+and cut the plan of the first K rows themselves (memoized per K). A
+batch longer than the tiling re-tiles it. Callers that take many
+derivatives of one graph build one ``Form`` and pass it.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -36,10 +41,9 @@ the compensated ``eval_poly`` of the point it returns.
 ``ascent_rows`` runs the loop on a batch of start vectors at once, one
 gradient scatter per step for all of them; on graphs of a few vertices
 numpy call overhead, not arithmetic, is most of a step, so a batch of K
-rows costs little more per step than one row. Like ``_grad`` it takes
-its plan from the caller, a tiled gradient plan for at least K rows, so
-a caller that runs many chunks on one graph tiles it once.
-``ascent_loop`` is its one-row case and tiles its own one-row plan.
+rows costs little more per step than one row. It takes the caller's
+``Form``, so a caller that runs many chunks on one graph tiles it once.
+``ascent_loop`` is its one-row case and builds its own one-row form.
 """
 
 from __future__ import annotations
@@ -136,20 +140,60 @@ def _tile_plan(plan: Plan, rows: int, n: int, bins: int) -> Plan:
     return at * bins + flat, [at * n + idx for idx in gathers]
 
 
-def _plan_rows(tiled: Plan, rows: int) -> Plan:
-    """The plan of the first ``rows`` rows of a ``_tile_plan``."""
-    flat, gathers = tiled
-    return flat[:rows].ravel(), [idx[:rows].ravel() for idx in gathers]
+class Form:
+    """The edge-product form of one graph on n vertices, for batches of
+    up to ``rows`` weightings.
 
+    ``grad``, ``hess`` and ``values`` take a (K, n) batch, each row
+    bit-identical to a one-row call, or an (n,) vector. Each derivative
+    takes the plan of the first K rows of its tiling, memoized per K; a
+    K above the tiled rows tiles the plan again for K rows. The gradient
+    plan is tiled here, the Hessian plan built and tiled on the first
+    ``hess``.
+    """
 
-def eval_rows(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """``eval_poly`` of every row of a (K, n) batch, bit for bit: one
-    product over the batch, one fsum per row."""
-    return np.array([math.fsum(p) for p in np.prod(X[:, edges], axis=2).tolist()])
+    def __init__(self, edges: np.ndarray, n: int, rows: int = 1) -> None:
+        self.edges = edges
+        self.n = n
+        self.r = edges.shape[1]
+        self.rows = rows
+        # Per derivative order (gradient, Hessian): the one-row plan, its
+        # tiling, and the tiling's prefixes by row count.
+        self._plans: list[Plan | None] = [_grad_plan(edges), None]
+        self._tiled: list[Plan | None] = [_tile_plan(self._plans[0], rows, n, n), None]
+        self._prefixes: list[dict[int, Plan]] = [{}, {}]
+
+    def _rows(self, order: int, X: np.ndarray) -> Plan:
+        """The plan of derivative ``order`` for the rows of X."""
+        k = X.shape[0] if X.ndim == 2 else 1
+        if k not in self._prefixes[order]:
+            if k > self._tiled[order][0].shape[0]:
+                # The prefixes of the old tiling are prefixes of the new one.
+                self._tiled[order] = _tile_plan(self._plans[order], k, self.n, self.n**(order + 1))
+            flat, gathers = self._tiled[order]
+            self._prefixes[order][k] = flat[:k].ravel(), [idx[:k].ravel() for idx in gathers]
+        return self._prefixes[order][k]
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        """The gradient at every row of X."""
+        return _grad(X, self._rows(0, X))
+
+    def hess(self, X: np.ndarray) -> np.ndarray:
+        """The Hessian at every row of X."""
+        if self._plans[1] is None:
+            self._plans[1] = _hess_plan(self.edges, self.n)
+            self._tiled[1] = _tile_plan(self._plans[1], self.rows, self.n, self.n**2)
+        return _hess(X, self._rows(1, X))
+
+    def values(self, X: np.ndarray) -> np.ndarray | float:
+        """``eval_poly`` of every row of X, or of X itself, bit for bit:
+        one product over the batch, one fsum per row."""
+        prods = np.prod(X[..., self.edges], axis=-1).tolist()
+        return math.fsum(prods) if X.ndim == 1 else np.array([math.fsum(p) for p in prods])
 
 
 def ascent_rows(
-    X: np.ndarray, edges: np.ndarray, grad_rows: Plan, max_iters, tol: float
+    X: np.ndarray, form: Form, max_iters, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Growth-transform iterations on every row of a (K, n) batch.
 
@@ -157,22 +201,21 @@ def ascent_rows(
     its own: after its cap (``max_iters`` is an int or one cap per row),
     when a step gains less than tol (a negative tol disables this stop),
     or when its gradient vanishes on the support; values are eval_poly
-    at the returned rows (``eval_rows``).
+    at the returned rows (``form.values``).
 
     The rows share one gradient scatter into K * n bins through the
     row-offset indices k * n + flat. Each bin adds the same edge terms
     in the same order as a one-row run, and every other operation is
     elementwise or a reduction along one row, so every row is
-    bit-identical to a batch of that row alone. ``grad_rows`` is a
-    ``_tile_plan`` of the gradient plan of ``edges`` for at least K
-    rows. A row that stops is dropped from the batch; the live rows are
-    kept first, so their plan is a prefix of it.
+    bit-identical to a batch of that row alone. A row that stops is
+    dropped from the batch; the live rows are kept first, so their plan
+    is a prefix of the form's tiling.
     """
     X = np.array(X, dtype=np.float64, ndmin=2)
-    K, n = X.shape
+    K = X.shape[0]
     iters = np.zeros(K, dtype=np.int64)
     worst = np.zeros(K)
-    r = np.array(float(edges.shape[1]))  # divides as the int r does
+    r = np.array(float(form.r))  # divides as the int r does
 
     # Batch state: row i is row live[i] of X; the column vectors (denom,
     # val, low, cap) have shape (A, 1). Every live row has taken
@@ -182,8 +225,7 @@ def ascent_rows(
     cap = np.broadcast_to(np.asarray(max_iters), (K,)).reshape(K, 1)
     low = np.zeros((K, 1))
     step = 0
-    plan = _plan_rows(grad_rows, K)
-    xg = rows * _grad(rows, plan)
+    xg = rows * form.grad(rows)
     denom = np.add.reduce(xg, axis=1, keepdims=True)
     val = denom / r
     going = (step < cap) & (denom > 0.0)
@@ -197,10 +239,11 @@ def ascent_rows(
             live, rows, xg, denom, val, cap, low = (
                 a[keep] for a in (live, rows, xg, denom, val, cap, low)
             )
-            # The live rows come first, so their plan is a prefix.
-            plan = _plan_rows(grad_rows, live.shape[0])
         if live.shape[0] == 0:
             break
+        # The live rows' plan, a prefix of the tiling: looked up once per
+        # pass of this loop, not at every step.
+        plan = form._rows(0, rows)
         next_cap = cap.min()
         while True:
             rows = xg / denom
@@ -229,7 +272,7 @@ def ascent_rows(
                 break
         # Some row may stop: build the row masks.
         going = ~(gain < tol) & (step < cap) & (denom > 0.0)
-    return X, eval_rows(X, edges), iters, worst
+    return X, form.values(X), iters, worst
 
 
 def ascent_loop(
@@ -243,6 +286,5 @@ def ascent_loop(
     ``ascent_rows``; no solver path calls it, but the tests' reference
     ascent does and the benchmark's tracer patches it.
     """
-    plan = _tile_plan(_grad_plan(edges), 1, x.shape[0], x.shape[0])
-    X, values, iters, worst = ascent_rows(x[None, :], edges, plan, max_iters, tol)
+    X, values, iters, worst = ascent_rows(x[None, :], Form(edges, x.shape[0]), max_iters, tol)
     return X[0], float(values[0]), int(iters[0]), float(worst[0])

@@ -29,12 +29,13 @@ batch each (``_face_newton``). Every row solves the graph's own
 0, and every scatter bin, solve and reduction belongs to one row, so
 each start ends bit for bit as ``ascend`` from it alone; the batches
 only cut per-call numpy overhead, which on a few vertices is most of
-every derivative. So each call also builds the gradient plan of the
-edges once, tiled for all its rows (``_kernels._tile_plan``), and every
-batch of the loop takes a prefix. The Hessian plan, which only the face
-finish uses, is built and tiled the same way before the call's first
-finish; a call that runs no finish builds none. Bit-identical starts
-run once, and only the kept row is certified.
+every derivative. So each call builds one ``_kernels.Form`` of the graph
+for all its rows and passes it to every helper. Every batch of the loop
+takes its derivatives and values from it, on a prefix of its rows; how
+the rows are laid out for one scatter is the form's business. The
+Hessian, which only the face finish uses, is planned on the form's
+first ``hess``, so a call that runs no finish plans none. Bit-identical
+starts run once, and only the kept row is certified.
 
 ``minimize_support`` runs a support drop only when the complete graph
 on the s - 1 vertices left, whose Lagrangian C(s - 1, r) / (s - 1)^r
@@ -161,8 +162,14 @@ def as_weighting(x: Sequence[float], n: int) -> np.ndarray:
 
 
 def uniform_weighting(n: int, on: Iterable[int] | None = None) -> np.ndarray:
-    """Uniform mass on the given 1-based vertices (default: all of [n])."""
+    """Uniform mass on the given 1-based vertices (default: all of [n]).
+
+    Raises ValueError unless the vertices are distinct and in [1, n], at
+    least one.
+    """
     verts = list(on) if on is not None else list(range(1, n + 1))
+    if not verts or len(set(verts)) < len(verts) or min(verts) < 1 or max(verts) > n:
+        raise ValueError(f"need distinct vertices in [1, {n}], got {verts}")
     x = np.zeros(n)
     x[[v - 1 for v in verts]] = 1.0 / len(verts)
     return x
@@ -177,6 +184,8 @@ def evaluate(g: Hypergraph, x: Sequence[float]) -> float:
 def evaluate_exact(g: Hypergraph, x: Sequence[Fraction]) -> Fraction:
     """Exact rational evaluation for closed-form cross-checks."""
     weights = [Fraction(w) for w in x]
+    if len(weights) < g.n:
+        raise ValueError(f"weighting must be a vector of length >= {g.n}")
     if any(w < 0 for w in weights):
         raise ValueError("weighting has a negative entry")
     if sum(weights) != 1:
@@ -228,35 +237,12 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.flatnonzero(x > 0.0))
 
 
-def _kkt_residual(
-    x: np.ndarray, plan: _kernels.Plan, value: float, r: int, floor: float = 0.0
-) -> float:
-    """Stationarity residual over the coordinates above ``floor``.
-
-    ``plan`` is ``_kernels._grad_plan`` of the graph's edge array.
-    """
-    grad = _kernels._grad(x, plan)
-    target = r * value
-    mask = x > floor
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(grad[mask] - target)))
-
-
-def _kkt_rows(
-    X: np.ndarray, edges: np.ndarray, plan: _kernels.Plan, values: np.ndarray
-) -> np.ndarray:
-    """``_kkt_residual`` over the weights above TRIM of every row of X,
-    from one gradient scatter.
-
-    ``plan`` is a ``_kernels._tile_plan`` of ``edges`` for at least
-    len(X) rows. Each row's gradient is bit-identical to a one-row call,
-    and the masked max along a row takes the same values, so each
-    residual equals ``_kkt_residual(x, ..., TRIM)`` bit for bit: 0.0 for
-    a row with no weight above TRIM.
-    """
-    grad = _kernels._grad(X, _kernels._plan_rows(plan, X.shape[0]))
-    gap = np.abs(grad - edges.shape[1] * values[:, None])
+def _kkt_rows(X: np.ndarray, form: _kernels.Form, values: np.ndarray) -> np.ndarray:
+    """The stationarity residual of every row of X, from one gradient
+    scatter: max |g_i - rP| over the weights above TRIM, 0.0 for a row
+    with none. Each row's gradient is bit-identical to a one-row call,
+    so each residual is that of the row alone."""
+    gap = np.abs(form.grad(X) - form.r * values[:, None])
     return np.max(gap, axis=1, initial=0.0, where=X > TRIM)
 
 
@@ -284,13 +270,13 @@ def _find_uncovered_pair(g: Hypergraph, support: Sequence[int]) -> tuple[int, in
     return None
 
 
-def _pair_transfer(x: np.ndarray, plan: _kernels.Plan, pair: tuple[int, int]) -> np.ndarray:
+def _pair_transfer(x: np.ndarray, form: _kernels.Form, pair: tuple[int, int]) -> np.ndarray:
     """x with the weight of ``pair``, two vertices in no common edge, all
     on the one with the larger link value (ties: the first). P is linear
     along the pair, so this never lowers it."""
     i, j = pair
     x = x.copy()
-    grad = _kernels._grad(x, plan)
+    grad = form.grad(x)
     keeper, donor = (i, j) if grad[i - 1] >= grad[j - 1] else (j, i)
     x[keeper - 1] += x[donor - 1]
     x[donor - 1] = 0.0
@@ -309,11 +295,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _pg_polish(
-    x: np.ndarray,
-    edges: np.ndarray,
-    plan: _kernels.Plan,
-    value: float,
-    max_steps: int = 100,
+    x: np.ndarray, form: _kernels.Form, value: float, max_steps: int = 100
 ) -> tuple[bool, np.ndarray, float, int]:
     """Projected-gradient steps restricted to the positive support of x.
 
@@ -326,13 +308,13 @@ def _pg_polish(
     improved = False
     steps = 0
     for _ in range(max_steps):
-        grad = _kernels._grad(x, plan)
+        grad = form.grad(x)
         eta = 1.0
         accepted = False
         for _ in range(45):
             y = x.copy()
             y[mask] = _project_simplex(x[mask] + eta * grad[mask])
-            new_value = float(_kernels.eval_poly(y, edges))
+            new_value = float(form.values(y))
             if new_value > value + 1e-15:
                 x, value = y, new_value
                 accepted = improved = True
@@ -370,12 +352,7 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _face_newton(
-    X: np.ndarray,
-    edges: np.ndarray,
-    grad_rows: _kernels.Plan,
-    hess_rows: _kernels.Plan,
-    values: np.ndarray,
-    faces: np.ndarray,
+    X: np.ndarray, form: _kernels.Form, values: np.ndarray, faces: np.ndarray
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Newton steps on the KKT system of one face of the simplex, per row.
 
@@ -408,21 +385,16 @@ def _face_newton(
       saddle; a zero eigenvalue, along a plateau or off the face,
       passes.
 
-    ``grad_rows`` and ``hess_rows`` are the ``_kernels._tile_plan``s of
-    the gradient and Hessian plans of ``edges`` for at least R rows.
     Coordinates at exactly zero are ignored: the growth transform never
     revives them. Returns, per row, (y, P(y), steps), or None when y is
     rejected.
     """
     R, n = X.shape
-    r = edges.shape[1]
-    grad_plan = _kernels._plan_rows(grad_rows, R)
-    hess_plan = _kernels._plan_rows(hess_rows, R)
     both = faces[:, :, None] & faces[:, None, :]
     pinned = np.where(faces[:, :, None], 0.0, np.eye(n))
     Z = np.where(faces, X, 0.0)
     Z /= Z.sum(axis=1, keepdims=True)
-    mu = r * _kernels.eval_rows(Z, edges)
+    mu = form.r * form.values(Z)
     jac = np.zeros((R, n + 1, n + 1))
     jac[:, :n, n] = np.where(faces, -1.0, 0.0)
     jac[:, n, :n] = faces
@@ -430,12 +402,12 @@ def _face_newton(
     steps = np.zeros(R, dtype=np.int64)
     live = np.arange(R)
     for _ in range(NEWTON_STEPS):
-        resid[:, :n] = np.where(faces, _kernels._grad(Z, grad_plan) - mu[:, None], 0.0)
+        resid[:, :n] = np.where(faces, form.grad(Z) - mu[:, None], 0.0)
         resid[:, n] = Z.sum(axis=1) - 1.0
         live = live[~(np.abs(resid[live]).max(axis=1) < NEWTON_TOL)]
         if not live.shape[0]:
             break
-        hess = _kernels._hess(Z, hess_plan)[live]
+        hess = form.hess(Z)[live]
         jac[live, :n, :n] = np.where(both[live], hess, pinned[live])
         step = _solve_rows(jac[live], -resid[live])
         Z[live] += np.where(faces[live], step[:, :n], 0.0)
@@ -445,14 +417,14 @@ def _face_newton(
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
     keep = np.flatnonzero(((Z > 0.0) | ~faces).all(axis=1))
     Y = Z[keep]
-    new_values = _kernels.eval_rows(Y, edges)
+    new_values = form.values(Y)
     higher = new_values >= values[keep]
     keep, Y, new_values = keep[higher], Y[higher], new_values[higher]
     if not keep.shape[0]:
         return out
     face = faces[keep]
-    gap = _kernels._grad(Y, _kernels._plan_rows(grad_rows, keep.shape[0]))
-    gap -= r * new_values[:, None]
+    gap = form.grad(Y)
+    gap -= form.r * new_values[:, None]
     # |gap| on the face, the gap itself off it where x has weight.
     gap = np.where(face, np.abs(gap), gap)
     stationary = ~((gap > KKT_TOL) & (face | (X[keep] > 0.0))).any(axis=1)
@@ -461,7 +433,7 @@ def _face_newton(
         return out
     k = faces[keep].sum(axis=1)[:, None, None]
     tangent = np.where(both[keep], np.eye(n) - 1.0 / k, 0.0)
-    hess = _kernels._hess(Y, _kernels._plan_rows(hess_rows, keep.shape[0]))
+    hess = form.hess(Y)
     concave = ~(np.linalg.eigvalsh(tangent @ hess @ tangent).max(axis=1) > CURVATURE_TOL)
     for i, y, value in zip(keep[concave], Y[concave], new_values[concave]):
         out[i] = y, float(value), int(steps[i])
@@ -469,11 +441,7 @@ def _face_newton(
 
 
 def _face_finish(
-    X: np.ndarray,
-    edges: np.ndarray,
-    grad_rows: _kernels.Plan,
-    hess_rows: _kernels.Plan,
-    values: np.ndarray,
+    X: np.ndarray, form: _kernels.Form, values: np.ndarray
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Per row of X, the first candidate face that ``_face_newton``
     accepts, or None.
@@ -482,15 +450,12 @@ def _face_finish(
     the j = 0..FACE_DROPS of them with the most negative gaps
     g_i - rP(x): those are decaying towards zero under the growth
     transform, slowly near a boundary maximum. The candidates stop at
-    the first gap >= -GAP_TOL. ``grad_rows`` and ``hess_rows`` are the
-    tiled plans of ``_face_newton`` for at least len(X) rows. Every row
-    still open tries its j-th candidate in drop round j, and each round
-    is one ``_face_newton`` batch, whatever its face sizes.
+    the first gap >= -GAP_TOL. Every row still open tries its j-th
+    candidate in drop round j, and each round is one ``_face_newton``
+    batch, whatever its face sizes.
     """
-    R, n = X.shape
-    r = edges.shape[1]
     base = X > FACE_FLOOR * X.max(axis=1, keepdims=True)
-    gap = _kernels._grad(X, _kernels._plan_rows(grad_rows, R)) - r * values[:, None]
+    gap = form.grad(X) - form.r * values[:, None]
     # The base coordinates first, by gap, ties by index.
     order = np.argsort(np.where(base, gap, np.inf), axis=1, kind="stable")
     # Drop j needs the j-th smallest gap below -GAP_TOL and a vertex left.
@@ -498,14 +463,14 @@ def _face_finish(
     left = base.sum(axis=1)[:, None] - 1
     droppable = ~(drops >= -GAP_TOL) & (np.arange(drops.shape[1]) < left)
     candidates = 1 + np.cumprod(droppable, axis=1).sum(axis=1)
-    out: list[tuple[np.ndarray, float, int] | None] = [None] * R
+    out: list[tuple[np.ndarray, float, int] | None] = [None] * X.shape[0]
     for j in range(FACE_DROPS + 1):
         rows = [i for i in np.flatnonzero(candidates > j).tolist() if out[i] is None]
         if not rows:
             break
         faces = base[rows]
         faces[np.arange(len(rows))[:, None], order[rows, :j]] = False
-        tried = _face_newton(X[rows], edges, grad_rows, hess_rows, values[rows], faces)
+        tried = _face_newton(X[rows], form, values[rows], faces)
         for i, res in zip(rows, tried):
             out[i] = res
     return out
@@ -533,26 +498,20 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
     residual. Every row ends where a separate ``ascend`` from its start
     ends, bit for bit. A start bit-identical to an earlier one would end
     where that one does, so it runs once. ``_ascent_result`` keeps the
-    best row and certifies only it. One gradient plan, tiled for every
-    row, serves the whole call: the growth chunks, the face finish, the
-    KKT check and, as its first row, the certificate take prefixes of
-    it. The Hessian plan, which only the face finish uses, is built and
-    tiled once, before the call's first finish.
+    best row and certifies only it. One ``_kernels.Form`` for every row
+    serves the whole call: the growth chunks, the KKT checks, the face
+    finish and the certificate.
     """
     unique: dict[bytes, np.ndarray] = {}
     for x0 in np.asarray(starts, dtype=np.float64):
         unique.setdefault(x0.tobytes(), x0)
     X = np.array(list(unique.values()))
-    edges = g.edge_array()
-    n = g.n
-    grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), X.shape[0], n, n)
-    hess_rows = None
-    plan = _kernels._plan_rows(grad_rows, 1)
+    form = _kernels.Form(g.edge_array(), g.n, X.shape[0])
     iters = np.zeros(X.shape[0], dtype=np.int64)
     live = np.arange(X.shape[0])
     while live.shape[0]:
         caps = [min(FACE_CHUNK, opts.max_iters - d) for d in iters[live].tolist()]
-        Y, values, its, worst = _kernels.ascent_rows(X[live], edges, grad_rows, caps, GAIN_TOL)
+        Y, values, its, worst = _kernels.ascent_rows(X[live], form, caps, GAIN_TOL)
         drops = worst[worst < -MONOTONE_SLACK]
         if drops.shape[0]:
             raise AssertionError(f"ascent decreased the objective by {-drops[0]:.3e}")
@@ -566,14 +525,9 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
         tried = moving.copy()
         stopped = np.flatnonzero(~moving)
         if stopped.shape[0]:
-            tried[stopped] = _kkt_rows(Y[stopped], edges, grad_rows, values[stopped]) > KKT_TOL
+            tried[stopped] = _kkt_rows(Y[stopped], form, values[stopped]) > KKT_TOL
         rows = np.flatnonzero(tried)
-        outs = []
-        if rows.shape[0]:
-            if hess_rows is None:
-                hess_plan = _kernels._hess_plan(edges, n)
-                hess_rows = _kernels._tile_plan(hess_plan, X.shape[0], n, n * n)
-            outs = _face_finish(Y[rows], edges, grad_rows, hess_rows, values[rows])
+        outs = _face_finish(Y[rows], form, values[rows]) if rows.shape[0] else []
         keep = moving.copy()
         for i, out in zip(rows.tolist(), outs):
             k = live[i]
@@ -585,18 +539,14 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
                 base = np.flatnonzero(X[k] > FACE_FLOOR * X[k].max()) + 1
                 pair = _find_uncovered_pair(g, base.tolist())
                 if pair is not None and iters[k] < opts.max_iters:
-                    X[k] = _pair_transfer(X[k], plan, pair)
+                    X[k] = _pair_transfer(X[k], form, pair)
                     keep[i] = True
         live = live[keep]
-    return _ascent_result(g, edges, plan, X, iters.tolist())
+    return _ascent_result(g, form, X, iters.tolist())
 
 
 def _ascent_result(
-    g: Hypergraph,
-    edges: np.ndarray,
-    plan: _kernels.Plan,
-    X: np.ndarray,
-    iterations: Sequence[int],
+    g: Hypergraph, form: _kernels.Form, X: np.ndarray, iterations: Sequence[int]
 ) -> OptResult:
     """Trim and renormalize the end point of every ascent, one per row of
     X, and certify the best.
@@ -609,7 +559,7 @@ def _ascent_result(
     X = np.where(X > TRIM, X, 0.0)
     total = X.sum(axis=1, keepdims=True)
     X = np.divide(X, total, out=X, where=total > 0.0)
-    values = _kernels.eval_rows(X, edges)
+    values = form.values(X)
     sizes = np.where(values > 0.0, (X > 0.0).sum(axis=1), 0)
     # Only rows tied in value and size compare weights.
     tied = np.flatnonzero(values == values.max())
@@ -617,24 +567,28 @@ def _ascent_result(
     best = min(tied, key=lambda k: tuple(-X[k])) if len(tied) > 1 else tied[0]
     x, value = X[best], float(values[best])
     support = _support(x) if value > 0.0 else ()
-    return _certified(g, plan, x, value, support, "ascent", iterations[best])
+    return _certified(g, form, x, value, support, "ascent", iterations[best])
 
 
 def _certified(
     g: Hypergraph,
-    plan: _kernels.Plan,
+    form: _kernels.Form,
     x: np.ndarray,
     value: float,
     support: tuple[int, ...],
     method: str,
     iterations: int,
 ) -> OptResult:
-    """The result at x with its KKT residual and pair-cover certificate."""
+    """The result at x with its KKT residual and pair-cover certificate.
+
+    x is trimmed, uniform on its support or a sorted trimmed point, so
+    its weights above TRIM are its positive weights.
+    """
     return OptResult(
         value=value,
         weighting=x,
         support=support,
-        kkt_residual=_kkt_residual(x, plan, value, g.r) if support else 0.0,
+        kkt_residual=float(_kkt_rows(x[None], form, np.array([value]))[0]) if support else 0.0,
         edge_cover_ok=_find_uncovered_pair(g, support) is None,
         method=method,
         iterations=iterations,
@@ -706,13 +660,13 @@ def minimize_support(
     running it.
     """
     opts = opts or DEFAULT_OPTIONS
-    plan = _kernels._grad_plan(g.edge_array())
+    form = _kernels.Form(g.edge_array(), g.n)
     best = res
     changed = False
     while len(best.support) > 1:
         pair = _find_uncovered_pair(g, best.support)
         if pair is not None:
-            cand = ascend(g, _pair_transfer(best.weighting, plan, pair), opts)
+            cand = ascend(g, _pair_transfer(best.weighting, form, pair), opts)
             if cand.value >= best.value - VALUE_TOL:
                 best = cand
                 changed = True
@@ -779,8 +733,8 @@ def complete_lagrangian(t: int, r: int) -> Fraction:
 
 def _closed_form_result(g: Hypergraph, value: float, support: Sequence[int]) -> OptResult:
     x = uniform_weighting(g.n, support) if support else np.full(g.n, 1.0 / g.n)
-    plan = _kernels._grad_plan(g.edge_array())
-    return _certified(g, plan, x, value, tuple(support), "closed-form", 0)
+    form = _kernels.Form(g.edge_array(), g.n)
+    return _certified(g, form, x, value, tuple(support), "closed-form", 0)
 
 
 def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
@@ -824,12 +778,11 @@ def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
     x = np.ascontiguousarray(np.sort(res.weighting)[::-1])
     if np.array_equal(x, res.weighting):
         return res
-    edges = g.edge_array()
-    value = float(_kernels.eval_poly(x, edges))
+    form = _kernels.Form(g.edge_array(), g.n)
+    value = float(form.values(x))
     if value < res.value * (1.0 - 2 * g.r * np.finfo(np.float64).eps):
         return res
-    plan = _kernels._grad_plan(edges)
-    return _certified(g, plan, x, value, _support(x), res.method, res.iterations)
+    return _certified(g, form, x, value, _support(x), res.method, res.iterations)
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,9 @@ def test_io_errors_exit_4(tmp_path, capsys):
 
 def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     # An ascent that reports a decrease trips the monotonicity assertion.
-    def decreasing(X, edges, grad_rows, max_iters, tol):
+    def decreasing(X, form, max_iters, tol):
         X = np.array(X)
-        values = np.array([_kernels.eval_poly(x, edges) for x in X])
+        values = form.values(X)
         return X, values, np.ones(len(X), dtype=np.int64), np.full(len(X), -1e-3)
 
     monkeypatch.setattr(_kernels, "ascent_rows", decreasing)

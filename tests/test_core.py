@@ -22,8 +22,10 @@ from lagrangia.core import (
     complete_graph,
     difference_link,
     format_edge_list,
+    load_edge_list,
     pair_link,
     parse_edge_list,
+    save_edge_list,
     vertex_link,
 )
 
@@ -329,6 +331,14 @@ class TestEdgeListFormat:
     def test_round_trip(self):
         g = colex_graph(3, 11)
         assert parse_edge_list(format_edge_list(g)).edges == g.edges
+
+    @pytest.mark.parametrize("g", [colex_graph(3, 11), Hypergraph.from_edges(4, 6, [])])
+    def test_file_round_trip(self, tmp_path, g):
+        path = tmp_path / "graph.txt"
+        save_edge_list(g, path)
+        back = load_edge_list(path)
+        assert (back.r, back.n, back.edges) == (g.r, g.n, g.edges)
+        assert back.edge_list() == g.edge_list()
 
     def test_format_output_shape(self):
         text = format_edge_list(colex_graph(3, 4))

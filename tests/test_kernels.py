@@ -72,10 +72,10 @@ class TestBackendEquivalence:
         # Off a face y is exactly 0, so the edges leaving the face add only
         # +-0.0 to the face's bins: the graph's own plans give g_S and H_SS
         # bit for bit as the plans of the face's own edges, relabelled
-        # 0..k-1, would. Both plans, tiled for four rows and cut to three,
-        # give every row of a batch whose rows have different faces as
-        # one-row calls do. Weights on a face may be negative, as at a
-        # Newton iterate.
+        # 0..k-1, would. A form for four rows gives every row of a
+        # three-row batch whose rows have different faces as one-row
+        # calls do. Weights on a face may be negative, as at a Newton
+        # iterate.
         rng = random.Random(79)
         inner_free = 0
         for x, edges in cases(67, 60):
@@ -86,10 +86,9 @@ class TestBackendEquivalence:
                 face = np.asarray(sorted(rng.sample(range(n), rng.randint(1, n))))
                 y[face] = [rng.uniform(-0.5, 1.0) for _ in range(face.shape[0])]
                 faces.append(face)
-            grad_rows = _kernels._tile_plan(_kernels._grad_plan(edges), 4, n, n)
-            hess_rows = _kernels._tile_plan(_kernels._hess_plan(edges, n), 4, n, n * n)
-            grads = _kernels._grad(Y, _kernels._plan_rows(grad_rows, 3))
-            hessians = _kernels._hess(Y, _kernels._plan_rows(hess_rows, 3))
+            form = _kernels.Form(edges, n, 4)
+            grads = form.grad(Y)
+            hessians = form.hess(Y)
             assert hessians.shape == (3, n, n)
             for y, face, grad, hess in zip(Y, faces, grads, hessians):
                 assert np.array_equal(grad, _kernels._grad(y, _kernels._grad_plan(edges)))
@@ -198,11 +197,6 @@ def one_row(x, edges, cap, tol):
     return x, _kernels.eval_poly(x, edges), it, worst
 
 
-def tiled(edges, rows, n):
-    """The tiled gradient plan that ``ascent_rows`` takes, for ``rows`` rows."""
-    return _kernels._tile_plan(_kernels._grad_plan(edges), rows, n, n)
-
-
 def batch(rng, n, k):
     """k simplex rows: dense, sparse, and one dead row (weight on one vertex)."""
     rows = []
@@ -237,9 +231,9 @@ class TestAscentRows:
                     X = batch(rng, n, 6)
                     caps = np.asarray([0, 1, rng.randint(2, 9), 3000, 40, 1], dtype=np.int64)
                     X0 = X.copy()
-                    # A plan tiled for 6 rows or more: the batch takes its prefix.
-                    plan = tiled(edges, 6 + n % 3, n)
-                    Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, plan, caps, tol)
+                    # A form for 6 rows or more: the batch takes its prefix.
+                    form = _kernels.Form(edges, n, 6 + n % 3)
+                    Xr, vals, iters, worst = _kernels.ascent_rows(X, form, caps, tol)
                     assert np.array_equal(X, X0)  # the input is not modified
                     assert Xr.shape == X.shape and vals.shape == iters.shape == (6,)
                     for k in range(6):
@@ -260,8 +254,8 @@ class TestAscentRows:
         for x, edges in cases(97, 12):
             rng = random.Random(x.shape[0])
             X = np.vstack([x, batch(rng, x.shape[0], 3)])
-            plan = tiled(edges, 4, x.shape[0])
-            Xr, vals, iters, _ = _kernels.ascent_rows(X, edges, plan, 40, -1.0)
+            form = _kernels.Form(edges, x.shape[0], 4)
+            Xr, vals, iters, _ = _kernels.ascent_rows(X, form, 40, -1.0)
             for k, row in enumerate(X):
                 y = [float(v) for v in row]
                 steps = 0
@@ -280,7 +274,7 @@ class TestAscentRows:
         for x, edges in cases(101, 10):
             for tol in (1e-12, -1.0):
                 Xr, vals, iters, worst = _kernels.ascent_rows(
-                    x[None, :], edges, tiled(edges, 1, x.shape[0]), 300, tol
+                    x[None, :], _kernels.Form(edges, x.shape[0]), 300, tol
                 )
                 self.assert_row_equals(
                     (Xr[0], vals[0], iters[0], worst[0]), one_row(x, edges, 300, tol)
@@ -289,8 +283,85 @@ class TestAscentRows:
     def test_empty_edge_set(self):
         X = np.asarray([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         edges = np.empty((0, 2), dtype=np.int64)
-        plan = tiled(edges, 2, 3)
-        Xr, vals, iters, worst = _kernels.ascent_rows(X, edges, plan, np.asarray([5, 0]), 1e-12)
+        form = _kernels.Form(edges, 3, 2)
+        Xr, vals, iters, worst = _kernels.ascent_rows(X, form, np.asarray([5, 0]), 1e-12)
         assert np.array_equal(Xr, X)
         assert vals.tolist() == [0.0, 0.0]
         assert iters.tolist() == [0, 0] and worst.tolist() == [0.0, 0.0]
+
+
+class TestForm:
+    """``Form`` against one-row plans: every layout of a batch gives each
+    row's derivatives and value bit for bit."""
+
+    def one_row(self, x, edges):
+        n = x.shape[0]
+        return (
+            _kernels._grad(x, _kernels._grad_plan(edges)),
+            _kernels._hess(x, _kernels._hess_plan(edges, n)),
+            _kernels.eval_poly(x, edges),
+        )
+
+    def assert_rows_equal(self, form, X, edges):
+        grads, hessians, values = form.grad(X), form.hess(X), form.values(X)
+        assert grads.shape == X.shape and hessians.shape == X.shape + (X.shape[1],)
+        assert values.shape == (X.shape[0],)
+        for x, grad, hess, value in zip(X, grads, hessians, values):
+            want = self.one_row(x, edges)
+            assert np.array_equal(grad, want[0]) and np.array_equal(hess, want[1])
+            assert value == want[2]
+
+    def test_batches_and_vectors_equal_one_row_calls(self):
+        rng = random.Random(107)
+        seen = set()
+        for x, edges in cases(109, 60):
+            n = x.shape[0]
+            form = _kernels.Form(edges, n, 5)
+            X = np.vstack([x, batch(rng, n, 4)])
+            # Every prefix length, the longest last and again first.
+            for k in (5, 1, 3, 5):
+                self.assert_rows_equal(form, X[:k], edges)
+            grad, hess, value = self.one_row(x, edges)
+            assert np.array_equal(form.grad(x), grad) and np.array_equal(form.hess(x), hess)
+            assert form.values(x) == value and type(form.values(x)) is float
+            seen.add(edges.shape[1])
+        assert seen == {2, 3, 4}
+
+    def test_longer_batch_tiles_again(self):
+        # A form for two rows takes a batch of seven; the plans are tiled
+        # again, and the shorter prefixes still hold.
+        rng = random.Random(113)
+        for x, edges in cases(127, 20):
+            n = x.shape[0]
+            form = _kernels.Form(edges, n, 2)
+            X = batch(rng, n, 7)
+            self.assert_rows_equal(form, X[:2], edges)
+            self.assert_rows_equal(form, X, edges)
+            self.assert_rows_equal(form, X[:2], edges)
+            self.assert_rows_equal(form, X[:6], edges)
+        empty = _kernels.Form(np.empty((0, 3), dtype=np.int64), 4, 1)
+        X = batch(rng, 4, 3)
+        assert np.array_equal(empty.grad(X), np.zeros((3, 4)))
+        assert np.array_equal(empty.hess(X), np.zeros((3, 4, 4)))
+        assert empty.values(X).tolist() == [0.0, 0.0, 0.0]
+
+    def test_hessian_plan_built_on_first_hess(self, monkeypatch):
+        built = []
+        real = _kernels._hess_plan
+
+        def spy(edges, n):
+            built.append(n)
+            return real(edges, n)
+
+        monkeypatch.setattr(_kernels, "_hess_plan", spy)
+        x, edges = next(cases(131, 1))
+        form = _kernels.Form(edges, x.shape[0], 3)
+        X = np.vstack([x, x[::-1], np.roll(x, 1)])
+        form.grad(X)
+        form.values(X)
+        assert built == []
+        form.hess(X[:2])
+        assert built == [x.shape[0]]
+        form.hess(X)
+        form.hess(x)
+        assert built == [x.shape[0]]

@@ -81,6 +81,28 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="sum"):
             evaluate_exact(g, [Fraction(1, 4)] * 3 + [Fraction(1, 8)])
 
+    def test_exact_rejects_a_short_weighting(self):
+        # The length rule of ``evaluate``: at least n weights.
+        g = complete_graph(5, 3)
+        with pytest.raises(ValueError, match="length"):
+            evaluate_exact(g, [Fraction(1)])
+        with pytest.raises(ValueError, match="length"):
+            evaluate_exact(g, [Fraction(1, 4)] * 4)
+        assert evaluate_exact(g, [Fraction(1, 5)] * 5 + [Fraction(0)]) == Fraction(2, 25)
+
+
+class TestUniformWeighting:
+    def test_uniform_on_given_vertices(self):
+        assert uniform_weighting(4).tolist() == [0.25] * 4
+        assert uniform_weighting(5, [2, 5]).tolist() == [0.0, 0.5, 0.0, 0.0, 0.5]
+        assert uniform_weighting(3, range(1, 4)).tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize("on", [[], [1, 1], [0], [4], [-1], [1, 2, 2]])
+    def test_rejects_a_bad_vertex_list(self, on):
+        # Index -1 would weight vertex 3, and a repeat would sum to less than 1.
+        with pytest.raises(ValueError, match="distinct vertices"):
+            uniform_weighting(3, on)
+
 
 class TestLinkValue:
     def test_complete_uniform_symmetry(self):
@@ -244,12 +266,23 @@ class TestMultistart:
         assert np.array_equal(a.weighting, b.weighting)
 
 
+def kkt_residual(x, edges, value, floor):
+    """The stationarity residual of one point over its weights above
+    ``floor``, from a one-row gradient plan: the reference for
+    ``_kkt_rows``."""
+    grad = _kernels._grad(x, _kernels._grad_plan(edges))
+    mask = x > floor
+    if not mask.any():
+        return 0.0
+    return float(np.max(np.abs(grad[mask] - edges.shape[1] * value)))
+
+
 def reference_ascend(g, x0, opts):
     """One start at a time through ``ascent_loop``: the single-start ascent
     that the lockstep batch replaced, kept as the reference."""
     L = lagrangian_module
     edges = g.edge_array()
-    plan = _kernels._grad_plan(edges)
+    form = _kernels.Form(edges, g.n)
 
     def loop(x, cap, tol):
         x, value, iters, worst = _kernels.ascent_loop(x, edges, cap, tol)
@@ -257,7 +290,7 @@ def reference_ascend(g, x0, opts):
         return x, value, iters
 
     def kkt(x, value):
-        return L._kkt_residual(x, plan, value, g.r, floor=L.TRIM)
+        return kkt_residual(x, edges, value, floor=L.TRIM)
 
     x, value, total = loop(as_weighting(x0, g.n)[: g.n].copy(), opts.max_iters, L.GAIN_TOL)
     residual = kkt(x, value)
@@ -268,7 +301,7 @@ def reference_ascend(g, x0, opts):
         total += it
         new_residual = kkt(x, value)
         if new_residual > 0.95 * residual:
-            improved, x, value, steps = L._pg_polish(x, edges, plan, value, max_steps=30)
+            improved, x, value, steps = L._pg_polish(x, form, value, max_steps=30)
             total += steps
             if not improved:
                 break
@@ -276,7 +309,7 @@ def reference_ascend(g, x0, opts):
             total += it
             new_residual = kkt(x, value)
         residual = new_residual
-    return L._ascent_result(g, edges, plan, x[None, :], [total])
+    return L._ascent_result(g, form, x[None, :], [total])
 
 
 def merge_key(res):
@@ -379,9 +412,9 @@ class TestLockstepMultistart:
         calls = []
         real = _kernels.ascent_rows
 
-        def spy(X, edges, grad_rows, max_iters, tol):
+        def spy(X, form, max_iters, tol):
             calls.append(X.shape[0])
-            return real(X, edges, grad_rows, max_iters, tol)
+            return real(X, form, max_iters, tol)
 
         monkeypatch.setattr(_kernels, "ascent_rows", spy)
         want = lagrangian_module._ascend_rows(g, [uniform_weighting(6), x], opts)
@@ -422,20 +455,11 @@ def face_mask(face, n):
     return mask
 
 
-def tiled_plans(edges, rows, n):
-    """The tiled gradient and Hessian plans that ``_ascend_rows`` builds."""
-    return (
-        _kernels._tile_plan(_kernels._grad_plan(edges), rows, n, n),
-        _kernels._tile_plan(_kernels._hess_plan(edges, n), rows, n, n * n),
-    )
-
-
 def one_face_newton(x, edges, value, face):
     """``_face_newton`` on a batch of one row: x on its face (0-based)."""
     n = x.shape[0]
     return lagrangian_module._face_newton(
-        x[None, :], edges, *tiled_plans(edges, 1, n), np.asarray([value]),
-        face_mask(face, n)[None, :],
+        x[None, :], _kernels.Form(edges, n), np.asarray([value]), face_mask(face, n)[None, :]
     )[0]
 
 
@@ -497,7 +521,7 @@ class TestFaceNewton:
         )
         value = _kernels.eval_poly(x, edges)
         y, _, _ = lagrangian_module._face_finish(
-            x[None, :], edges, *tiled_plans(edges, 1, 5), np.asarray([value])
+            x[None, :], _kernels.Form(edges, 5), np.asarray([value])
         )[0]
         assert np.allclose(y, [1 / 3, 2 / 9, 2 / 9, 2 / 9, 0], atol=1e-15, rtol=0)
         assert y[4] == 0.0
@@ -672,7 +696,7 @@ class TestFaceLocalNewton:
             F = np.asarray([face_mask(face, n) for _, face in attempts])
             with np.errstate(all="ignore"):
                 got = lagrangian_module._face_newton(
-                    X, edges, *tiled_plans(edges, len(attempts), n), values, F
+                    X, _kernels.Form(edges, n, len(attempts)), values, F
                 )
                 want = [
                     one_face_newton(p, edges, v, face)
@@ -711,7 +735,7 @@ class TestFaceLocalNewton:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(path, np.ones(4))
         values = np.asarray([_kernels.eval_poly(x, edges) for x in X])
-        got = lagrangian_module._face_newton(X, edges, *tiled_plans(edges, 3, 6), values, faces)
+        got = lagrangian_module._face_newton(X, _kernels.Form(edges, 6, 3), values, faces)
         y, value, steps = got[1]
         assert np.allclose(y, [0, 0, 0, 0.25, 0.5, 0.25], atol=1e-15, rtol=0)
         assert y[4] == 0.5 and y[3] + y[5] == 0.5
@@ -747,9 +771,9 @@ class TestFaceLocalNewton:
         # The left-compressed 3-graph on [7] whose growth transform stops
         # 1.17e-7 off stationarity: its rows run KKT checks, face attempts
         # with Newton steps, and the drop step of support minimization.
-        # Faces no longer have plans of their own: each ``_ascend_rows``
-        # call tiles one gradient and one Hessian plan, and every face
-        # attempt takes the prefix of both for its batch.
+        # Faces have no plans of their own: each ``_ascend_rows`` call
+        # builds one form, which tiles one gradient plan and at most one
+        # Hessian plan, and every batch takes the prefix of both.
         g = Hypergraph.from_edges(3, 7, [
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
             (1, 4, 5), (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (1, 5, 6),
@@ -768,13 +792,13 @@ class TestFaceLocalNewton:
             def wrapped(*args, **kwargs):
                 if name == "_ascend_rows":
                     batches.append(Counter())
-                elif scope:
+                elif "_ascend_rows" in scope:
                     batches[-1][name, scope[-1]] += 1
                 if name == "_face_finish":
                     rounds.append(0)
                 if name == "_face_newton":
                     rounds[-1] += 1
-                    sizes.append(set(args[5].sum(axis=1).tolist()))
+                    sizes.append(set(args[3].sum(axis=1).tolist()))
                 scope.append(name)
                 try:
                     out = real(*args, **kwargs)
@@ -787,7 +811,7 @@ class TestFaceLocalNewton:
             monkeypatch.setattr(owner, name, wrapped)
 
         for owner, name in [
-            (L, "_ascend_rows"), (L, "_kkt_residual"), (L, "_kkt_rows"), (L, "_face_finish"),
+            (L, "_ascend_rows"), (L, "_certified"), (L, "_kkt_rows"), (L, "_face_finish"),
             (L, "_face_newton"), (_kernels, "ascent_rows"), (_kernels, "_grad_plan"),
             (_kernels, "_hess_plan"), (_kernels, "_tile_plan"),
         ]:
@@ -801,14 +825,18 @@ class TestFaceLocalNewton:
         assert not all(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
         for seen in batches:
             growth = seen["ascent_rows", "_ascend_rows"]
-            # One gradient plan for the batch, tiled once, shared by every
-            # growth chunk, KKT check and face attempt; and one Hessian
-            # plan, tiled once, in a call that runs a face finish, none
-            # in any other. None inside ``ascent_rows`` or the face finish.
+            # One gradient plan for the batch, tiled once as the call
+            # builds its form, shared by every growth chunk, KKT check,
+            # face attempt and the certificate.
             finish = 1 if seen["_face_finish", "_ascend_rows"] else 0
             assert seen["_grad_plan", "_ascend_rows"] == 1, seen
-            assert seen["_hess_plan", "_ascend_rows"] == finish, seen
-            assert seen["_tile_plan", "_ascend_rows"] == 1 + finish, seen
+            assert seen["_tile_plan", "_ascend_rows"] == 1, seen
+            # One Hessian plan, tiled once, in a call that runs a face
+            # finish, on its first Newton batch; none in any other.
+            assert seen["_hess_plan", "_face_newton"] == finish, seen
+            assert seen["_tile_plan", "_face_newton"] == finish, seen
+            # No other plan anywhere: none inside ``ascent_rows``, the KKT
+            # checks, the certificate or ``_face_finish`` itself.
             builds = sum(
                 n for key, n in seen.items()
                 if key[0] in ("_grad_plan", "_hess_plan", "_tile_plan")
@@ -822,10 +850,11 @@ class TestFaceLocalNewton:
         # holds faces of different sizes and more than one row.
         assert rounds and max(rounds) <= L.FACE_DROPS + 1, rounds
         assert any(len(s) > 1 for s in sizes), sizes
-        # The KKT checks after each phase run as one batch; the one
-        # ``_kkt_residual`` call per ``_ascend_rows`` call certifies the
-        # kept row.
-        assert all(seen["_kkt_residual", "_ascend_rows"] == 1 for seen in batches), batches
+        # The KKT checks after each phase run as one batch; one
+        # ``_certified`` call per ``_ascend_rows`` call certifies the kept
+        # row, with a one-row ``_kkt_rows``.
+        assert all(seen["_certified", "_ascend_rows"] == 1 for seen in batches), batches
+        assert all(seen["_kkt_rows", "_certified"] == 1 for seen in batches), batches
         assert sum(seen["_kkt_rows", "_ascend_rows"] for seen in batches) > 0, batches
         assert sum(newton_steps) > 1
 
@@ -878,15 +907,14 @@ class TestKKTRows:
         trim = L.TRIM
         zero_rows = 0
         for x, edges, _ in face_cases(151, 150):
-            n, r = x.shape[0], edges.shape[1]
+            n = x.shape[0]
             y = _kernels.ascent_loop(x, edges, 25, -1.0)[0]
             z = x.copy()
             z[np.argmax(z)] = 0.0
             X = np.asarray([x, y, z, np.full(n, trim) * (np.arange(n) % 2)])
             values = np.asarray([_kernels.eval_poly(row, edges) for row in X])
-            got = L._kkt_rows(X, edges, tiled_plans(edges, 4, n)[0], values)
-            plan = _kernels._grad_plan(edges)
-            want = [L._kkt_residual(row, plan, v, r, floor=trim) for row, v in zip(X, values)]
+            got = L._kkt_rows(X, _kernels.Form(edges, n, 4), values)
+            want = [kkt_residual(row, edges, v, floor=trim) for row, v in zip(X, values)]
             assert got.tolist() == want
             zero_rows += got[3] == 0.0
         assert zero_rows == 150
@@ -991,13 +1019,13 @@ def unbounded_minimize_support(g, res, opts):
     """``minimize_support`` without the complete-graph bound: every drop
     runs its ascent. Kept as the reference for the bound."""
     L = lagrangian_module
-    plan = _kernels._grad_plan(g.edge_array())
+    form = _kernels.Form(g.edge_array(), g.n)
     best = res
     changed = False
     while len(best.support) > 1:
         pair = L._find_uncovered_pair(g, best.support)
         if pair is not None:
-            cand = ascend(g, L._pair_transfer(best.weighting, plan, pair), opts)
+            cand = ascend(g, L._pair_transfer(best.weighting, form, pair), opts)
             if cand.value >= best.value - L.VALUE_TOL:
                 best = cand
                 changed = True
