@@ -4,30 +4,32 @@ One numpy backend, general in the uniformity r and the vertex count n
 (edge lists of any arity on up to 64 vertices; no dense n^r tensor).
 
 Conventions: x is a float64 weight vector, edges an (m, r) int64 array
-of 0-based vertex indices. The gradient is one scatter of leave-one-out
-products: r - 1 gather index arrays pick for every (edge, position) slot
-the weights of the other members of that edge; their elementwise
-product is summed into the slot's vertex with ``np.bincount``. No weight
-is ever divided out, so coordinates at 0 stay exact. The Hessian, for
-Newton steps on a face, is the same scatter one order down: leave-two-out
-products summed into n * n bins.
+of 0-based vertex indices. ``eval_poly`` is the one evaluation: one
+product of member weights per edge, over a vector or a (K, n) batch,
+and one ``math.fsum`` per row.
 
-The index arrays depend on the edge array only, so each derivative order
-has a plan, built once per edge array: ``_grad_plan`` with ``_grad``,
-and ``_hess_plan`` with ``_hess``. ``_tile_plan`` repeats a plan for a
-batch of rows, each row's gathers shifted by its offset into the
-flattened (K, n) batch and its scatter bins by its offset into the
-K * n (gradient) or K * n * n (Hessian) bins, so one scatter takes the
-derivative of every row; each bin still adds the same terms in the same
-order, so every row is bit-identical to a one-row call.
+Derivatives of every order are one scatter. The derivative of order d
+has one slot per ordered d-tuple of distinct columns of an edge; the
+slot adds the product of the edge's other r - d weights into the bin of
+its d vertices, read as digits in base n: the gradient (d = 1) sums
+leave-one-out products into n bins, the Hessian (d = 2) leave-two-out
+products into n * n bins. No weight is ever divided out, so coordinates
+at 0 stay exact. The bins and the r - d gather index arrays depend on
+the edge array only: ``_plan`` builds them and ``_scatter`` takes the
+derivative, one ``np.bincount``. A plan tiled for a batch of rows, each
+row's gathers shifted by its offset into the flattened (K, n) batch and
+its bins by its offset into the K * n^d bins, takes the derivative of
+every row in one scatter; each bin still adds the same terms in the
+same order, so every row is bit-identical to a one-row call.
 
-``Form`` owns that layout for a caller: the form of one graph for
-batches of up to ``rows`` weightings. It tiles the gradient plan once,
-builds and tiles the Hessian plan on the first ``hess``, and its
-``grad``, ``hess`` and ``values`` take a (K, n) batch or an (n,) vector
-and cut the plan of the first K rows themselves (memoized per K). A
-batch longer than the tiling re-tiles it. Callers that take many
-derivatives of one graph build one ``Form`` and pass it.
+``Form(edges, n)`` owns that layout for a caller: the form of one
+graph. Its ``grad``, ``hess`` and ``values`` take a (K, n) batch or an
+(n,) vector. A derivative order is planned on its first use, so a
+caller that takes no Hessian builds no Hessian plan and one that takes
+no derivative builds none; the plan is tiled for the largest batch
+seen, and a batch of K rows takes the first K rows of the tiling, a
+view memoized per K. Callers that take many derivatives of one graph
+build one ``Form`` and pass it.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -42,154 +44,115 @@ the compensated ``eval_poly`` of the point it returns.
 gradient scatter per step for all of them; on graphs of a few vertices
 numpy call overhead, not arithmetic, is most of a step, so a batch of K
 rows costs little more per step than one row. It takes the caller's
-``Form``, so a caller that runs many chunks on one graph tiles it once.
+``Form`` and looks up the live rows' plan once per pass (``Form.plan``),
+so a caller that runs many chunks on one graph plans and tiles once.
 ``ascent_loop`` is its one-row case and builds its own one-row form.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# A derivative plan: scatter bins and gather arrays. The gradient plan
-# has the r - 1 leave-one-out gathers, the Hessian plan the r - 2
-# leave-two-out gathers.
+# A derivative plan: scatter bins and gather arrays (see ``_plan``).
 Plan = tuple[np.ndarray, list[np.ndarray]]
 
 
-def eval_poly(x: np.ndarray, edges: np.ndarray) -> float:
-    """Sum over edges of the product of member weights, compensated."""
-    if edges.shape[0] == 0:
-        return 0.0
-    return math.fsum(np.prod(x[edges], axis=1))
+def eval_poly(X: np.ndarray, edges: np.ndarray) -> np.ndarray | float:
+    """Sum over edges of the product of member weights, compensated: a
+    float for a vector; for a (K, n) batch, one value per row, bit for
+    bit that of the row alone (one product over the batch, one fsum per
+    row)."""
+    prods = np.prod(X[..., edges], axis=-1).tolist()
+    return math.fsum(prods) if X.ndim == 1 else np.array([math.fsum(p) for p in prods])
 
 
-def _grad_plan(edges: np.ndarray) -> Plan:
-    """Scatter targets and the r - 1 leave-one-out gather arrays.
+def _plan(edges: np.ndarray, n: int, order: int) -> Plan:
+    """The scatter bins and the r - order gather arrays of the derivative
+    of the given order on n vertices.
 
-    Slot (k, j) of the flattened edge array is vertex edges[k, j]; the
-    i-th gather array holds, for that slot, the i-th other member of
-    edge k in column order.
+    Every ordered ``order``-tuple of distinct columns of an edge is a
+    slot, edge by edge; it scatters into the bin that is its vertices
+    read as digits in base n, and the i-th gather array holds, for that
+    slot, the i-th of the edge's other members in column order.
     """
     r = edges.shape[1]
-    gathers = []
-    for i in range(r - 1):
-        cols = [i if i < j else i + 1 for j in range(r)]
-        gathers.append(np.ascontiguousarray(edges[:, cols]).ravel())
-    return edges.ravel(), gathers
+    slots = list(permutations(range(r), order))
+    rest = zip(*[[c for c in range(r) if c not in s] for s in slots])
+    bins = 0  # Horner's rule over the slot's columns
+    for cols in zip(*slots):
+        bins = bins * n + edges.take(cols, axis=1)
+    return bins.ravel(), [edges.take(cols, axis=1).ravel() for cols in rest]
 
 
-def _grad(x: np.ndarray, plan: Plan) -> np.ndarray:
-    """The gradient at x, or at every row of a batch x with a batch plan."""
-    flat, gathers = plan
-    if flat.shape[0] == 0:
-        return np.zeros(x.shape)
+def _scatter(x: np.ndarray, plan: Plan, order: int) -> np.ndarray:
+    """The derivative of the given order at x, or at every row of a batch
+    x with a batch plan: each bin sums its slots' products of the
+    gathered weights (1 for a slot with no other member, as in the
+    Hessian of a 2-graph, which is the adjacency matrix). An edgeless
+    graph has no slots, and ``np.bincount`` gives its zeros as integers.
+    """
+    bins, gathers = plan
     xs = x.ravel()
-    loo = xs[gathers[0]]
+    weights = xs[gathers[0]] if gathers else np.ones(bins.shape[0])
     for idx in gathers[1:]:
-        loo *= xs[idx]
-    return np.bincount(flat, weights=loo, minlength=xs.shape[0]).reshape(x.shape)
-
-
-def _hess_plan(edges: np.ndarray, n: int) -> Plan:
-    """Scatter bins and the r - 2 leave-two-out gather arrays on n vertices.
-
-    Every ordered pair of columns (a, b) of an edge is a slot, scattered
-    into bin edges[a] * n + edges[b]; the i-th gather array holds, for
-    that slot, the i-th of the edge's other members in column order.
-    """
-    r = edges.shape[1]
-    pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
-    rest = [[c for c in range(r) if c != a and c != b] for a, b in pairs]
-    flat = (edges[:, [a for a, _ in pairs]] * n + edges[:, [b for _, b in pairs]]).ravel()
-    gathers = [edges[:, [cols[i] for cols in rest]].ravel() for i in range(r - 2)]
-    return flat, gathers
-
-
-def _hess(x: np.ndarray, plan: Plan) -> np.ndarray:
-    """The Hessian at x, or at every row of a batch x with a batch plan:
-    bin (i, j) sums the slots' leave-two-out products.
-
-    For r = 2 the weights are 1 and the result is the adjacency matrix.
-    """
-    flat, gathers = plan
-    n = x.shape[-1]
-    xs = x.ravel()
-    if gathers:
-        weights = xs[gathers[0]]
-        for idx in gathers[1:]:
-            weights *= xs[idx]
-    else:
-        weights = np.ones(flat.shape[0])
-    return np.bincount(flat, weights=weights, minlength=xs.shape[0] * n).reshape(
-        x.shape + (n,)
-    )
-
-
-def _tile_plan(plan: Plan, rows: int, n: int, bins: int) -> Plan:
-    """``plan`` repeated for a batch of ``rows`` rows of n weights, each
-    scattering into ``bins`` bins (n for a gradient, n * n for a
-    Hessian): row i's gathers shift by i * n and its scatter bins by
-    i * bins. Each array has one row of slots per batch row.
-    """
-    flat, gathers = plan
-    at = np.arange(rows)[:, None]
-    return at * bins + flat, [at * n + idx for idx in gathers]
+        weights *= xs[idx]
+    shape = x.shape + x.shape[-1:] * (order - 1)
+    return np.bincount(bins, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
 
 class Form:
-    """The edge-product form of one graph on n vertices, for batches of
-    up to ``rows`` weightings.
+    """The edge-product form of one graph on n vertices.
 
     ``grad``, ``hess`` and ``values`` take a (K, n) batch, each row
-    bit-identical to a one-row call, or an (n,) vector. Each derivative
-    takes the plan of the first K rows of its tiling, memoized per K; a
-    K above the tiled rows tiles the plan again for K rows. The gradient
-    plan is tiled here, the Hessian plan built and tiled on the first
-    ``hess``.
+    bit-identical to a one-row call, or an (n,) vector. A derivative
+    order is planned on its first use and its plan tiled for the most
+    rows seen; a batch of K rows takes the first K rows of the tiling,
+    memoized per K, and a longer batch tiles the plan again.
     """
 
-    def __init__(self, edges: np.ndarray, n: int, rows: int = 1) -> None:
+    def __init__(self, edges: np.ndarray, n: int) -> None:
         self.edges = edges
         self.n = n
         self.r = edges.shape[1]
-        self.rows = rows
-        # Per derivative order (gradient, Hessian): the one-row plan, its
-        # tiling, and the tiling's prefixes by row count.
-        self._plans: list[Plan | None] = [_grad_plan(edges), None]
-        self._tiled: list[Plan | None] = [_tile_plan(self._plans[0], rows, n, n), None]
-        self._prefixes: list[dict[int, Plan]] = [{}, {}]
+        # By derivative order: the one-row plan and its tiling; by
+        # (order, rows): the tiling's prefix, a view.
+        self._plans: dict[int, Plan] = {}
+        self._tiled: dict[int, Plan] = {}
+        self._prefixes: dict[tuple[int, int], Plan] = {}
 
-    def _rows(self, order: int, X: np.ndarray) -> Plan:
-        """The plan of derivative ``order`` for the rows of X."""
+    def plan(self, order: int, X: np.ndarray) -> Plan:
+        """The plan of the derivative of the given order for the rows of X."""
         k = X.shape[0] if X.ndim == 2 else 1
-        if k not in self._prefixes[order]:
-            if k > self._tiled[order][0].shape[0]:
-                # The prefixes of the old tiling are prefixes of the new one.
-                self._tiled[order] = _tile_plan(self._plans[order], k, self.n, self.n**(order + 1))
-            flat, gathers = self._tiled[order]
-            self._prefixes[order][k] = flat[:k].ravel(), [idx[:k].ravel() for idx in gathers]
-        return self._prefixes[order][k]
+        if (order, k) not in self._prefixes:
+            if order not in self._plans:
+                self._plans[order] = _plan(self.edges, self.n, order)
+            if order not in self._tiled or k > self._tiled[order][0].shape[0]:
+                # Tile for k rows: row i's gathers shift by i * n and its
+                # bins by i * n^order. The prefixes of the old tiling are
+                # prefixes of the new one.
+                bins, gathers = self._plans[order]
+                at = np.arange(k)[:, None]
+                self._tiled[order] = at * self.n**order + bins, [at * self.n + ix for ix in gathers]
+            bins, gathers = self._tiled[order]
+            self._prefixes[order, k] = bins[:k].ravel(), [ix[:k].ravel() for ix in gathers]
+        return self._prefixes[order, k]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """The gradient at every row of X."""
-        return _grad(X, self._rows(0, X))
+        return _scatter(X, self.plan(1, X), 1)
 
     def hess(self, X: np.ndarray) -> np.ndarray:
         """The Hessian at every row of X."""
-        if self._plans[1] is None:
-            self._plans[1] = _hess_plan(self.edges, self.n)
-            self._tiled[1] = _tile_plan(self._plans[1], self.rows, self.n, self.n**2)
-        return _hess(X, self._rows(1, X))
+        return _scatter(X, self.plan(2, X), 2)
 
     def values(self, X: np.ndarray) -> np.ndarray | float:
-        """``eval_poly`` of every row of X, or of X itself, bit for bit:
-        one product over the batch, one fsum per row."""
-        prods = np.prod(X[..., self.edges], axis=-1).tolist()
-        return math.fsum(prods) if X.ndim == 1 else np.array([math.fsum(p) for p in prods])
+        """``eval_poly`` of every row of X, or of X itself."""
+        return eval_poly(X, self.edges)
 
 
 def ascent_rows(
@@ -203,8 +166,8 @@ def ascent_rows(
     or when its gradient vanishes on the support; values are eval_poly
     at the returned rows (``form.values``).
 
-    The rows share one gradient scatter into K * n bins through the
-    row-offset indices k * n + flat. Each bin adds the same edge terms
+    The rows share one gradient scatter into K * n bins, row k's bins
+    offset by k * n. Each bin adds the same edge terms
     in the same order as a one-row run, and every other operation is
     elementwise or a reduction along one row, so every row is
     bit-identical to a batch of that row alone. A row that stops is
@@ -243,12 +206,12 @@ def ascent_rows(
             break
         # The live rows' plan, a prefix of the tiling: looked up once per
         # pass of this loop, not at every step.
-        plan = form._rows(0, rows)
+        plan = form.plan(1, rows)
         next_cap = cap.min()
         while True:
             rows = xg / denom
             rows /= np.add.reduce(rows, axis=1, keepdims=True)
-            xg = rows * _grad(rows, plan)
+            xg = rows * _scatter(rows, plan, 1)
             denom = np.add.reduce(xg, axis=1, keepdims=True)
             new_val = denom / r
             gain = new_val - val

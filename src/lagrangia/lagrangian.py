@@ -31,11 +31,11 @@ each start ends bit for bit as ``ascend`` from it alone; the batches
 only cut per-call numpy overhead, which on a few vertices is most of
 every derivative. So each call builds one ``_kernels.Form`` of the graph
 for all its rows and passes it to every helper. Every batch of the loop
-takes its derivatives and values from it, on a prefix of its rows; how
-the rows are laid out for one scatter is the form's business. The
-Hessian, which only the face finish uses, is planned on the form's
-first ``hess``, so a call that runs no finish plans none. Bit-identical
-starts run once, and only the kept row is certified.
+takes its derivatives and values from it; how the rows are laid out
+for one scatter is the form's business. The form plans each derivative
+on its first use, so the Hessian, which only the face finish uses, is
+planned only in a call that runs a finish. Bit-identical starts run
+once, and only the kept row is certified.
 
 ``minimize_support`` runs a support drop only when the complete graph
 on the s - 1 vertices left, whose Lagrangian C(s - 1, r) / (s - 1)^r
@@ -226,8 +226,13 @@ def _link_values(g: Hypergraph, x: np.ndarray, vertices: Iterable[int]) -> dict[
 
 
 def family_value(link: LinkSet, x: Sequence[float]) -> float:
-    """Evaluate an arbitrary equal-arity family (pair links, differences)."""
+    """Evaluate an arbitrary equal-arity family (pair links, differences).
+
+    Raises ValueError when x has no weight for some member vertex.
+    """
     arr = np.asarray(x, dtype=np.float64)
+    if any(v > arr.shape[0] for member in link.members for v in member):
+        raise ValueError(f"weighting of length {arr.shape[0]} misses a member vertex")
     return math.fsum(
         math.prod(arr[v - 1] for v in member) for member in link.sorted_members()
     )
@@ -506,7 +511,7 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
     for x0 in np.asarray(starts, dtype=np.float64):
         unique.setdefault(x0.tobytes(), x0)
     X = np.array(list(unique.values()))
-    form = _kernels.Form(g.edge_array(), g.n, X.shape[0])
+    form = _kernels.Form(g.edge_array(), g.n)
     iters = np.zeros(X.shape[0], dtype=np.int64)
     live = np.arange(X.shape[0])
     while live.shape[0]:

@@ -72,8 +72,11 @@ class VerifyOptions:
     the slack demanded before a strict inequality counts as confirmed;
     seed feeds per-instance optimizer seeds; parallelism fans instances
     out over processes when greater than one (capped at the cpu count
-    and the number of instances). The ground-set guard of the exhaustive
-    verifiers is the constant MAX_GROUND.
+    and the number of instances). opt holds the optimizer's other
+    knobs: verifiers never read ``opt.seed``, because ``_map_lagrangian``
+    replaces it with each instance's own seed, drawn from seed and the
+    instance's index. The ground-set guard of the exhaustive verifiers
+    is the constant MAX_GROUND.
     """
 
     tol: float = 1e-7

@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from lagrangia import _kernels
-from lagrangia.core import binomial
+from lagrangia.core import Hypergraph, binomial, complete_graph
+from lagrangia.lagrangian import ascend, lagrangian, minimize_support, uniform_weighting
 
 
 def random_case(rng, r, n, m):
@@ -48,6 +49,16 @@ def python_hessian(x, edges):
     return [[math.fsum(terms) for terms in row] for row in out]
 
 
+def plan_grad(x, edges):
+    """The gradient at one vector from its one-row plan."""
+    return _kernels._scatter(x, _kernels._plan(edges, x.shape[0], 1), 1)
+
+
+def plan_hess(x, edges):
+    """The Hessian at one vector from its one-row plan."""
+    return _kernels._scatter(x, _kernels._plan(edges, x.shape[0], 2), 2)
+
+
 class TestBackendEquivalence:
     """The numpy backend against a plain-Python reference."""
 
@@ -57,14 +68,14 @@ class TestBackendEquivalence:
 
     def test_grad_matches(self):
         for x, edges in cases(67, 60):
-            got = _kernels._grad(x, _kernels._grad_plan(edges))
+            got = plan_grad(x, edges)
             assert got.shape == x.shape
             assert np.allclose(got, python_grad(x, edges), atol=1e-15, rtol=0)
 
     def test_hessian_matches(self):
         # Same cases as the gradient, so every r = 2..4 and n = 3..9 occurs.
         for x, edges in cases(67, 60):
-            got = _kernels._hess(x, _kernels._hess_plan(edges, x.shape[0]))
+            got = plan_hess(x, edges)
             assert got.shape == (x.shape[0], x.shape[0])
             assert np.allclose(got, python_hessian(x, edges), atol=1e-15, rtol=0)
 
@@ -72,7 +83,7 @@ class TestBackendEquivalence:
         # Off a face y is exactly 0, so the edges leaving the face add only
         # +-0.0 to the face's bins: the graph's own plans give g_S and H_SS
         # bit for bit as the plans of the face's own edges, relabelled
-        # 0..k-1, would. A form for four rows gives every row of a
+        # 0..k-1, would. A form tiled for four rows gives every row of a
         # three-row batch whose rows have different faces as one-row
         # calls do. Weights on a face may be negative, as at a Newton
         # iterate.
@@ -86,13 +97,15 @@ class TestBackendEquivalence:
                 face = np.asarray(sorted(rng.sample(range(n), rng.randint(1, n))))
                 y[face] = [rng.uniform(-0.5, 1.0) for _ in range(face.shape[0])]
                 faces.append(face)
-            form = _kernels.Form(edges, n, 4)
+            form = _kernels.Form(edges, n)
+            form.plan(1, np.zeros((4, n)))
+            form.plan(2, np.zeros((4, n)))
             grads = form.grad(Y)
             hessians = form.hess(Y)
             assert hessians.shape == (3, n, n)
             for y, face, grad, hess in zip(Y, faces, grads, hessians):
-                assert np.array_equal(grad, _kernels._grad(y, _kernels._grad_plan(edges)))
-                assert np.array_equal(hess, _kernels._hess(y, _kernels._hess_plan(edges, n)))
+                assert np.array_equal(grad, plan_grad(y, edges))
+                assert np.array_equal(hess, plan_hess(y, edges))
                 k = face.shape[0]
                 label = np.full(n, -1)
                 label[face] = np.arange(k)
@@ -100,9 +113,9 @@ class TestBackendEquivalence:
                 local = local[(local >= 0).all(axis=1)]
                 inner_free += local.shape[0] == 0
                 z = y[face]
-                got = _kernels._hess(z, _kernels._hess_plan(local, k))
+                got = plan_hess(z, local)
                 assert np.array_equal(got, hess[np.ix_(face, face)])
-                got = _kernels._grad(z, _kernels._grad_plan(local))
+                got = plan_grad(z, local)
                 assert np.array_equal(got, grad[face])
         assert inner_free > 0
 
@@ -129,7 +142,7 @@ class TestBackendEquivalence:
         # Leave-one-out products must not divide by a zero weight.
         x = np.array([0.5, 0.5, 0.0, 0.0])
         edges = np.asarray([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
-        g = _kernels._grad(x, _kernels._grad_plan(edges))
+        g = plan_grad(x, edges)
         assert g[2] == 0.25 and g[3] == 0.25
         assert g[0] == 0.0 and g[1] == 0.0
 
@@ -137,8 +150,8 @@ class TestBackendEquivalence:
         x = np.array([0.5, 0.5])
         edges = np.empty((0, 2), dtype=np.int64)
         assert _kernels.eval_poly(x, edges) == 0.0
-        assert np.array_equal(_kernels._grad(x, _kernels._grad_plan(edges)), np.zeros(2))
-        assert np.array_equal(_kernels._hess(x, _kernels._hess_plan(edges, 2)), np.zeros((2, 2)))
+        assert np.array_equal(plan_grad(x, edges), np.zeros(2))
+        assert np.array_equal(plan_hess(x, edges), np.zeros((2, 2)))
         _, val, iters, worst = _kernels.ascent_loop(x, edges, 100, 1e-12)
         assert val == 0.0 and iters == 0 and worst == 0.0
 
@@ -175,18 +188,19 @@ class TestAscentLoop:
 
 
 def one_row(x, edges, cap, tol):
-    """The growth transform on one vector, as a plain loop over ``_grad``."""
+    """The growth transform on one vector, as a plain loop over one-row
+    gradient scatters."""
     r = edges.shape[1]
-    plan = _kernels._grad_plan(edges)
+    plan = _kernels._plan(edges, x.shape[0], 1)
     x = x.copy()
-    g = _kernels._grad(x, plan)
+    g = _kernels._scatter(x, plan, 1)
     denom = (x * g).sum()
     val = denom / r
     worst, it = 0.0, 0
     while it < cap and denom > 0.0:
         x = x * g / denom
         x /= x.sum()
-        g = _kernels._grad(x, plan)
+        g = _kernels._scatter(x, plan, 1)
         denom = (x * g).sum()
         gain = denom / r - val
         worst = min(worst, gain)
@@ -231,8 +245,10 @@ class TestAscentRows:
                     X = batch(rng, n, 6)
                     caps = np.asarray([0, 1, rng.randint(2, 9), 3000, 40, 1], dtype=np.int64)
                     X0 = X.copy()
-                    # A form for 6 rows or more: the batch takes its prefix.
-                    form = _kernels.Form(edges, n, 6 + n % 3)
+                    # A form tiled for 6 rows or more: the batch takes its
+                    # prefix.
+                    form = _kernels.Form(edges, n)
+                    form.plan(1, np.zeros((6 + n % 3, n)))
                     Xr, vals, iters, worst = _kernels.ascent_rows(X, form, caps, tol)
                     assert np.array_equal(X, X0)  # the input is not modified
                     assert Xr.shape == X.shape and vals.shape == iters.shape == (6,)
@@ -254,7 +270,7 @@ class TestAscentRows:
         for x, edges in cases(97, 12):
             rng = random.Random(x.shape[0])
             X = np.vstack([x, batch(rng, x.shape[0], 3)])
-            form = _kernels.Form(edges, x.shape[0], 4)
+            form = _kernels.Form(edges, x.shape[0])
             Xr, vals, iters, _ = _kernels.ascent_rows(X, form, 40, -1.0)
             for k, row in enumerate(X):
                 y = [float(v) for v in row]
@@ -283,7 +299,7 @@ class TestAscentRows:
     def test_empty_edge_set(self):
         X = np.asarray([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         edges = np.empty((0, 2), dtype=np.int64)
-        form = _kernels.Form(edges, 3, 2)
+        form = _kernels.Form(edges, 3)
         Xr, vals, iters, worst = _kernels.ascent_rows(X, form, np.asarray([5, 0]), 1e-12)
         assert np.array_equal(Xr, X)
         assert vals.tolist() == [0.0, 0.0]
@@ -295,12 +311,7 @@ class TestForm:
     row's derivatives and value bit for bit."""
 
     def one_row(self, x, edges):
-        n = x.shape[0]
-        return (
-            _kernels._grad(x, _kernels._grad_plan(edges)),
-            _kernels._hess(x, _kernels._hess_plan(edges, n)),
-            _kernels.eval_poly(x, edges),
-        )
+        return plan_grad(x, edges), plan_hess(x, edges), _kernels.eval_poly(x, edges)
 
     def assert_rows_equal(self, form, X, edges):
         grads, hessians, values = form.grad(X), form.hess(X), form.values(X)
@@ -316,7 +327,7 @@ class TestForm:
         seen = set()
         for x, edges in cases(109, 60):
             n = x.shape[0]
-            form = _kernels.Form(edges, n, 5)
+            form = _kernels.Form(edges, n)
             X = np.vstack([x, batch(rng, n, 4)])
             # Every prefix length, the longest last and again first.
             for k in (5, 1, 3, 5):
@@ -328,40 +339,65 @@ class TestForm:
         assert seen == {2, 3, 4}
 
     def test_longer_batch_tiles_again(self):
-        # A form for two rows takes a batch of seven; the plans are tiled
-        # again, and the shorter prefixes still hold.
+        # A form tiled for two rows takes a batch of seven; the plans are
+        # tiled again, and the shorter prefixes still hold.
         rng = random.Random(113)
         for x, edges in cases(127, 20):
             n = x.shape[0]
-            form = _kernels.Form(edges, n, 2)
+            form = _kernels.Form(edges, n)
             X = batch(rng, n, 7)
             self.assert_rows_equal(form, X[:2], edges)
             self.assert_rows_equal(form, X, edges)
             self.assert_rows_equal(form, X[:2], edges)
             self.assert_rows_equal(form, X[:6], edges)
-        empty = _kernels.Form(np.empty((0, 3), dtype=np.int64), 4, 1)
+        empty = _kernels.Form(np.empty((0, 3), dtype=np.int64), 4)
         X = batch(rng, 4, 3)
         assert np.array_equal(empty.grad(X), np.zeros((3, 4)))
         assert np.array_equal(empty.hess(X), np.zeros((3, 4, 4)))
         assert empty.values(X).tolist() == [0.0, 0.0, 0.0]
 
-    def test_hessian_plan_built_on_first_hess(self, monkeypatch):
+    def spy_plans(self, monkeypatch):
+        """The orders of the plans built from now on, in order."""
         built = []
-        real = _kernels._hess_plan
+        real = _kernels._plan
 
-        def spy(edges, n):
-            built.append(n)
-            return real(edges, n)
+        def spy(edges, n, order):
+            built.append(order)
+            return real(edges, n, order)
 
-        monkeypatch.setattr(_kernels, "_hess_plan", spy)
+        monkeypatch.setattr(_kernels, "_plan", spy)
+        return built
+
+    def test_hessian_plan_built_on_first_hess(self, monkeypatch):
+        built = self.spy_plans(monkeypatch)
         x, edges = next(cases(131, 1))
-        form = _kernels.Form(edges, x.shape[0], 3)
+        form = _kernels.Form(edges, x.shape[0])
         X = np.vstack([x, x[::-1], np.roll(x, 1)])
-        form.grad(X)
         form.values(X)
-        assert built == []
+        assert built == []  # a fresh form holds no plan
+        form.grad(X)
+        assert built == [1]
         form.hess(X[:2])
-        assert built == [x.shape[0]]
-        form.hess(X)
+        assert built == [1, 2]
+        form.hess(X)  # a longer batch tiles the Hessian plan again
         form.hess(x)
-        assert built == [x.shape[0]]
+        form.grad(X[:1])
+        assert built == [1, 2]
+
+    def test_closed_form_result_plans_one_gradient(self, monkeypatch):
+        # A 2-graph's result is certified by one KKT residual: one
+        # gradient, no Hessian.
+        g = Hypergraph.from_edges(2, 5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+        built = self.spy_plans(monkeypatch)
+        res = lagrangian(g)
+        assert res.method == "closed-form" and res.support == (1, 2, 3)
+        assert built == [1]
+
+    def test_minimize_support_without_pair_transfer_plans_nothing(self, monkeypatch):
+        # Every pair of K_5^(3) lies in an edge, and the complete-graph
+        # bound settles the drop: no move runs, so no derivative is taken.
+        g = complete_graph(5, 3)
+        res = ascend(g, uniform_weighting(5))
+        built = self.spy_plans(monkeypatch)
+        assert minimize_support(g, res) is res
+        assert built == []

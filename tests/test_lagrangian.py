@@ -179,6 +179,16 @@ class TestFamilyValue:
         assert family_value(pair_link(g, 1, 2), x) == 1.0
         assert family_value(pair_link(g, 1, 3), x) == 0.0
 
+    def test_short_weighting_is_a_value_error(self):
+        # The pair link of 1, 2 in K_4^(3) is {3}, {4}: a weighting of
+        # length 2 has no weight for either, as evaluate would say.
+        link = pair_link(complete_graph(4, 3), 1, 2)
+        with pytest.raises(ValueError, match="length 2"):
+            family_value(link, [0.5, 0.5])
+        with pytest.raises(ValueError, match="length 3"):
+            family_value(link, [0.5, 0.25, 0.25])
+        assert family_value(link, [0.25] * 4) == 0.5
+
 
 class TestAscend:
     def test_triangle_converges_to_uniform(self):
@@ -270,7 +280,7 @@ def kkt_residual(x, edges, value, floor):
     """The stationarity residual of one point over its weights above
     ``floor``, from a one-row gradient plan: the reference for
     ``_kkt_rows``."""
-    grad = _kernels._grad(x, _kernels._grad_plan(edges))
+    grad = _kernels._scatter(x, _kernels._plan(edges, x.shape[0], 1), 1)
     mask = x > floor
     if not mask.any():
         return 0.0
@@ -555,11 +565,11 @@ def full_edge_face_newton(x, edges, value, face):
     steps = 0
     singular = False
     for _ in range(L.NEWTON_STEPS):
-        grad = _kernels._grad(y, _kernels._grad_plan(edges))
+        grad = _kernels._scatter(y, _kernels._plan(edges, y.shape[0], 1), 1)
         resid = np.append(np.where(mask, grad - mu, 0.0), y.sum() - 1.0)
         if np.max(np.abs(resid)) < L.NEWTON_TOL:
             break
-        hess = _kernels._hess(y, _kernels._hess_plan(edges, n))
+        hess = _kernels._scatter(y, _kernels._plan(edges, n, 2), 2)
         jac[:n, :n] = np.where(both, hess, np.diag(~mask))
         # ``_solve_rows`` finds the matrices ``solve`` cannot factor by
         # the sign of ``slogdet``: the two must agree.
@@ -580,13 +590,13 @@ def full_edge_face_newton(x, edges, value, face):
     new_value = float(_kernels.eval_poly(y, edges))
     if not new_value >= value:
         return None, "lower value"
-    gap = _kernels._grad(y, _kernels._grad_plan(edges)) - r * new_value
+    gap = _kernels._scatter(y, _kernels._plan(edges, y.shape[0], 1), 1) - r * new_value
     if np.max(np.abs(gap[mask])) > L.KKT_TOL:
         return None, "not stationary"
     if np.any(gap[(x > 0.0) & ~mask] > L.KKT_TOL):
         return None, "off-face gap"
     tangent = np.where(both, np.eye(n) - 1.0 / mask.sum(), 0.0)
-    hess = _kernels._hess(y, _kernels._hess_plan(edges, n))
+    hess = _kernels._scatter(y, _kernels._plan(edges, n, 2), 2)
     if np.linalg.eigvalsh(tangent @ hess @ tangent).max() > L.CURVATURE_TOL:
         return None, "saddle"
     return (y, new_value, steps), "accepted singular" if singular else "accepted"
@@ -696,7 +706,7 @@ class TestFaceLocalNewton:
             F = np.asarray([face_mask(face, n) for _, face in attempts])
             with np.errstate(all="ignore"):
                 got = lagrangian_module._face_newton(
-                    X, _kernels.Form(edges, n, len(attempts)), values, F
+                    X, _kernels.Form(edges, n), values, F
                 )
                 want = [
                     one_face_newton(p, edges, v, face)
@@ -735,7 +745,7 @@ class TestFaceLocalNewton:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(path, np.ones(4))
         values = np.asarray([_kernels.eval_poly(x, edges) for x in X])
-        got = lagrangian_module._face_newton(X, _kernels.Form(edges, 6, 3), values, faces)
+        got = lagrangian_module._face_newton(X, _kernels.Form(edges, 6), values, faces)
         y, value, steps = got[1]
         assert np.allclose(y, [0, 0, 0, 0.25, 0.5, 0.25], atol=1e-15, rtol=0)
         assert y[4] == 0.5 and y[3] + y[5] == 0.5
@@ -772,8 +782,9 @@ class TestFaceLocalNewton:
         # 1.17e-7 off stationarity: its rows run KKT checks, face attempts
         # with Newton steps, and the drop step of support minimization.
         # Faces have no plans of their own: each ``_ascend_rows`` call
-        # builds one form, which tiles one gradient plan and at most one
-        # Hessian plan, and every batch takes the prefix of both.
+        # builds one form, which plans the gradient on its first growth
+        # chunk and the Hessian, at most once, on its first Newton batch;
+        # every batch takes a prefix of their tilings.
         g = Hypergraph.from_edges(3, 7, [
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
             (1, 4, 5), (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (1, 5, 6),
@@ -790,10 +801,12 @@ class TestFaceLocalNewton:
             real = getattr(owner, name)
 
             def wrapped(*args, **kwargs):
+                # A plan is counted by its derivative order.
+                callee = f"_plan/{args[2]}" if name == "_plan" else name
                 if name == "_ascend_rows":
                     batches.append(Counter())
                 elif "_ascend_rows" in scope:
-                    batches[-1][name, scope[-1]] += 1
+                    batches[-1][callee, scope[-1]] += 1
                 if name == "_face_finish":
                     rounds.append(0)
                 if name == "_face_newton":
@@ -812,8 +825,7 @@ class TestFaceLocalNewton:
 
         for owner, name in [
             (L, "_ascend_rows"), (L, "_certified"), (L, "_kkt_rows"), (L, "_face_finish"),
-            (L, "_face_newton"), (_kernels, "ascent_rows"), (_kernels, "_grad_plan"),
-            (_kernels, "_hess_plan"), (_kernels, "_tile_plan"),
+            (L, "_face_newton"), (_kernels, "ascent_rows"), (_kernels, "_plan"),
         ]:
             spy(owner, name)
         res = lagrangian(g)
@@ -825,23 +837,18 @@ class TestFaceLocalNewton:
         assert not all(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
         for seen in batches:
             growth = seen["ascent_rows", "_ascend_rows"]
-            # One gradient plan for the batch, tiled once as the call
-            # builds its form, shared by every growth chunk, KKT check,
-            # face attempt and the certificate.
+            # One gradient plan for the batch, built on the first growth
+            # chunk and shared by every later chunk, KKT check, face
+            # attempt and the certificate.
             finish = 1 if seen["_face_finish", "_ascend_rows"] else 0
-            assert seen["_grad_plan", "_ascend_rows"] == 1, seen
-            assert seen["_tile_plan", "_ascend_rows"] == 1, seen
-            # One Hessian plan, tiled once, in a call that runs a face
-            # finish, on its first Newton batch; none in any other.
-            assert seen["_hess_plan", "_face_newton"] == finish, seen
-            assert seen["_tile_plan", "_face_newton"] == finish, seen
-            # No other plan anywhere: none inside ``ascent_rows``, the KKT
+            assert seen["_plan/1", "ascent_rows"] == 1, seen
+            # One Hessian plan in a call that runs a face finish, on its
+            # first Newton batch; none in any other.
+            assert seen["_plan/2", "_face_newton"] == finish, seen
+            # No other plan anywhere: none in a later chunk, the KKT
             # checks, the certificate or ``_face_finish`` itself.
-            builds = sum(
-                n for key, n in seen.items()
-                if key[0] in ("_grad_plan", "_hess_plan", "_tile_plan")
-            )
-            assert builds == 2 + 2 * finish, seen
+            builds = sum(n for key, n in seen.items() if key[0].startswith("_plan"))
+            assert builds == 1 + finish, seen
             # One loop: each pass runs one growth chunk, at most one KKT
             # batch and at most one face finish batch.
             assert seen["_face_finish", "_ascend_rows"] <= growth, seen
@@ -913,7 +920,7 @@ class TestKKTRows:
             z[np.argmax(z)] = 0.0
             X = np.asarray([x, y, z, np.full(n, trim) * (np.arange(n) % 2)])
             values = np.asarray([_kernels.eval_poly(row, edges) for row in X])
-            got = L._kkt_rows(X, _kernels.Form(edges, n, 4), values)
+            got = L._kkt_rows(X, _kernels.Form(edges, n), values)
             want = [kkt_residual(row, edges, v, floor=trim) for row, v in zip(X, values)]
             assert got.tolist() == want
             zero_rows += got[3] == 0.0

@@ -6,6 +6,7 @@ get tested against raw brute force at least once.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -391,6 +392,29 @@ def test_parallel_matches_serial():
     serial = verify_pz18(5, FAST)
     parallel = verify_pz18(5, VerifyOptions(parallelism=2, opt=FAST.opt))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_verifiers_never_read_opt_seed(monkeypatch):
+    # Each instance is solved with its own seed, from VerifyOptions.seed
+    # and its index, in place of opt.seed: two options that differ only
+    # in opt.seed give the same report, byte for byte.
+    seeds = []
+    real = theorems._solve_task
+
+    def spy(task):
+        seeds.append(task[1].seed)
+        return real(task)
+
+    monkeypatch.setattr(theorems, "_solve_task", spy)
+    other = replace(FAST, opt=replace(FAST.opt, seed=12345))
+    for check in (verify_theorem1, verify_pz18):
+        seeds.clear()
+        a = check(6, FAST).to_json()
+        first = list(seeds)
+        seeds.clear()
+        assert check(6, other).to_json() == a
+        assert seeds == first and 12345 not in seeds
+        assert seeds == [_instance_seed(FAST.seed, i) for i in range(len(seeds))]
 
 
 def test_pool_size_clamped_by_cpus_and_tasks(monkeypatch):

@@ -6,7 +6,8 @@ blank, not only a ``#`` comment and not part of a docstring (the string
 literal that opens a module, class or function body). A decorator line
 lies before its statement's span and does not count. Run from anywhere:
 ``python tools/code_lines.py [FILE ...]``; with no argument it counts
-every module of the package and the total.
+every module of the package and the total. Any argument that is not a
+file, ``--help`` included, prints the usage line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lagrangia"
+USAGE = "usage: python tools/code_lines.py [FILE ...]"
 
 
 def code_lines(source: str) -> int:
@@ -40,6 +42,9 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     paths = [Path(a) for a in argv] or sorted(PACKAGE.glob("*.py"))
+    if not all(path.is_file() for path in paths):
+        print(USAGE, file=sys.stderr)
+        return 2
     total = 0
     for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
