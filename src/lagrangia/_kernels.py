@@ -94,7 +94,8 @@ def _scatter(x: np.ndarray, plan: Plan, order: int) -> np.ndarray:
     x with a batch plan: each bin sums its slots' products of the
     gathered weights (1 for a slot with no other member, as in the
     Hessian of a 2-graph, which is the adjacency matrix). An edgeless
-    graph has no slots, and ``np.bincount`` gives its zeros as integers.
+    graph has no slots, and ``np.bincount`` gives its zeros as integers;
+    ``Form`` never scatters for one.
     """
     bins, gathers = plan
     xs = x.ravel()
@@ -112,13 +113,18 @@ class Form:
     bit-identical to a one-row call, or an (n,) vector. A derivative
     order is planned on its first use and its plan tiled for the most
     rows seen; a batch of K rows takes the first K rows of the tiling,
-    memoized per K, and a longer batch tiles the plan again.
+    memoized per K, and a longer batch tiles the plan again. An
+    edgeless form plans nothing: its derivatives are float zeros.
     """
 
     def __init__(self, edges: np.ndarray, n: int) -> None:
         self.edges = edges
         self.n = n
         self.r = edges.shape[1]
+        if not edges.shape[0]:
+            # No slots to scatter: float zeros, decided once per form.
+            self.grad = lambda X: np.zeros(X.shape)
+            self.hess = lambda X: np.zeros(X.shape + X.shape[-1:])
         # By derivative order: the one-row plan and its tiling; by
         # (order, rows): the tiling's prefix, a view.
         self._plans: dict[int, Plan] = {}

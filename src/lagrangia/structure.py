@@ -21,6 +21,14 @@ The clique search keeps its candidates as a vertex bitmask. Its link
 map sends each (r-1)-set mask to the bitmask of the vertices that
 complete it to an edge, so growing a clique C by v keeps the candidates
 inside ``link[S | bit(v)]`` for every (r-2)-subset S of C.
+
+The ideal search picks elements in colex order and enters no dead end.
+An element passed over is excluded for good, and so is everything above
+it; before a pick it counts the elements left above that pick outside
+this dead set, and these with the chosen ones form a down-set, so the
+pick leads to an m-element down-set exactly when enough of them remain.
+The search runs on one explicit stack, so a yield resumes one frame,
+not one generator per level.
 """
 
 from __future__ import annotations
@@ -252,13 +260,27 @@ def _cover_masks(elements: list[Edge]) -> list[int]:
 def _ideals(preds: list[int], m: int, values: Sequence) -> Iterator[list]:
     """All m-element down-sets, in DFS order, as the path of their values.
 
-    Elements are picked in increasing index order. ``avail`` holds the
+    Elements are picked in increasing index order. ``cands`` holds the
     unchosen elements above the last pick whose predecessors are all
     chosen; picking j can admit only covers of j, so the frontier grows
-    from ``succs[j]`` instead of a rescan of every later element. Each
-    down-set is yielded as the list of ``values[j]`` of its elements in
-    pick order; it is the same list every time, changed as the search
-    goes on, so a caller copies what it keeps.
+    from ``succs[j]`` instead of a rescan of every later element.
+
+    The search enters no dead end. An element passed over can never be
+    picked, nor can anything above it, so ``dead`` is the union of
+    ``up[i]`` (i and every element above i) over each i passed over so
+    far, at this level and at every level above it. Before picking j
+    with ``need`` picks to go, ``alive`` is the elements above j outside
+    ``dead``; chosen | j | alive is a down-set, so its first ``need - 1``
+    alive elements in index order complete the pick to an m-element
+    down-set exactly when there are that many. When there are not, no
+    later candidate has more, and the level ends.
+
+    The levels live on one explicit stack of (cands, chosen, dead)
+    frames; the remaining ``cands`` of a level are the frontier above
+    its current pick, so no frame keeps a separate one. Each down-set
+    is yielded as the list of ``values[j]`` of its elements in pick
+    order; it is the same list every time, changed as the search goes
+    on, so a caller copies what it keeps.
     """
     path: list = []
     if m == 0:
@@ -269,28 +291,46 @@ def _ideals(preds: list[int], m: int, values: Sequence) -> Iterator[list]:
     for k, pm in enumerate(preds):
         for j in _set_bits(pm):
             succs[j].append((1 << k, pm))
-    roots = sum(1 << j for j, pm in enumerate(preds) if not pm)
+    up = [0] * n
+    for j in reversed(range(n)):
+        up[j] = 1 << j
+        for succ, _ in succs[j]:
+            up[j] |= up[succ.bit_length() - 1]
+    full = (1 << n) - 1
 
-    def rec(avail: int, chosen: int, need: int) -> Iterator[list]:
-        # Leave room above each pick for the need - 1 picks still to come.
-        cands = avail & ((1 << (n - need + 1)) - 1)
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            j = bit.bit_length() - 1
-            path.append(values[j])
-            if need == 1:
+    stack: list[tuple[int, int, int]] = []
+    cands = sum(1 << j for j, pm in enumerate(preds) if not pm)
+    chosen = dead = 0
+    need = m
+    while True:
+        if need == 1:
+            # The last pick: every candidate completes a down-set.
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                path.append(values[bit.bit_length() - 1])
                 yield path
-            else:
-                grown = chosen | bit
-                nxt = avail & ~((bit << 1) - 1)
+                path.pop()
+        elif cands:
+            bit = cands & -cands
+            j = bit.bit_length() - 1
+            if ((full ^ dead) >> (j + 1)).bit_count() >= need - 1:
+                cands ^= bit
+                path.append(values[j])
+                stack.append((cands, chosen, dead | up[j]))
+                chosen |= bit
                 for succ, pm in succs[j]:
-                    if not pm & ~grown:
-                        nxt |= succ
-                yield from rec(nxt, grown, need - 1)
-            path.pop()
-
-    yield from rec(roots, 0, m)
+                    if not pm & ~chosen:
+                        cands |= succ
+                need -= 1
+                continue
+        # The level is done, or cut: back to the level above, with its
+        # last pick passed over.
+        if not stack:
+            return
+        cands, chosen, dead = stack.pop()
+        path.pop()
+        need += 1
 
 
 def _set_bits(mask: int) -> Iterator[int]:

@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from lagrangia import _kernels
 from lagrangia.core import Hypergraph, binomial, complete_graph
@@ -355,6 +356,16 @@ class TestForm:
         assert np.array_equal(empty.grad(X), np.zeros((3, 4)))
         assert np.array_equal(empty.hess(X), np.zeros((3, 4, 4)))
         assert empty.values(X).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_edgeless_derivatives_are_float_zeros(self, r, rows):
+        # np.bincount with no bins returns integers, whatever its weights.
+        form = _kernels.Form(np.empty((0, r), dtype=np.int64), 5)
+        X = np.full(5 if rows is None else (rows, 5), 0.2)
+        for got, shape in ((form.grad(X), X.shape), (form.hess(X), X.shape + (5,))):
+            assert got.dtype == np.float64 and got.shape == shape
+            assert not got.any()
 
     def spy_plans(self, monkeypatch):
         """The orders of the plans built from now on, in order."""

@@ -14,6 +14,8 @@ from lagrangia.core import (
     colex_rank,
     complete_graph,
     difference_link,
+    edge_mask,
+    mask_to_edge,
 )
 from lagrangia.structure import (
     CompressionTrace,
@@ -389,3 +391,74 @@ def test_ideals_match_reference_order(r, t, universe):
         for chosen in reference_ideals(preds, m):
             assert next(paths) == [e for j, e in enumerate(elements) if chosen >> j & 1]
         assert next(paths, None) is None
+
+
+def random_down_closed(rng, t, r):
+    """The down-closure, under cover steps, of a few random r-subsets of [t]."""
+    tops = rng.sample(list(combinations(range(1, t + 1), r)), rng.randint(1, 4))
+    closed = set()
+    todo = [edge_mask(e) for e in tops]
+    while todo:
+        mask = todo.pop()
+        if mask not in closed:
+            closed.add(mask)
+            todo.extend(structure._COVERS[mask])
+    return [mask_to_edge(mask) for mask in closed]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ideals_match_reference_order_on_random_universes(seed):
+    test_ideals_match_reference_order(3, 7, random_down_closed(random.Random(seed), 7, 3))
+
+
+class CountingValues:
+    """A sequence of the indices themselves that counts its lookups: the
+    search looks up one value per node it enters."""
+
+    def __init__(self, n):
+        self.n = n
+        self.lookups = 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, j):
+        self.lookups += 1
+        return j
+
+
+@pytest.mark.parametrize(
+    "r, t, universe", [(2, 8, None), (3, 7, None), (4, 7, None), (3, 6, BELOW_346)]
+)
+def test_ideals_enter_no_dead_end(r, t, universe):
+    # Every node entered lies on the path of some yielded down-set, so
+    # the nodes are exactly the distinct non-empty prefixes of the paths.
+    elements = (
+        structure._colex_universe(t, r)
+        if universe is None
+        else sorted(universe, key=colex_key)
+    )
+    preds = structure._cover_masks(elements)
+    for m in range(len(elements) + 1):
+        values = CountingValues(len(elements))
+        paths = [tuple(path) for path in structure._ideals(preds, m, values)]
+        prefixes = {path[:k] for path in paths for k in range(1, m + 1)}
+        assert values.lookups == len(prefixes), (m, values.lookups, len(prefixes))
+
+
+@pytest.mark.parametrize(
+    "r, totals",
+    [
+        (2, {t: 2 ** (t - 1) for t in range(2, 9)}),
+        (3, dict(zip(range(3, 11), [2, 5, 16, 66, 352, 2431, 21760, 252586]))),
+        (4, dict(zip(range(4, 9), [2, 6, 32, 352, 9304]))),
+    ],
+)
+def test_left_compressed_totals(r, totals):
+    # Every left-compressed r-graph on [t], the empty one included; the
+    # count of each size equals that of its complement's size.
+    for t, total in totals.items():
+        size = binomial(t, r)
+        counts = [count_left_compressed(t, r, m) for m in range(size + 1)]
+        assert counts == counts[::-1]
+        assert sum(counts) == total
