@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -127,13 +127,50 @@ def colex_unrank(r: int, k: int) -> Edge:
     return tuple(reversed(out))
 
 
+class _CoverMemo(dict):
+    """Edge mask -> the masks one cover step below it in dominance order,
+    built on first use.
+
+    A cover step lowers one set bit whose lower neighbour is clear: each
+    ``bit`` of ``movable`` is such a vertex (vertex 1 never moves), and
+    lowering it gives one cover predecessor. The memo holds one entry
+    per distinct edge mask ever asked for.
+    """
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        out = []
+        movable = mask & ~(mask << 1) & ~1
+        while movable:
+            bit = movable & -movable
+            out.append(mask ^ bit ^ (bit >> 1))
+            movable ^= bit
+        self[mask] = covers = tuple(out)
+        return covers
+
+
+_COVERS = _CoverMemo()
+
+
+def _closed_under_covers(edges: frozenset[int]) -> bool:
+    """Whether every cover predecessor of an edge mask is an edge mask.
+
+    A family closed one cover step down is closed all the way down.
+    """
+    return edges.issuperset(chain.from_iterable(map(_COVERS.__getitem__, edges)))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable r-uniform hypergraph on vertex set [n], n <= 64.
 
-    ``edges`` holds bitmasks (bit v-1 set for vertex v); use
+    ``edges`` is a frozenset of bitmasks (bit v-1 set for vertex v); use
     :meth:`from_edges` to build from vertex tuples and
     :meth:`edge_list` to read them back in colex order.
+
+    ``left_compressed`` says whether every r-set dominated by an edge is
+    an edge. It is decided at most once per graph, and a graph built as
+    a down-set of dominance order (:meth:`_down_set`, used by the
+    enumeration of left-compressed graphs) knows it without a scan.
     """
 
     r: int
@@ -141,6 +178,10 @@ class Hypergraph:
     edges: frozenset[int]
 
     def __post_init__(self):
+        # Facts about the graph are cached on it, so its edges must not
+        # change afterwards; a frozenset also cannot hold an edge twice.
+        if not isinstance(self.edges, frozenset):
+            raise TypeError(f"edges must be a frozenset of edge masks, got {type(self.edges).__name__}")
         if self.r < 2:
             raise ValueError("uniformity r must be >= 2")
         if self.n < self.r:
@@ -164,6 +205,20 @@ class Hypergraph:
                 raise ValueError(f"duplicate edge {edge}")
             masks.add(mask)
         return cls(r, n, frozenset(masks))
+
+    @classmethod
+    def _down_set(cls, r: int, n: int, edges: frozenset[int]) -> "Hypergraph":
+        """A graph whose edges the caller built as a down-set of dominance
+        order, so it is left-compressed without a scan. The edges are
+        checked as for any graph."""
+        g = cls(r, n, edges)
+        g.__dict__["left_compressed"] = True
+        return g
+
+    @cached_property
+    def left_compressed(self) -> bool:
+        """Whether every r-set dominated by an edge is itself an edge."""
+        return _closed_under_covers(self.edges)
 
     @property
     def m(self) -> int:

@@ -11,11 +11,14 @@ The hot paths work on the edge bitmasks a ``Hypergraph`` stores (bit
 v-1 for vertex v). A cover step lowers one set bit whose lower
 neighbour is clear, so the edges one step below ``mask`` are
 ``mask ^ bit ^ (bit >> 1)`` for each ``bit`` of
-``mask & ~(mask << 1) & ~1``. ``_COVERS`` memoizes these per mask, so
-the compression test is one C-level superset check and the enumeration
-poset takes its cover relation from the same routine. A left-compressed
-graph spans a t-clique exactly when it holds the top r-set
-{t-r+1, ..., t} of [t], which dominates every r-subset of [t].
+``mask & ~(mask << 1) & ~1``. ``core._COVERS`` memoizes these per mask;
+the enumeration poset takes its cover relation from it, and the
+compression test is one C-level superset check over it, run at most
+once per graph (``Hypergraph.left_compressed``). Enumerated graphs are
+down-sets by construction and come back already known left-compressed,
+so no test on them runs the scan. A left-compressed graph spans a
+t-clique exactly when it holds the top r-set {t-r+1, ..., t} of [t],
+which dominates every r-subset of [t].
 
 The clique search keeps its candidates as a vertex bitmask. Its link
 map sends each (r-1)-set mask to the bitmask of the vertices that
@@ -34,10 +37,11 @@ not one generator per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import (
+    _COVERS,
     Edge,
     Hypergraph,
     colex_key,
@@ -53,35 +57,14 @@ def dominance_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-class _CoverMemo(dict):
-    """Edge mask -> the masks one cover step below it, built on first use.
-
-    Each ``bit`` of ``movable`` is a vertex whose lower neighbour is free
-    (vertex 1 never moves); lowering it gives one cover predecessor. The
-    memo holds one entry per distinct edge mask ever tested.
-    """
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        out = []
-        movable = mask & ~(mask << 1) & ~1
-        while movable:
-            bit = movable & -movable
-            out.append(mask ^ bit ^ (bit >> 1))
-            movable ^= bit
-        self[mask] = covers = tuple(out)
-        return covers
-
-
-_COVERS = _CoverMemo()
-
-
 def is_left_compressed(g: Hypergraph) -> bool:
     """Whether every set dominated by an edge is itself an edge.
 
-    Checking cover predecessors suffices: a family closed one step down
-    is closed all the way down.
+    Reads ``g.left_compressed``: the cover scan runs on the first call
+    for a graph, and never for a graph from
+    :func:`enumerate_left_compressed`.
     """
-    return g.edges.issuperset(chain.from_iterable(map(_COVERS.__getitem__, g.edges)))
+    return g.left_compressed
 
 
 @dataclass(frozen=True)
@@ -217,8 +200,10 @@ def contains_clique(g: Hypergraph, t: int) -> bool:
     For a left-compressed graph any clique shifts onto an initial
     segment, and [t] is a clique exactly when its top r-set
     {t-r+1, ..., t} is an edge, since that set dominates every r-subset
-    of [t]: one bitmask lookup. Otherwise falls back to branch-and-bound
-    with early exit.
+    of [t]: one bitmask lookup. Whether the graph is left-compressed is
+    decided at most once per graph and is known without a scan for an
+    enumerated one. Otherwise falls back to branch-and-bound with early
+    exit.
     """
     if t < g.r:
         raise ValueError(f"need t >= r, got t={t}, r={g.r}")
@@ -374,6 +359,9 @@ def enumerate_left_compressed(
     Deterministic order. ``universe``, when given, must be a
     downward-closed set of r-subsets of [t]; enumeration is then
     restricted to families inside it (still left-compressed as graphs).
+    Every graph comes back already known left-compressed, so
+    :func:`is_left_compressed` and :func:`contains_clique` run no scan
+    on it.
 
     For the full universe and m past the halfway point, enumeration
     runs on complements: reflection v -> t+1-v reverses dominance, so
@@ -388,11 +376,11 @@ def enumerate_left_compressed(
         full = frozenset(map(edge_mask, elements))
         refl = [edge_mask(_reflect(e, t)) for e in elements]
         for path in _ideals(preds, total - m, refl):
-            yield Hypergraph(r, t, full.difference(path))
+            yield Hypergraph._down_set(r, t, full.difference(path))
         return
 
     for path in _ideals(preds, m, list(map(edge_mask, elements))):
-        yield Hypergraph(r, t, frozenset(path))
+        yield Hypergraph._down_set(r, t, frozenset(path))
 
 
 def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | None = None) -> int:

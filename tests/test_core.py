@@ -192,6 +192,16 @@ class TestHypergraph:
         with pytest.raises(ValueError, match="n >= r"):
             Hypergraph.from_edges(3, 2, [])
 
+    def test_edges_must_be_a_frozenset(self):
+        # A list may hold an edge twice, and a set may change after facts
+        # about the graph are cached on it.
+        for edges in ([7, 7], [7, 11], {7}, (7,)):
+            with pytest.raises(TypeError, match="frozenset"):
+                Hypergraph(3, 5, edges)
+        g = Hypergraph(3, 5, frozenset([7, 7]))
+        assert g.m == 1
+        assert hash(g) == hash(Hypergraph.from_edges(3, 5, [(1, 2, 3)]))
+
     def test_vertex_limit(self):
         with pytest.raises(ValueError, match="64"):
             Hypergraph.from_edges(3, 65, [])

@@ -1,11 +1,12 @@
 """Compression, clique, and enumeration tests against brute-force oracles."""
 
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
-from lagrangia import structure
+from lagrangia import core, structure
 from lagrangia.core import (
     Hypergraph,
     binomial,
@@ -17,6 +18,7 @@ from lagrangia.core import (
     edge_mask,
     mask_to_edge,
 )
+from lagrangia.lagrangian import certify, lagrangian
 from lagrangia.structure import (
     CompressionTrace,
     clique_number,
@@ -281,14 +283,66 @@ class TestEnumerate:
             assert all(g.m == m and g.n == t and g.r == r for g in graphs)
 
     def test_every_output_is_left_compressed(self):
-        for m in (0, 5, 9, 14, 19):
-            for g in enumerate_left_compressed(6, 3, m):
-                assert is_left_compressed(g)
-                assert g.m == m
-                assert g.n == 6
-                for j in range(2, 7):
-                    for i in range(1, j):
-                        assert len(difference_link(g, j, i)) == 0
+        # Enumerated graphs carry the fact, so the scan runs on a graph
+        # rebuilt from the same edges. Every m, so m past the halfway
+        # point takes the complement path; a restricted universe takes
+        # the direct path for every m.
+        cases = [(t, r, None) for t, r in [(6, 3), (7, 3), (6, 4), (8, 2)]]
+        cases.append((6, 3, BELOW_346))
+        for t, r, universe in cases:
+            total = binomial(t, r) if universe is None else len(universe)
+            for m in range(total + 1):
+                for g in enumerate_left_compressed(t, r, m, universe=universe):
+                    assert is_left_compressed(Hypergraph(g.r, g.n, g.edges))
+                    assert g.m == m
+                    assert g.n == t
+                    for j in range(2, t + 1):
+                        for i in range(1, j):
+                            assert len(difference_link(g, j, i)) == 0
+
+    def test_compression_scan_runs_at_most_once_per_graph(self, monkeypatch):
+        scans = []
+
+        def counted(edges):
+            scans.append(edges)
+            return closed_under_covers(edges)
+
+        closed_under_covers = core._closed_under_covers
+        monkeypatch.setattr(core, "_closed_under_covers", counted)
+
+        # Enumerated graphs, direct and complement path, are known
+        # left-compressed: the clique filter, the solver and the
+        # certificate scan nothing. Neither graph is complete, so
+        # lagrangian runs the ascent and the sort.
+        (g,) = enumerate_left_compressed(5, 3, 9)
+        small = next(enumerate_left_compressed(5, 3, 5))
+        for h in (g, small):
+            assert contains_clique(h, 4) == (clique_number(h) >= 4)
+            res = lagrangian(h)
+            assert certify(h, res).left_compressed
+        assert scans == []
+
+        # A graph built from edge tuples scans once, then keeps the answer.
+        f = Hypergraph.from_edges(3, 5, g.edge_list())
+        assert f == g and hash(f) == hash(g)
+        assert certify(f, lagrangian(f)).ok
+        assert is_left_compressed(f) and contains_clique(f, 4)
+        assert scans == [g.edges]
+
+        # Equal graphs built separately share no state: one scan each.
+        scans.clear()
+        a = Hypergraph.from_edges(3, 4, [(1, 2, 3), (1, 3, 4)])
+        b = Hypergraph.from_edges(3, 4, [(1, 3, 4), (1, 2, 3)])
+        assert a == b
+        assert not is_left_compressed(a) and not is_left_compressed(b)
+        assert not is_left_compressed(a)
+        assert len(scans) == 2
+
+        # A pickled copy, as the process pool sends it, keeps the answer.
+        for h in (g, small, f, a, Hypergraph(3, 4, a.edges)):
+            copy = pickle.loads(pickle.dumps(h))
+            assert copy == h
+            assert is_left_compressed(copy) == brute_left_compressed(h)
 
     def test_deterministic_order(self):
         a = [g.edges for g in enumerate_left_compressed(6, 3, 8)]
