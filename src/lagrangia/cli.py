@@ -147,9 +147,28 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-7)
     common.add_argument("--margin", type=float, default=1e-6)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--random-starts", type=int, default=8)
-    common.add_argument("--max-iters", type=int, default=20000)
+    common.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the random starts (default: 0; LAGRANGIA_SEED overrides"
+        " it); a verifier seeds each instance from it",
+    )
+    common.add_argument(
+        "--random-starts",
+        type=int,
+        default=8,
+        help="Dirichlet starts per graph (default: 8); they run only on a graph"
+        " that is not left-compressed, or when the corner starts of a"
+        " left-compressed one end off stationarity",
+    )
+    common.add_argument(
+        "--max-iters",
+        type=int,
+        default=20000,
+        help="growth steps per start (default: 20000); the Newton steps of a"
+        " face finish come on top",
+    )
     common.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", metavar="PATH", default=None)
@@ -304,6 +323,7 @@ def _cmd_lagrangian(config: RunConfig) -> int:
         f"graph: {desc} (r={g.r} n={g.n} m={g.m})",
         f"value: {res.value!r}",
         f"method: {res.method}",
+        f"structured_only: {res.structured_only}",
         f"iterations: {res.iterations}",
         f"support: {' '.join(map(str, res.support)) or '-'}",
         f"kkt_residual: {res.kkt_residual!r}",

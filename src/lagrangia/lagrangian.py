@@ -18,8 +18,16 @@ support that is not a clique, P is linear along the pair, so their
 weight moves to one of them (``_pair_transfer``, as in
 ``minimize_support``) and the row runs again. Any other row ends at its
 gain stop and reports its residual, which ``certify`` checks again.
-Multi-start covers the structured optima: uniform, uniform on maximum
-cliques, uniform on initial segments, and seeded Dirichlet draws.
+Multi-start covers the structured optima. On a left-compressed graph the
+Lagrangian is reached on the ordered sector x_1 >= ... >= x_n, whose
+corners are the initial segments u_k (uniform on [k]), and the growth
+transform keeps an ordered start ordered: x_i g_i - x_j g_j =
+x_i w(L_{i-j}) - x_j w(L_{j-i}) >= 0 for i < j. So such a graph first
+ascends from the corners alone, and takes the full start set only when
+that result is not stationary (``kkt_residual`` above KKT_TOL); its
+result says which in ``structured_only``. The full start set, and the
+only one on any other graph, is uniform, uniform on every maximum
+clique, the corners, and seeded Dirichlet draws.
 
 The starts of one graph run in lockstep (``_ascend_rows``), in one
 loop: each pass runs one growth chunk, one KKT check of the rows that
@@ -67,10 +75,8 @@ from .core import (
     Hypergraph,
     LinkSet,
     binomial,
-    difference_link,
     edge_mask,
     mask_to_edge,
-    pair_link,
 )
 from .structure import clique_number, is_left_compressed, maximum_cliques
 
@@ -103,7 +109,17 @@ CURVATURE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OptOptions:
-    """Knobs shared by every optimization entry point."""
+    """Knobs shared by every optimization entry point.
+
+    max_iters caps the growth steps of each start, not the Newton steps:
+    a start stopped by the cap off stationarity still tries its face
+    finish, whose steps count in ``iterations`` too, so a result can
+    report more iterations than max_iters (``ascend`` on colex_graph(3,
+    30) from uniform on [7] with max_iters=3 reports 7). random_starts
+    Dirichlet draws, seeded with seed, join the starts of
+    ``ascend_multistart`` only on a graph that is not left-compressed, or
+    on one whose corner starts end off stationarity.
+    """
 
     max_iters: int = 20000
     random_starts: int = 8
@@ -121,6 +137,9 @@ class OptResult:
     1-based vertices with positive weight, empty when the objective is
     identically zero at the returned point; kkt_residual is
     max over support of |link value - r * value|.
+    structured_only is True when the value came from the corner starts of
+    a left-compressed graph alone (``ascend_multistart``), without the
+    maximum-clique and random starts.
     """
 
     value: float
@@ -130,6 +149,7 @@ class OptResult:
     edge_cover_ok: bool
     method: str  # closed-form | ascent | refined
     iterations: int
+    structured_only: bool = False
 
     @property
     def support_size(self) -> int:
@@ -144,6 +164,7 @@ class OptResult:
             "edge_cover_ok": self.edge_cover_ok,
             "method": self.method,
             "iterations": self.iterations,
+            "structured_only": self.structured_only,
         }
 
 
@@ -626,17 +647,28 @@ def ascend(g: Hypergraph, x0: Sequence[float], opts: OptOptions | None = None) -
 def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
     """Best ascent result over the structured and random start set.
 
-    Starts: uniform on [n], uniform on every maximum clique, uniform on
-    each initial segment [k] for k = r..n, and opts.random_starts
-    Dirichlet draws from a generator seeded with opts.seed.
+    The corners of the ordered sector x_1 >= ... >= x_n are u_k, uniform
+    on the initial segment [k], for k = r..n; u_n is uniform on [n]. On
+    a left-compressed graph they run alone first (uniform first, as in
+    the full set), and their result, tagged ``structured_only``, is kept
+    unless its kkt_residual is above KKT_TOL. Otherwise, and on every
+    graph that is not left-compressed, the full start set runs: uniform
+    on [n], uniform on every maximum clique, the corners, and
+    opts.random_starts Dirichlet draws from a generator seeded with
+    opts.seed. So the random starts, and opts.seed, act only there.
     """
     opts = opts or DEFAULT_OPTIONS
     n = g.n
-    starts: list[np.ndarray] = [uniform_weighting(n)]
+    uniform = uniform_weighting(n)
+    corners = [uniform_weighting(n, range(1, k + 1)) for k in range(g.r, n + 1)]
+    if g.left_compressed:
+        res = _ascend_rows(g, np.array([uniform, *corners]), opts)
+        if not res.kkt_residual > KKT_TOL:
+            return replace(res, structured_only=True)
+    starts = [uniform]
     for clique in maximum_cliques(g):
         starts.append(uniform_weighting(n, clique))
-    for k in range(g.r, n + 1):
-        starts.append(uniform_weighting(n, range(1, k + 1)))
+    starts += corners
     if opts.random_starts > 0:
         rng = np.random.default_rng(opts.seed)
         for _ in range(opts.random_starts):
@@ -695,7 +727,7 @@ def minimize_support(
         else:
             break
     if changed:
-        best = replace(best, method="refined")
+        best = replace(best, method="refined", structured_only=res.structured_only)
     return best
 
 
@@ -787,7 +819,57 @@ def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:
     value = float(form.values(x))
     if value < res.value * (1.0 - 2 * g.r * np.finfo(np.float64).eps):
         return res
-    return _certified(g, form, x, value, _support(x), res.method, res.iterations)
+    sorted_res = _certified(g, form, x, value, _support(x), res.method, res.iterations)
+    return replace(sorted_res, structured_only=res.structured_only)
+
+
+def _difference_sides(
+    g: Hypergraph, x: np.ndarray, support: Sequence[int]
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """Both sides of the difference identity for every support pair i < j:
+    (x_i - x_j) times the weight of the pair link of {i, j}, and the
+    weight of the difference link of (i, j).
+
+    One pass over the edges, each decoded once: an edge holding support
+    vertices i < j adds the product of its other members' weights to the
+    pair link of {i, j}, and each (r - 1)-set A = e - {v} records v as a
+    vertex completing A to an edge. Then A adds the product of its
+    weights to the difference link of (i, j) for each support pair i < j
+    with i completing A and j neither in A nor completing it. Products
+    run in vertex order and each sum is one ``math.fsum``, as
+    ``family_value`` over ``pair_link`` and ``difference_link`` takes
+    them, so both sides are those of that path, bit for bit.
+    """
+    w = x.tolist()
+    want = edge_mask(support)
+    pairs = {p: [] for p in combinations(support, 2)}
+    diffs = {p: [] for p in pairs}
+    completing: dict[int, int] = {}
+    for mask in g.edges:
+        edge = mask_to_edge(mask)
+        for i, j in combinations([v for v in edge if want >> (v - 1) & 1], 2):
+            pairs[i, j].append(math.prod(w[v - 1] for v in edge if v != i and v != j))
+        for v in edge:
+            bit = 1 << (v - 1)
+            completing[mask ^ bit] = completing.get(mask ^ bit, 0) | bit
+    for rest, ends in completing.items():
+        term = None
+        firsts = ends & want
+        while firsts:
+            first = firsts & -firsts
+            firsts ^= first
+            # The support vertices above i outside the rest that do not complete it.
+            seconds = want & ~ends & ~rest & -(first << 1)
+            if seconds and term is None:
+                term = math.prod(w[v - 1] for v in mask_to_edge(rest))
+            while seconds:
+                second = seconds & -seconds
+                seconds ^= second
+                diffs[first.bit_length(), second.bit_length()].append(term)
+    return {
+        (i, j): ((w[i - 1] - w[j - 1]) * math.fsum(terms), math.fsum(diffs[i, j]))
+        for (i, j), terms in pairs.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -841,10 +923,8 @@ def certify(g: Hypergraph, res: OptResult, tol: float = 1e-8) -> CertificateRepo
     if lc:
         monotone_ok = all(x[i] >= x[i + 1] - tol for i in range(g.n - 1))
         max_diff = 0.0
-        for i, j in combinations(support, 2):
-            lhs = (x[i - 1] - x[j - 1]) * family_value(pair_link(g, i, j), x)
-            rhs = family_value(difference_link(g, i, j), x)
-            max_diff = max(max_diff, float(abs(lhs - rhs)))
+        for lhs, rhs in _difference_sides(g, x, support).values():
+            max_diff = max(max_diff, abs(lhs - rhs))
         difference_ok = max_diff <= tol
     ok = kkt_ok and cover_ok and (not lc or (bool(monotone_ok) and bool(difference_ok)))
     return CertificateReport(

@@ -264,6 +264,12 @@ def _map_lagrangian(
     return [(m, g, res) for (m, g), res in zip(instances, results)]
 
 
+def _structured_only(solved: Iterable[tuple[int, Hypergraph, OptResult]]) -> int:
+    """How many solved instances took their value from the corner starts
+    alone (``OptResult.structured_only``), without the full start set."""
+    return sum(res.structured_only for _, _, res in solved)
+
+
 def _edge_record(g: Hypergraph) -> list[list[int]]:
     return [list(e) for e in g.edge_list()]
 
@@ -319,7 +325,11 @@ def verify_colex_plateau(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
         len(solved),
         violations,
         notes=(f"target {target} shared by every m in the range",),
-        extras={"target_exact": str(target), "values": values},
+        extras={
+            "target_exact": str(target),
+            "values": values,
+            "structured_only": _structured_only(solved),
+        },
     )
 
 
@@ -374,6 +384,7 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
         extras={
             "target_exact": str(target),
             "smallest_gap_to_target": closest,
+            "structured_only": _structured_only(solved),
         },
     )
 
@@ -407,7 +418,11 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
         opts,
         len(solved),
         violations,
-        extras={"target_exact": str(target), "worst_abs_error": worst},
+        extras={
+            "target_exact": str(target),
+            "worst_abs_error": worst,
+            "structured_only": _structured_only(solved),
+        },
     )
 
 
@@ -526,7 +541,11 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
             f"{small_support} maximal instances had minimal support inside [3]"
             " and fall outside the statement",
         ),
-        extras={"per_m_maxima": maxima, "small_support_instances": small_support},
+        extras={
+            "per_m_maxima": maxima,
+            "small_support_instances": small_support,
+            "structured_only": _structured_only(solved),
+        },
     )
 
 
@@ -576,7 +595,7 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     s = (t - 2) // 2
     violations: list[dict] = []
     notes: list[str] = []
-    extras: dict = {"bound_exact": str(bound)}
+    extras: dict = {"bound_exact": str(bound), "structured_only": 0}
     instances = 0
     vacuous = False
     if s <= 2:
@@ -595,6 +614,7 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
             _entry(m, g, res, bound=bf) for m, g, res in solved if res.value > bf + opts.tol
         ]
         extras["max_value_in_class"] = max([0.0] + [res.value for _, _, res in solved])
+        extras["structured_only"] = _structured_only(solved)
         if all(m == 0 for m, _ in graphs):
             vacuous = True
             notes.append(
@@ -609,6 +629,7 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
         "max_value": diag_max,
         "bound": bf,
         "holds": diag_max <= bf + opts.tol,
+        "structured_only": _structured_only(diagnostic),
     }
     notes.append(
         "diagnostic sweep of the 4-clique-free class is informational"
@@ -794,7 +815,8 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
     kept = _left_compressed(
         t, [m], lambda g: contains_clique(g, t - 1) and len(pair_link(g, t - 1, t)) <= cap
     )
-    (_, _, target), *solved = _map_lagrangian([(m, colex_graph(3, m))] + kept, opts)
+    results = _map_lagrangian([(m, colex_graph(3, m))] + kept, opts)
+    (_, _, target), *solved = results
     violations = [
         _entry(m, g, res, target=target.value, excess=res.value - target.value)
         for m, g, res in solved
@@ -818,6 +840,7 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
             "pair_degree_cap": float(cap),
             "target_value": target.value,
             "target_kkt_residual": target.kkt_residual,
+            "structured_only": _structured_only(results),
         },
     )
 
@@ -882,6 +905,7 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
             "branch_counts": branch_counts,
             "zero_tail_instances": zero_tail,
             "out_of_scope": logged,
+            "structured_only": _structured_only(solved),
         },
     )
 

@@ -30,7 +30,7 @@ from lagrangia.lagrangian import (
     motzkin_straus,
     uniform_weighting,
 )
-from lagrangia.core import pair_link, vertex_link
+from lagrangia.core import difference_link, pair_link, vertex_link
 from lagrangia.structure import enumerate_left_compressed
 
 # ``lagrangia.lagrangian`` is the function; the module is in sys.modules.
@@ -1054,7 +1054,7 @@ def unbounded_minimize_support(g, res, opts):
         else:
             break
     if changed:
-        best = replace(best, method="refined")
+        best = replace(best, method="refined", structured_only=res.structured_only)
     return best
 
 
@@ -1285,6 +1285,26 @@ class TestCertify:
         g = Hypergraph.from_edges(3, 6, [(4, 5, 6)])
         res = lagrangian(g)
         assert lagrangian_module._sorted_weights(g, res) is res
+
+    def test_difference_sides_match_the_link_path(self):
+        # Both sides of every support pair's identity, from one pass over
+        # the edges, bit for bit as pair_link and difference_link give
+        # them: the optimum and a full-support draw of every
+        # left-compressed 3- and 4-graph on [6].
+        rng = np.random.default_rng(6)
+        pairs = 0
+        for r, m in [(r, m) for r in (3, 4) for m in range(binomial(6, r) + 1)]:
+            for g in enumerate_left_compressed(6, r, m):
+                for x in (lagrangian(g).weighting, rng.dirichlet(np.ones(6))):
+                    support = lagrangian_module._support(x)
+                    sides = lagrangian_module._difference_sides(g, x, support)
+                    assert list(sides) == list(combinations(support, 2))
+                    for i, j in sides:
+                        lhs = (x[i - 1] - x[j - 1]) * family_value(pair_link(g, i, j), x)
+                        rhs = family_value(difference_link(g, i, j), x)
+                        assert sides[i, j] == (lhs, rhs), (g.edge_list(), i, j)
+                        pairs += rhs != 0.0
+        assert pairs > 0
 
     def test_non_compressed_skips_order_checks(self):
         g = Hypergraph.from_edges(3, 4, [(2, 3, 4)])
