@@ -152,7 +152,8 @@ def build_parser() -> _Parser:
         type=int,
         default=0,
         help="seed of the random starts (default: 0; LAGRANGIA_SEED overrides"
-        " it); a verifier seeds each instance from it",
+        " it); a verifier solves every instance with this seed, not one"
+        " derived from the instance's index",
     )
     common.add_argument(
         "--random-starts",

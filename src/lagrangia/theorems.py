@@ -20,8 +20,6 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ._version import VERSION
 from .core import Edge, Hypergraph, _check_size, binomial, colex_graph, pair_link
 from .lagrangian import (
@@ -70,13 +68,14 @@ class VerifyOptions:
 
     tol bounds |observed - target| for equality-style claims; margin is
     the slack demanded before a strict inequality counts as confirmed;
-    seed feeds per-instance optimizer seeds; parallelism fans instances
-    out over processes when greater than one (capped at the cpu count
-    and the number of instances). opt holds the optimizer's other
-    knobs: verifiers never read ``opt.seed``, because ``_map_lagrangian``
-    replaces it with each instance's own seed, drawn from seed and the
-    instance's index. The ground-set guard of the exhaustive verifiers
-    is the constant MAX_GROUND.
+    seed is the optimizer seed of every instance; parallelism fans
+    instances out over processes when greater than one (capped at the
+    cpu count and the number of instances). opt holds the optimizer's
+    other knobs: verifiers never read ``opt.seed``, because
+    ``_map_lagrangian`` solves every instance with seed in its place,
+    not with a seed derived from the instance's index, so a result
+    depends only on its graph and these options. The ground-set guard
+    of the exhaustive verifiers is the constant MAX_GROUND.
     """
 
     tol: float = 1e-7
@@ -210,12 +209,6 @@ def _check_ground(t: int) -> None:
         )
 
 
-def _instance_seed(base: int, index: int) -> int:
-    # Well-mixed per-instance seeds so Dirichlet starts decorrelate
-    # across instances while staying reproducible for a fixed base.
-    return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
-
-
 def _solve_task(task: tuple[Hypergraph, OptOptions]) -> OptResult:
     g, opt = task
     return lagrangian(g, opt)
@@ -231,11 +224,13 @@ def _left_compressed(
     ms: Iterable[int],
     keep: Callable[[Hypergraph], bool] | None = None,
     universe: Sequence[Edge] | None = None,
-) -> list[tuple[int, Hypergraph]]:
-    """(m, g) for every left-compressed 3-graph on [t] with m in ms (and
-    inside universe, when given) that keep accepts, in enumeration order."""
+) -> list[Hypergraph]:
+    """Every left-compressed 3-graph on [t] with m in ms (and inside
+    universe, when given) that keep accepts, in enumeration order. A t
+    over the guard is refused before any graph is listed."""
+    _check_ground(t)
     return [
-        (m, g)
+        g
         for m in ms
         for g in enumerate_left_compressed(t, 3, m, universe=universe)
         if keep is None or keep(g)
@@ -243,13 +238,13 @@ def _left_compressed(
 
 
 def _map_lagrangian(
-    instances: Sequence[tuple[int, Hypergraph]], opts: VerifyOptions
-) -> list[tuple[int, Hypergraph, OptResult]]:
-    """Solve each (m, g); instance i is seeded from (opts.seed, i)."""
-    tasks = [
-        (g, replace(opts.opt, seed=_instance_seed(opts.seed, i)))
-        for i, (_, g) in enumerate(instances)
-    ]
+    graphs: Sequence[Hypergraph], opts: VerifyOptions
+) -> list[tuple[Hypergraph, OptResult]]:
+    """(g, result) for each graph, solved with opts.opt under the run's
+    seed, opts.seed, not one derived from the graph's index: a result
+    depends only on the graph and the options."""
+    opt = replace(opts.opt, seed=opts.seed)
+    tasks = [(g, opt) for g in graphs]
     workers = _pool_size(opts.parallelism, len(tasks))
     if workers == 1:
         results = [_solve_task(task) for task in tasks]
@@ -261,22 +256,22 @@ def _map_lagrangian(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so merged reports stay deterministic
             results = list(pool.map(_solve_task, tasks))
-    return [(m, g, res) for (m, g), res in zip(instances, results)]
+    return list(zip(graphs, results))
 
 
-def _structured_only(solved: Iterable[tuple[int, Hypergraph, OptResult]]) -> int:
+def _structured_only(solved: Iterable[tuple[Hypergraph, OptResult]]) -> int:
     """How many solved instances took their value from the corner starts
     alone (``OptResult.structured_only``), without the full start set."""
-    return sum(res.structured_only for _, _, res in solved)
+    return sum(res.structured_only for _, res in solved)
 
 
 def _edge_record(g: Hypergraph) -> list[list[int]]:
     return [list(e) for e in g.edge_list()]
 
 
-def _entry(m: int, g: Hypergraph, res: OptResult, **fields) -> dict:
+def _entry(g: Hypergraph, res: OptResult, **fields) -> dict:
     """A per-instance record: edge count, edges, solved value, and fields."""
-    return {"m": m, "edges": _edge_record(g), "value": res.value, **fields}
+    return {"m": g.m, "edges": _edge_record(g), "value": res.value, **fields}
 
 
 def plateau_range(t: int) -> ParamRange:
@@ -304,19 +299,19 @@ def verify_colex_plateau(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     rng = plateau_range(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
-    solved = _map_lagrangian([(m, colex_graph(3, m)) for m in rng.m_values()], opts)
+    solved = _map_lagrangian([colex_graph(3, m) for m in rng.m_values()], opts)
     violations = [
         {
-            "m": m,
+            "m": g.m,
             "value": res.value,
             "target": tf,
             "abs_error": abs(res.value - tf),
             "kkt_residual": res.kkt_residual,
         }
-        for m, _, res in solved
+        for g, res in solved
         if abs(res.value - tf) > opts.tol
     ]
-    values = [[m, res.value] for m, _, res in solved]
+    values = [[g.m, res.value] for g, res in solved]
     return _make_report(
         "colex-plateau",
         {"t": t, "m_low": rng.m_low, "m_high": rng.m_high},
@@ -351,7 +346,6 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     compress into a violation inside the enumerated one.
     """
     rng = theorem1_range(t)
-    _check_ground(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
     solved = _map_lagrangian(
@@ -360,12 +354,12 @@ def verify_theorem1(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     )
     violations: list[dict] = []
     indeterminate: list[dict] = []
-    for m, g, res in solved:
+    for g, res in solved:
         label = _classify_strict_below(res.value, tf, opts.margin)
         if label != "ok":
-            entry = _entry(m, g, res, target=tf, kkt_residual=res.kkt_residual)
+            entry = _entry(g, res, target=tf, kkt_residual=res.kkt_residual)
             (violations if label == "violation" else indeterminate).append(entry)
-    closest = min((tf - res.value for _, _, res in solved), default=None)
+    closest = min((tf - res.value for _, res in solved), default=None)
     return _make_report(
         "theorem1",
         {"t": t, "m_low": rng.m_low, "m_high": rng.m_high},
@@ -393,7 +387,6 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     """Check that left-compressed 3-graphs on the plateau range that do
     contain a clique on t-1 vertices attain exactly the complete value."""
     rng = plateau_range(t)
-    _check_ground(t)
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
     solved = _map_lagrangian(
@@ -401,12 +394,12 @@ def verify_pz18(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     )
     violations: list[dict] = []
     worst = 0.0
-    for m, g, res in solved:
+    for g, res in solved:
         err = abs(res.value - tf)
         worst = max(worst, err)
         if err > opts.tol:
             violations.append(
-                _entry(m, g, res, target=tf, abs_error=err, kkt_residual=res.kkt_residual)
+                _entry(g, res, target=tf, abs_error=err, kkt_residual=res.kkt_residual)
             )
     return _make_report(
         "pz18",
@@ -503,15 +496,14 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
     """
     if t < 4:
         raise ValueError("need t >= 4")
-    _check_ground(t)
     total = binomial(t, 3)
     solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []
     audited = 0
     small_support = 0
     maxima = []
-    for m, group in groupby(solved, key=lambda s: s[0]):
-        batch = [(g, res) for _, g, res in group]
+    for m, group in groupby(solved, key=lambda s: s[0].m):
+        batch = list(group)
         vmax = max(res.value for _, res in batch)
         maxima.append([m, vmax])
         for g, res in batch:
@@ -528,7 +520,7 @@ def lemma_tal9_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
             cap = math.ceil(Fraction(b) * (1 + Fraction(k - b - 2, k - 3)))
             if deficiency > cap:
                 violations.append(
-                    _entry(m, g, res, k=k, b=b, deficiency=deficiency, cap=cap)
+                    _entry(g, res, k=k, b=b, deficiency=deficiency, cap=cap)
                 )
     return _make_report(
         "tal9",
@@ -564,8 +556,10 @@ def _clique_free_universe(t: int, s: int) -> list[Edge]:
     A left-compressed graph contains the complete 3-graph on [s] exactly
     when it contains the triple {s-2, s-1, s}; dropping that triple's
     up-set from the universe is therefore the whole restriction, and the
-    remainder is closed downward.
+    remainder is closed downward. A t over the guard is refused before
+    any triple is listed.
     """
+    _check_ground(t)
     pivot = (s - 2, s - 1, s)
     return [
         e
@@ -574,8 +568,8 @@ def _clique_free_universe(t: int, s: int) -> list[Edge]:
     ]
 
 
-def _clique_free_class(t: int, s: int) -> list[tuple[int, Hypergraph]]:
-    """(m, g) for every left-compressed 3-graph on [t] without an s-clique."""
+def _clique_free_class(t: int, s: int) -> list[Hypergraph]:
+    """Every left-compressed 3-graph on [t] without an s-clique."""
     universe = _clique_free_universe(t, s)
     return _left_compressed(t, range(len(universe) + 1), universe=universe)
 
@@ -591,7 +585,6 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
     """
     bound = theorem2_bound(t)
     bf = float(bound)
-    _check_ground(t)
     s = (t - 2) // 2
     violations: list[dict] = []
     notes: list[str] = []
@@ -606,16 +599,16 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
         )
     else:
         graphs = _clique_free_class(t, s)
-        if any(clique_number(g) >= s for _, g in graphs):
+        if any(clique_number(g) >= s for g in graphs):
             raise AssertionError("restricted universe leaked a clique")
         solved = _map_lagrangian(graphs, opts)
         instances = len(solved)
         violations = [
-            _entry(m, g, res, bound=bf) for m, g, res in solved if res.value > bf + opts.tol
+            _entry(g, res, bound=bf) for g, res in solved if res.value > bf + opts.tol
         ]
-        extras["max_value_in_class"] = max([0.0] + [res.value for _, _, res in solved])
+        extras["max_value_in_class"] = max([0.0] + [res.value for _, res in solved])
         extras["structured_only"] = _structured_only(solved)
-        if all(m == 0 for m, _ in graphs):
+        if all(g.m == 0 for g in graphs):
             vacuous = True
             notes.append(
                 f"only the edgeless graph has clique number below {s}"
@@ -623,7 +616,7 @@ def verify_theorem2(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRepo
             )
     # Diagnostic: how does the 4-clique-free class compare to the cap?
     diagnostic = _map_lagrangian(_clique_free_class(t, 4), opts)
-    diag_max = max(res.value for _, _, res in diagnostic)
+    diag_max = max(res.value for _, res in diagnostic)
     extras["diagnostic_omega_below_4"] = {
         "instances": len(diagnostic),
         "max_value": diag_max,
@@ -667,7 +660,6 @@ def verify_corollary(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
     """Check that every left-compressed 3-graph on [t] with at least
     ceil(threshold) edges contains a clique on floor((t - 2)/2) vertices."""
     threshold = corollary_threshold(t)
-    _check_ground(t)
     s = (t - 2) // 2
     m_min = math.ceil(threshold)
     total = binomial(t, 3)
@@ -679,8 +671,8 @@ def verify_corollary(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremRep
         )
     graphs = _left_compressed(t, range(m_min, total + 1))
     violations = [
-        {"m": m, "edges": _edge_record(g), "required": s}
-        for m, g in graphs
+        {"m": g.m, "edges": _edge_record(g), "required": s}
+        for g in graphs
         if not _omega_at_least(g, s)
     ]
     return _make_report(
@@ -709,20 +701,19 @@ def proposition_k4_check(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     """
     if t < 4:
         raise ValueError("need t >= 4")
-    _check_ground(t)
     cap = Fraction(2 * t**3, 27)
     graphs = _clique_free_class(t, 4)
     violations: list[dict] = []
-    for m, g in graphs:
+    for g in graphs:
         problems = []
-        if m > cap:
+        if g.m > cap:
             problems.append("edge count exceeds the cap")
         if clique_number(g) >= 4:
             problems.append("graph contains a 4-clique")
         if any(e[0] != 1 for e in g.edge_list()):
             problems.append("an edge misses vertex 1")
         if problems:
-            violations.append({"m": m, "edges": _edge_record(g), "problems": problems})
+            violations.append({"m": g.m, "edges": _edge_record(g), "problems": problems})
     return _make_report(
         "k4",
         {"t": t},
@@ -738,7 +729,7 @@ def proposition_k4_check(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
         extras={
             "cap_exact": str(cap),
             "cap": float(cap),
-            "max_edges_observed": max(m for m, _ in graphs),
+            "max_edges_observed": max(g.m for g in graphs),
             "universe_size": len(_clique_free_universe(t, 4)),
         },
     )
@@ -766,7 +757,6 @@ def bp_check(t: int, p: int = 4, opts: VerifyOptions = DEFAULT_VERIFY) -> Theore
     the whole class and a single maximal instance settles the bound.
     """
     bound = bp_bound(t, p, 3)
-    _check_ground(t)
     universe = _clique_free_universe(t, p)
     g = Hypergraph.from_edges(3, t, universe)
     if clique_number(g) >= p:
@@ -809,17 +799,16 @@ def theorem43_check(t: int, a: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         raise ValueError("need t >= 5")
     if not 1 <= a <= t - 2:
         raise ValueError("need 1 <= a <= t - 2")
-    _check_ground(t)
     m = binomial(t - 1, 3) + binomial(t - 2, 2) + a
     cap = Fraction(2 * t + 3 * a - 4, 5)
     kept = _left_compressed(
         t, [m], lambda g: contains_clique(g, t - 1) and len(pair_link(g, t - 1, t)) <= cap
     )
-    results = _map_lagrangian([(m, colex_graph(3, m))] + kept, opts)
-    (_, _, target), *solved = results
+    results = _map_lagrangian([colex_graph(3, m)] + kept, opts)
+    (_, target), *solved = results
     violations = [
-        _entry(m, g, res, target=target.value, excess=res.value - target.value)
-        for m, g, res in solved
+        _entry(g, res, target=target.value, excess=res.value - target.value)
+        for g, res in solved
         if res.value > target.value + opts.tol
     ]
     return _make_report(
@@ -856,14 +845,13 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
     such a tail are logged as out of scope rather than as violations.
     """
     bound = float(theorem2_bound(t))
-    _check_ground(t)
     total = binomial(t, 3)
     solved = _map_lagrangian(_left_compressed(t, range(1, total + 1)), opts)
     violations: list[dict] = []
     logged: list[dict] = []
     branch_counts = {"spread": 0, "capped": 0, "both": 0}
     zero_tail = 0
-    for m, g, res in solved:
+    for g, res in solved:
         ws = sorted((float(w) for w in res.weighting), reverse=True)
         x1 = ws[0]
         xa = ws[t - 4]  # x_{t-3}, 1-indexed
@@ -879,7 +867,7 @@ def lemmaeq_dichotomy_audit(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> The
         elif capped_ok:
             branch_counts["capped"] += 1
         else:
-            entry = _entry(m, g, res, x1=x1, x_t_minus_3=xa, x_t_minus_2=xb, bound=bound)
+            entry = _entry(g, res, x1=x1, x_t_minus_3=xa, x_t_minus_2=xb, bound=bound)
             if xb == 0.0:
                 logged.append(entry)
             else:

@@ -234,6 +234,38 @@ def test_verify_guard_is_usage_error(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theorem1",),
+        ("pz18",),
+        ("tal9",),
+        ("theorem2",),
+        ("corollary",),
+        ("k4",),
+        ("bp",),
+        ("theorem43", "--a", "1"),
+        ("lemmaeq",),
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_enumerating_verifier_is_guarded(args, monkeypatch, capsys):
+    # The guard refuses [t] before a single triple or graph is listed,
+    # however large t is: at t = 10**6 the triples alone would number
+    # about 1.7e17.
+    def refuse(*_, **__):
+        raise RuntimeError("listed")
+
+    monkeypatch.setattr(theorems, "combinations", refuse)
+    monkeypatch.setattr(theorems, "enumerate_left_compressed", refuse)
+    for t in (9, 10**6):
+        code, out, err = run_main(capsys, "verify", *args, "--t", str(t))
+        assert code == EXIT_USAGE and out == "", (args, t)
+        assert err == (
+            f"usage error: ground set [{t}] exceeds the enumeration guard (max_ground=8)\n"
+        )
+
+
 def test_enumerate_guard_is_usage_error(capsys):
     # The enumerate command shares the verifiers' guard and its message.
     code, out, err = run_main(capsys, "enumerate", "9", "3", "4")

@@ -11,7 +11,8 @@ The files were written by the code before the verifiers were rebuilt
 over shared helpers; regenerate them only for a deliberate change of
 report bytes, with ``python tests/test_golden.py``. It rewrites only the
 files whose bytes changed and prints, for each, the largest absolute
-shift of a float field and every other field that changed.
+shift of a float field and every other field that changed, was added
+or was removed.
 
 The ``cli-`` cases lock the standard output and exit code of every
 command line command in text and JSON, and of the verify violation
@@ -23,6 +24,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,13 +157,22 @@ def test_cli_matches_golden(name, monkeypatch):
 
 def _changes(old, new, path=""):
     """(path, |shift|) for every float field that moved between two parsed
-    reports, and (path, None) for every other field that changed."""
+    reports, and (path, None) for every other field that changed, with
+    "(added)" or "(removed)" after the path of a dict key only one has."""
     if isinstance(old, float) and isinstance(new, float):
         if old != new:
             yield path, abs(new - old)
-    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+    elif isinstance(old, dict) and isinstance(new, dict):
+        # Shared keys are compared field by field even when a key was
+        # added or removed next to them, and each such key is named.
         for key in old:
-            yield from _changes(old[key], new[key], f"{path}.{key}")
+            if key in new:
+                yield from _changes(old[key], new[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key} (removed)", None
+        for key in new:
+            if key not in old:
+                yield f"{path}.{key} (added)", None
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from _changes(a, b, f"{path}[{i}]")
@@ -188,6 +199,27 @@ def _rewrite(name: str, text: str) -> None:
     for where, shift in changes:
         if shift is None:
             print(f"  changed: {where or '(whole report)'}")
+
+
+def test_changes_report_floats_next_to_an_added_key(tmp_path, monkeypatch, capsys):
+    # A report that gains a key keeps its float report: the shift in the
+    # shared keys is measured, and the added and removed keys are named.
+    old = {"extras": {"values": [[5, 0.0625]], "gone": 1}, "seed": 0}
+    new = {"extras": {"values": [[5, 0.0625 + 2**-55]], "structured_only": 2}, "seed": 0}
+    assert list(_changes(old, new)) == [
+        (".extras.values[0][1]", 2**-55),
+        (".extras.gone (removed)", None),
+        (".extras.structured_only (added)", None),
+    ]
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    (tmp_path / "r.json").write_text(json.dumps(old))
+    _rewrite("r.json", json.dumps(new))
+    assert capsys.readouterr().out == (
+        f"r.json: largest float shift {2**-55!r}\n"
+        "  changed: .extras.gone (removed)\n"
+        "  changed: .extras.structured_only (added)\n"
+    )
+    assert json.loads((tmp_path / "r.json").read_text()) == new
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from lagrangia.theorems import (
     verify_theorem2,
 )
 from lagrangia import theorems
-from lagrangia.theorems import _clique_free_universe, _instance_seed, _pool_size
+from lagrangia.theorems import _clique_free_universe, _pool_size
 
 FAST = VerifyOptions(opt=OptOptions(random_starts=2))
 
@@ -395,9 +395,9 @@ def test_parallel_matches_serial():
 
 
 def test_verifiers_never_read_opt_seed(monkeypatch):
-    # Each instance is solved with its own seed, from VerifyOptions.seed
-    # and its index, in place of opt.seed: two options that differ only
-    # in opt.seed give the same report, byte for byte.
+    # Every instance is solved with the run's seed, VerifyOptions.seed,
+    # in place of opt.seed: two options that differ only in opt.seed
+    # give the same report, byte for byte.
     seeds = []
     real = theorems._solve_task
 
@@ -406,15 +406,40 @@ def test_verifiers_never_read_opt_seed(monkeypatch):
         return real(task)
 
     monkeypatch.setattr(theorems, "_solve_task", spy)
-    other = replace(FAST, opt=replace(FAST.opt, seed=12345))
+    run = replace(FAST, seed=7)
+    other = replace(run, opt=replace(run.opt, seed=12345))
     for check in (verify_theorem1, verify_pz18):
         seeds.clear()
-        a = check(6, FAST).to_json()
-        first = list(seeds)
+        a = check(6, run).to_json()
+        assert seeds and set(seeds) == {7}
         seeds.clear()
         assert check(6, other).to_json() == a
-        assert seeds == first and 12345 not in seeds
-        assert seeds == [_instance_seed(FAST.seed, i) for i in range(len(seeds))]
+        assert seeds and set(seeds) == {7}
+
+
+def test_a_graph_solves_alike_in_every_verifier(monkeypatch):
+    # A result depends only on the graph and the options, not on which
+    # verifier's filter let the graph through or where it fell in the
+    # sweep: a graph on [6] that both pz18 and lemmaeq solve gets the
+    # same record and the same weight bytes in each.
+    solved = {}
+    real = theorems._solve_task
+
+    def spy(task):
+        res = real(task)
+        record = (res.to_record(), res.weighting.tobytes())
+        solved.setdefault(task[0].edges, []).append(record)
+        return res
+
+    monkeypatch.setattr(theorems, "_solve_task", spy)
+    run = replace(FAST, seed=3)
+    pz18 = verify_pz18(6, run)
+    in_pz18 = set(solved)
+    lemmaeq_dichotomy_audit(6, run)
+    assert pz18.instances_checked == len(in_pz18) > 0
+    for edges in in_pz18:
+        first, again = solved[edges]
+        assert first == again
 
 
 def test_pool_size_clamped_by_cpus_and_tasks(monkeypatch):
@@ -462,9 +487,3 @@ def test_report_text_contains_verdict():
     assert "PASS" in text
     assert "corollary" in text
 
-
-def test_instance_seeds_are_stable_and_distinct():
-    assert _instance_seed(0, 0) == _instance_seed(0, 0)
-    seeds = {_instance_seed(0, i) for i in range(50)}
-    assert len(seeds) == 50
-    assert _instance_seed(1, 0) != _instance_seed(0, 0)
