@@ -22,14 +22,25 @@ its bins by its offset into the K * n^d bins, takes the derivative of
 every row in one scatter; each bin still adds the same terms in the
 same order, so every row is bit-identical to a one-row call.
 
-``Form(edges, n)`` owns that layout for a caller: the form of one
-graph. Its ``grad``, ``hess`` and ``values`` take a (K, n) batch or an
-(n,) vector. A derivative order is planned on its first use, so a
-caller that takes no Hessian builds no Hessian plan and one that takes
-no derivative builds none; the plan is tiled for the largest batch
-seen, and a batch of K rows takes the first K rows of the tiling, a
-view memoized per K. Callers that take many derivatives of one graph
-build one ``Form`` and pass it.
+``Form(edges, n)`` owns that layout for one graph. Its ``grad``,
+``hess`` and ``values`` take a (K, n) batch or an (n,) vector. A
+derivative order is planned on its first use, so a caller that takes no
+Hessian builds no Hessian plan and one that takes no derivative builds
+none; the plan is tiled for the largest batch seen, and a batch of K
+rows takes the first K rows of the tiling, a view memoized per K.
+Callers that take many derivatives of one graph build one ``Form`` and
+pass it.
+
+``Batch(forms, counts)`` lays out a batch of several graphs on one n:
+its rows are grouped by graph, counts[j] rows of forms[j], in order.
+Each graph adds its own tiled prefix, each row's gathers shifted by its
+row offset in the batch times n and its bins by that offset times n^d;
+bins still belong to one row each, so every row is bit-identical to a
+one-row call of its graph's form. The plan of a layout is memoized per
+counts, and a layout whose rows are all of one graph takes that graph's
+prefix view, without a copy. ``take(rows)`` is the layout of some rows
+of a batch (a ``Form`` is its own); a caller that drops rows takes the
+layout of the rows it keeps.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -43,9 +54,10 @@ the compensated ``eval_poly`` of the point it returns.
 ``ascent_rows`` runs the loop on a batch of start vectors at once, one
 gradient scatter per step for all of them; on graphs of a few vertices
 numpy call overhead, not arithmetic, is most of a step, so a batch of K
-rows costs little more per step than one row. It takes the caller's
-``Form`` and looks up the live rows' plan once per pass (``Form.plan``),
-so a caller that runs many chunks on one graph plans and tiles once.
+rows, of one graph or of several, costs little more per step than one
+row. It takes the caller's ``Form`` or ``Batch`` and looks up the live
+rows' plan once per pass (``plan``), so a caller that runs many chunks
+on one graph plans and tiles once.
 ``ascent_loop`` is its one-row case and builds its own one-row form.
 """
 
@@ -131,9 +143,18 @@ class Form:
         self._tiled: dict[int, Plan] = {}
         self._prefixes: dict[tuple[int, int], Plan] = {}
 
+    def take(self, rows: np.ndarray) -> Form:
+        """The layout of the given rows of a batch: every row is of this
+        graph, so the form itself."""
+        return self
+
     def plan(self, order: int, X: np.ndarray) -> Plan:
         """The plan of the derivative of the given order for the rows of X."""
-        k = X.shape[0] if X.ndim == 2 else 1
+        return self.prefix(order, X.shape[0] if X.ndim == 2 else 1)
+
+    def prefix(self, order: int, k: int) -> Plan:
+        """The plan of the derivative of the given order for k rows: the
+        first k rows of the tiling."""
         if (order, k) not in self._prefixes:
             if order not in self._plans:
                 self._plans[order] = _plan(self.edges, self.n, order)
@@ -161,8 +182,75 @@ class Form:
         return eval_poly(X, self.edges)
 
 
+class Batch:
+    """The forms of several graphs on n vertices over one (K, n) batch
+    whose rows are grouped by graph: counts[j] rows of forms[j], in order.
+
+    ``grad``, ``hess`` and ``values`` take such a batch, each row
+    bit-identical to a one-row call of its graph's form. The plan of a
+    derivative order is memoized per counts and shared with every layout
+    that ``take`` derives, so a layout met again is not planned again.
+    """
+
+    def __init__(
+        self, forms: list[Form], counts: list[int], plans: dict | None = None
+    ) -> None:
+        self.forms = forms
+        self.counts = tuple(counts)
+        self.n = forms[0].n
+        self.r = forms[0].r
+        # By (order, counts): the layout's plan.
+        self._plans: dict[tuple[int, tuple[int, ...]], Plan] = {} if plans is None else plans
+
+    def take(self, rows: np.ndarray) -> Batch:
+        """The layout of the given rows of this batch, in increasing order."""
+        owners = np.repeat(np.arange(len(self.forms)), self.counts)[rows]
+        counts = np.bincount(owners, minlength=len(self.forms)).tolist()
+        return Batch(self.forms, counts, self._plans)
+
+    def plan(self, order: int, X: np.ndarray | None = None) -> Plan:
+        """The plan of the derivative of the given order for this layout;
+        X, a batch in it, is not read."""
+        key = order, self.counts
+        if key not in self._plans:
+            parts = [(form, k) for form, k in zip(self.forms, self.counts) if k]
+            if len(parts) == 1:
+                # One graph holds every row: its prefix, a view.
+                form, k = parts[0]
+                self._plans[key] = form.prefix(order, k)
+            else:
+                # Each graph's prefix, shifted by the rows before it.
+                plans = [form.prefix(order, k) for form, k in parts]
+                ahead = np.cumsum([0] + [k for _, k in parts[:-1]])
+                shift = np.repeat(ahead, [bins.shape[0] for bins, _ in plans])
+                bins = np.concatenate([bins for bins, _ in plans]) + shift * self.n**order
+                gathers = [
+                    np.concatenate(ix) + shift * self.n for ix in zip(*(g for _, g in plans))
+                ]
+                self._plans[key] = bins, gathers
+        return self._plans[key]
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        """The gradient at every row of X."""
+        return _scatter(X, self.plan(1), 1)
+
+    def hess(self, X: np.ndarray) -> np.ndarray:
+        """The Hessian at every row of X."""
+        return _scatter(X, self.plan(2), 2)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """``eval_poly`` of every row of X under its graph's edges."""
+        ends = np.cumsum(self.counts).tolist()
+        parts = [
+            form.values(X[end - k : end])
+            for form, k, end in zip(self.forms, self.counts, ends)
+            if k
+        ]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+
 def ascent_rows(
-    X: np.ndarray, form: Form, max_iters, tol: float
+    X: np.ndarray, form: Form | Batch, max_iters, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Growth-transform iterations on every row of a (K, n) batch.
 
@@ -172,15 +260,16 @@ def ascent_rows(
     or when its gradient vanishes on the support; values are eval_poly
     at the returned rows (``form.values``).
 
-    The rows share one gradient scatter into K * n bins, row k's bins
-    offset by k * n. Each bin adds the same edge terms
-    in the same order as a one-row run, and every other operation is
-    elementwise or a reduction along one row, so every row is
-    bit-identical to a batch of that row alone. A row that stops is
-    dropped from the batch; the live rows are kept first, so their plan
-    is a prefix of the form's tiling.
+    The rows, of one graph (a ``Form``) or grouped by graph (a
+    ``Batch``), share one gradient scatter into K * n bins, row k's bins
+    offset by k * n. Each bin adds the same edge terms in the same order
+    as a one-row run, and every other operation is elementwise or a
+    reduction along one row, so every row is bit-identical to a batch of
+    that row alone. A row that stops is dropped from the batch, and the
+    live rows keep their order, so their layout is ``form.take`` of them.
     """
     X = np.array(X, dtype=np.float64, ndmin=2)
+    whole = form
     K = X.shape[0]
     iters = np.zeros(K, dtype=np.int64)
     worst = np.zeros(K)
@@ -208,10 +297,11 @@ def ascent_rows(
             live, rows, xg, denom, val, cap, low = (
                 a[keep] for a in (live, rows, xg, denom, val, cap, low)
             )
+            form = form.take(keep)
         if live.shape[0] == 0:
             break
-        # The live rows' plan, a prefix of the tiling: looked up once per
-        # pass of this loop, not at every step.
+        # The live rows' plan: looked up once per pass of this loop, not
+        # at every step.
         plan = form.plan(1, rows)
         next_cap = cap.min()
         while True:
@@ -241,7 +331,7 @@ def ascent_rows(
                 break
         # Some row may stop: build the row masks.
         going = ~(gain < tol) & (step < cap) & (denom > 0.0)
-    return X, form.values(X), iters, worst
+    return X, whole.values(X), iters, worst
 
 
 def ascent_loop(

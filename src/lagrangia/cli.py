@@ -78,7 +78,8 @@ EXIT_INTERNAL = 5
 # --parallelism above this many workers per core is a usage error
 MAX_WORKERS_PER_CPU = 4
 # --random-starts above this is a usage error: every start is one row of
-# each batch the ascent holds in memory
+# each batch the ascent holds in memory, and a graph's start set runs in
+# one lockstep even when it alone exceeds lagrangian.LOCKSTEP_ROWS
 MAX_RANDOM_STARTS = 1000
 
 _VERDICT_EXIT = {

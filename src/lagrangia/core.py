@@ -278,6 +278,8 @@ def colex_graph(r: int, m: int) -> Hypergraph:
 
     The vertex count is the largest vertex actually touched; appending
     isolated vertices never changes the Lagrangian, so nothing is lost.
+    The m-th set is unranked once, and the sets are listed from it
+    (``_colex_upto``).
     """
     if m < 1:
         raise ValueError("need at least one edge")
@@ -285,9 +287,24 @@ def colex_graph(r: int, m: int) -> Hypergraph:
     if r > MAX_VERTICES:
         raise ValueError(f"at most {MAX_VERTICES} vertices supported, got r={r}")
     # The last set has the largest top vertex.
-    n = max(colex_unrank(r, m - 1)[-1], r)
+    last = colex_unrank(r, m - 1)
+    n = max(last[-1], r)
     _check_size(n, m)
-    return Hypergraph.from_edges(r, n, [colex_unrank(r, k) for k in range(m)])
+    return Hypergraph.from_edges(r, n, _colex_upto(last))
+
+
+def _colex_upto(last: Edge) -> list[Edge]:
+    """Every set up to ``last`` in colex order, ``last`` first.
+
+    A set precedes last = (c_1 < ... < c_r) exactly when, at the highest
+    position i where the two differ, its member is below c_i; so the sets
+    before it are, for each i, every i-subset of [c_i - 1] topped by
+    c_{i+1}, ..., c_r.
+    """
+    sets = [last]
+    for i in range(len(last), 0, -1):
+        sets += [low + last[i:] for low in combinations(range(1, last[i - 1]), i)]
+    return sets
 
 
 @dataclass(frozen=True)

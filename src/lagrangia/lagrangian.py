@@ -29,21 +29,24 @@ result says which in ``structured_only``. The full start set, and the
 only one on any other graph, is uniform, uniform on every maximum
 clique, the corners, and seeded Dirichlet draws.
 
-The starts of one graph run in lockstep (``_ascend_rows``), in one
+The starts of several graphs on one n run in lockstep
+(``_ascend_graphs``; ``_ascend_rows`` is its one-graph case), in one
 loop: each pass runs one growth chunk, one KKT check of the rows that
 stopped in it and one face finish, whose drop rounds are one Newton
-batch each (``_face_newton``). Every row solves the graph's own
+batch each (``_face_newton``). Every row solves its graph's own
 (n + 1) x (n + 1) system, with the coordinates off its face pinned at
 0, and every scatter bin, solve and reduction belongs to one row, so
-each start ends bit for bit as ``ascend`` from it alone; the batches
-only cut per-call numpy overhead, which on a few vertices is most of
-every derivative. So each call builds one ``_kernels.Form`` of the graph
-for all its rows and passes it to every helper. Every batch of the loop
-takes its derivatives and values from it; how the rows are laid out
-for one scatter is the form's business. The form plans each derivative
-on its first use, so the Hessian, which only the face finish uses, is
-planned only in a call that runs a finish. Bit-identical starts run
-once, and only the kept row is certified.
+each start ends bit for bit as ``ascend`` from it alone on its graph;
+the batches only cut per-call numpy overhead, which on a few vertices
+is most of every derivative. So each call builds one ``_kernels.Form``
+per graph, and a ``_kernels.Batch`` lays the rows out by graph for one
+scatter; every batch of the loop takes its derivatives and values from
+the layout of its rows. A form plans each derivative on its first use,
+so the Hessian, which only the face finish uses, is planned only in a
+call that runs a finish. Bit-identical starts of one graph run once,
+and only each graph's kept row is certified. ``lagrangians`` runs the
+first start sets of many graphs this way, in locksteps of at most
+LOCKSTEP_ROWS rows; ``lagrangian`` is its one-graph case.
 
 ``minimize_support`` runs a support drop only when the complete graph
 on the s - 1 vertices left, whose Lagrangian C(s - 1, r) / (s - 1)^r
@@ -63,9 +66,10 @@ lagrangia.lagrangian import ...`` works as usual.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,6 +109,12 @@ GAP_TOL = 1e-12
 NEWTON_STEPS = 8
 NEWTON_TOL = 1e-14
 CURVATURE_TOL = 1e-9
+
+# The most start rows of one lockstep across graphs (``lagrangians``):
+# 64 left-compressed graphs on [8], whose corner sets hold 6 rows each.
+# A batch of a few rows is mostly numpy call overhead; every row that
+# stops re-plans the batch, at a cost that grows with its rows.
+LOCKSTEP_ROWS = 384
 
 
 @dataclass(frozen=True)
@@ -263,7 +273,9 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.flatnonzero(x > 0.0))
 
 
-def _kkt_rows(X: np.ndarray, form: _kernels.Form, values: np.ndarray) -> np.ndarray:
+def _kkt_rows(
+    X: np.ndarray, form: _kernels.Form | _kernels.Batch, values: np.ndarray
+) -> np.ndarray:
     """The stationarity residual of every row of X, from one gradient
     scatter: max |g_i - rP| over the weights above TRIM, 0.0 for a row
     with none. Each row's gradient is bit-identical to a one-row call,
@@ -378,7 +390,7 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _face_newton(
-    X: np.ndarray, form: _kernels.Form, values: np.ndarray, faces: np.ndarray
+    X: np.ndarray, form: _kernels.Form | _kernels.Batch, values: np.ndarray, faces: np.ndarray
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Newton steps on the KKT system of one face of the simplex, per row.
 
@@ -443,13 +455,13 @@ def _face_newton(
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
     keep = np.flatnonzero(((Z > 0.0) | ~faces).all(axis=1))
     Y = Z[keep]
-    new_values = form.values(Y)
+    new_values = form.take(keep).values(Y)
     higher = new_values >= values[keep]
     keep, Y, new_values = keep[higher], Y[higher], new_values[higher]
     if not keep.shape[0]:
         return out
     face = faces[keep]
-    gap = form.grad(Y)
+    gap = form.take(keep).grad(Y)
     gap -= form.r * new_values[:, None]
     # |gap| on the face, the gap itself off it where x has weight.
     gap = np.where(face, np.abs(gap), gap)
@@ -459,7 +471,7 @@ def _face_newton(
         return out
     k = faces[keep].sum(axis=1)[:, None, None]
     tangent = np.where(both[keep], np.eye(n) - 1.0 / k, 0.0)
-    hess = form.hess(Y)
+    hess = form.take(keep).hess(Y)
     concave = ~(np.linalg.eigvalsh(tangent @ hess @ tangent).max(axis=1) > CURVATURE_TOL)
     for i, y, value in zip(keep[concave], Y[concave], new_values[concave]):
         out[i] = y, float(value), int(steps[i])
@@ -467,7 +479,7 @@ def _face_newton(
 
 
 def _face_finish(
-    X: np.ndarray, form: _kernels.Form, values: np.ndarray
+    X: np.ndarray, form: _kernels.Form | _kernels.Batch, values: np.ndarray
 ) -> list[tuple[np.ndarray, float, int] | None]:
     """Per row of X, the first candidate face that ``_face_newton``
     accepts, or None.
@@ -496,47 +508,69 @@ def _face_finish(
             break
         faces = base[rows]
         faces[np.arange(len(rows))[:, None], order[rows, :j]] = False
-        tried = _face_newton(X[rows], form, values[rows], faces)
+        tried = _face_newton(X[rows], form.take(rows), values[rows], faces)
         for i, res in zip(rows, tried):
             out[i] = res
     return out
 
 
 def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResult:
-    """The best ``ascend`` result over the starts, run in lockstep.
+    """The best ``ascend`` result over the starts, run in lockstep: the
+    one-graph case of ``_ascend_graphs``.
 
     ``starts`` holds one simplex point of length g.n per row, already
     checked: ``ascend`` checks its start with ``as_weighting``, and so
     does ``minimize_support`` its drop start; ``ascend_multistart`` and
     ``uniform_weighting`` build valid ones.
-
-    One loop over the live rows, each pass three batches. One
-    ``ascent_rows`` chunk runs the gain-stopped growth for FACE_CHUNK
-    steps at most. One ``_kkt_rows`` batch checks the rows that stopped
-    in it. One ``_face_finish`` batch then takes the rows still moving
-    (a whole chunk run, with iterations left) and the stopped rows whose
-    residual is above KKT_TOL; a row that a face closes leaves. A
-    stopped row that no face closes, with iterations left and two
-    vertices above FACE_FLOOR * max in no common edge, takes the pair
-    transfer and stays live; the weights below are decaying and on no
-    face. Each transfer shrinks the support, so a row takes at most n of
-    them. Any other stopped row keeps its gain-stop point and its
-    residual. Every row ends where a separate ``ascend`` from its start
-    ends, bit for bit. A start bit-identical to an earlier one would end
-    where that one does, so it runs once. ``_ascent_result`` keeps the
-    best row and certifies only it. One ``_kernels.Form`` for every row
-    serves the whole call: the growth chunks, the KKT checks, the face
-    finish and the certificate.
     """
-    unique: dict[bytes, np.ndarray] = {}
-    for x0 in np.asarray(starts, dtype=np.float64):
-        unique.setdefault(x0.tobytes(), x0)
-    X = np.array(list(unique.values()))
-    form = _kernels.Form(g.edge_array(), g.n)
+    return _ascend_graphs([(g, starts)], opts)[0]
+
+
+def _ascend_graphs(
+    jobs: Sequence[tuple[Hypergraph, np.ndarray]], opts: OptOptions
+) -> list[OptResult]:
+    """For each (g, starts) job, all graphs on one n, the best ``ascend``
+    result over its starts; every start of every job runs in one
+    lockstep.
+
+    The rows are grouped by graph, one ``_kernels.Form`` per graph, laid
+    out for the whole batch by a ``_kernels.Batch`` (a batch of one
+    graph is its form). One loop over the live rows, each pass three
+    batches. One ``ascent_rows`` chunk runs the gain-stopped growth for
+    FACE_CHUNK steps at most. One ``_kkt_rows`` batch checks the rows
+    that stopped in it. One ``_face_finish`` batch then takes the rows
+    still moving (a whole chunk run, with iterations left) and the
+    stopped rows whose residual is above KKT_TOL; a row that a face
+    closes leaves. A stopped row that no face closes, with iterations
+    left and two vertices above FACE_FLOOR * max in no common edge of
+    its graph, takes the pair transfer and stays live; the weights below
+    are decaying and on no face. Each transfer shrinks the support, so a
+    row takes at most n of them. Any other stopped row keeps its
+    gain-stop point and its residual. Every row ends where a separate
+    ``ascend`` from its start on its graph ends, bit for bit. A start
+    bit-identical to an earlier one of the same graph would end where
+    that one does, so it runs once; starts of different graphs never
+    merge. ``_ascent_result`` keeps each graph's best row and certifies
+    only it, with the graph's form.
+    """
+    graphs = [g for g, _ in jobs]
+    blocks = []
+    for _, starts in jobs:
+        unique: dict[bytes, np.ndarray] = {}
+        for x0 in np.asarray(starts, dtype=np.float64):
+            unique.setdefault(x0.tobytes(), x0)
+        blocks.append(list(unique.values()))
+    counts = [len(block) for block in blocks]
+    # Graph j holds the rows up to ends[j].
+    ends = list(accumulate(counts))
+    X = np.array([x0 for block in blocks for x0 in block])
+    forms = [_kernels.Form(g.edge_array(), g.n) for g in graphs]
+    batch = forms[0] if len(forms) == 1 else _kernels.Batch(forms, counts)
     iters = np.zeros(X.shape[0], dtype=np.int64)
     live = np.arange(X.shape[0])
     while live.shape[0]:
         caps = [min(FACE_CHUNK, opts.max_iters - d) for d in iters[live].tolist()]
+        form = batch.take(live)
         Y, values, its, worst = _kernels.ascent_rows(X[live], form, caps, GAIN_TOL)
         drops = worst[worst < -MONOTONE_SLACK]
         if drops.shape[0]:
@@ -551,9 +585,10 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
         tried = moving.copy()
         stopped = np.flatnonzero(~moving)
         if stopped.shape[0]:
-            tried[stopped] = _kkt_rows(Y[stopped], form, values[stopped]) > KKT_TOL
+            residuals = _kkt_rows(Y[stopped], form.take(stopped), values[stopped])
+            tried[stopped] = residuals > KKT_TOL
         rows = np.flatnonzero(tried)
-        outs = _face_finish(Y[rows], form, values[rows]) if rows.shape[0] else []
+        outs = _face_finish(Y[rows], form.take(rows), values[rows]) if rows.shape[0] else []
         keep = moving.copy()
         for i, out in zip(rows.tolist(), outs):
             k = live[i]
@@ -562,13 +597,18 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
                 iters[k] += steps
                 keep[i] = False
             elif not moving[i]:
+                j = bisect_right(ends, k)
                 base = np.flatnonzero(X[k] > FACE_FLOOR * X[k].max()) + 1
-                pair = _find_uncovered_pair(g, base.tolist())
+                pair = _find_uncovered_pair(graphs[j], base.tolist())
                 if pair is not None and iters[k] < opts.max_iters:
-                    X[k] = _pair_transfer(X[k], form, pair)
+                    X[k] = _pair_transfer(X[k], forms[j], pair)
                     keep[i] = True
         live = live[keep]
-    return _ascent_result(g, form, X, iters.tolist())
+    iterations = iters.tolist()
+    return [
+        _ascent_result(g, form, X[end - k : end], iterations[end - k : end])
+        for g, form, k, end in zip(graphs, forms, counts, ends)
+    ]
 
 
 def _ascent_result(
@@ -656,24 +696,51 @@ def ascend_multistart(g: Hypergraph, opts: OptOptions | None = None) -> OptResul
     on [n], uniform on every maximum clique, the corners, and
     opts.random_starts Dirichlet draws from a generator seeded with
     opts.seed. So the random starts, and opts.seed, act only there.
+    ``lagrangians`` runs the first start sets of many graphs in one
+    lockstep and takes the same second step per graph.
     """
     opts = opts or DEFAULT_OPTIONS
+    return _escalated(g, _ascend_rows(g, _first_starts(g, opts), opts), opts)
+
+
+def _corner_starts(g: Hypergraph) -> list[np.ndarray]:
+    """Uniform on [n], then the corners u_k for k = r..n."""
     n = g.n
-    uniform = uniform_weighting(n)
     corners = [uniform_weighting(n, range(1, k + 1)) for k in range(g.r, n + 1)]
-    if g.left_compressed:
-        res = _ascend_rows(g, np.array([uniform, *corners]), opts)
-        if not res.kkt_residual > KKT_TOL:
-            return replace(res, structured_only=True)
+    return [uniform_weighting(n), *corners]
+
+
+def _full_starts(g: Hypergraph, opts: OptOptions) -> np.ndarray:
+    """Uniform on [n], uniform on every maximum clique, the corners, and
+    opts.random_starts Dirichlet draws seeded with opts.seed."""
+    uniform, *corners = _corner_starts(g)
     starts = [uniform]
     for clique in maximum_cliques(g):
-        starts.append(uniform_weighting(n, clique))
+        starts.append(uniform_weighting(g.n, clique))
     starts += corners
     if opts.random_starts > 0:
         rng = np.random.default_rng(opts.seed)
         for _ in range(opts.random_starts):
-            starts.append(rng.dirichlet(np.ones(n)))
-    return _ascend_rows(g, np.array(starts), opts)
+            starts.append(rng.dirichlet(np.ones(g.n)))
+    return np.array(starts)
+
+
+def _first_starts(g: Hypergraph, opts: OptOptions) -> np.ndarray:
+    """The start set that ``ascend_multistart`` runs first: the corners on
+    a left-compressed graph, the full set on any other."""
+    return np.array(_corner_starts(g)) if g.left_compressed else _full_starts(g, opts)
+
+
+def _escalated(g: Hypergraph, first: OptResult, opts: OptOptions) -> OptResult:
+    """The multistart result from the result of the first start set: the
+    corner result tagged ``structured_only`` when it is stationary, the
+    full set's otherwise; on a graph that is not left-compressed the
+    first set was the full set."""
+    if not g.left_compressed:
+        return first
+    if not first.kkt_residual > KKT_TOL:
+        return replace(first, structured_only=True)
+    return _ascend_rows(g, _full_starts(g, opts), opts)
 
 
 def minimize_support(
@@ -774,15 +841,9 @@ def _closed_form_result(g: Hypergraph, value: float, support: Sequence[int]) -> 
     return _certified(g, form, x, value, tuple(support), "closed-form", 0)
 
 
-def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
-    """The Lagrangian with an optimal weighting of minimal support.
-
-    Dispatch: 2-graphs use the clique-number closed form; complete
-    graphs (up to isolated vertices) use C(t,r)/t^r; everything else
-    runs multi-start ascent followed by support minimization, and on a
-    left-compressed graph the weights are then sorted non-increasing.
-    """
-    opts = opts or DEFAULT_OPTIONS
+def _closed_form(g: Hypergraph) -> OptResult | None:
+    """The closed-form result of an edgeless graph, a 2-graph or a
+    complete graph (up to isolated vertices), or None for any other."""
     if not g.edges:
         return _closed_form_result(g, 0.0, ())
     if g.r == 2:
@@ -793,10 +854,61 @@ def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
     if g.m == binomial(len(active), g.r):
         value = float(complete_lagrangian(len(active), g.r))
         return _closed_form_result(g, value, active)
-    res = minimize_support(g, ascend_multistart(g, opts), opts)
-    if is_left_compressed(g):
-        res = _sorted_weights(g, res)
-    return res
+    return None
+
+
+def lagrangian(g: Hypergraph, opts: OptOptions | None = None) -> OptResult:
+    """The Lagrangian with an optimal weighting of minimal support: the
+    one-graph case of ``lagrangians``.
+
+    Dispatch: 2-graphs use the clique-number closed form; complete
+    graphs (up to isolated vertices) use C(t,r)/t^r; everything else
+    runs multi-start ascent followed by support minimization, and on a
+    left-compressed graph the weights are then sorted non-increasing.
+    """
+    return lagrangians([g], opts)[0]
+
+
+def lagrangians(graphs: Sequence[Hypergraph], opts: OptOptions | None = None) -> list[OptResult]:
+    """``lagrangian`` of each graph, in order, bit for bit.
+
+    Closed forms apply per graph. The first start sets of the other
+    graphs (``ascend_multistart``) run in lockstep: the graphs on one n,
+    in order, join one ``_ascend_graphs`` batch while their starts fit in
+    LOCKSTEP_ROWS rows, and a graph whose starts alone do not fit runs
+    alone. Each row ends as it would in its graph's own batch, so the
+    grouping moves no byte. Escalation to the full start set, support
+    minimization and the weight sort then run per graph.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    out = [_closed_form(g) for g in graphs]
+    by_n: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, g in enumerate(graphs):
+        if out[i] is None:
+            by_n.setdefault(g.n, []).append((i, _first_starts(g, opts)))
+    firsts: dict[int, OptResult] = {}
+    for group in by_n.values():
+        locksteps: list[list[tuple[int, np.ndarray]]] = []
+        rows = LOCKSTEP_ROWS
+        for i, starts in group:
+            if rows + len(starts) > LOCKSTEP_ROWS:
+                locksteps.append([])
+                rows = 0
+            locksteps[-1].append((i, starts))
+            rows += len(starts)
+        for lockstep in locksteps:
+            jobs = [(graphs[i], starts) for i, starts in lockstep]
+            # A lone graph runs ``_ascend_rows``, the one-graph case.
+            if len(jobs) == 1:
+                solved = [_ascend_rows(*jobs[0], opts)]
+            else:
+                solved = _ascend_graphs(jobs, opts)
+            firsts.update(zip([i for i, _ in lockstep], solved))
+    for i, first in sorted(firsts.items()):
+        g = graphs[i]
+        res = minimize_support(g, _escalated(g, first, opts), opts)
+        out[i] = _sorted_weights(g, res) if is_left_compressed(g) else res
+    return out
 
 
 def _sorted_weights(g: Hypergraph, res: OptResult) -> OptResult:

@@ -29,7 +29,8 @@ from .lagrangian import (
     OptResult,
     complete_lagrangian,
     evaluate_exact,
-    lagrangian,
+    lagrangian,  # unused here; kept in this namespace for code that looks it up
+    lagrangians,
 )
 from .structure import clique_number, contains_clique, dominance_le, enumerate_left_compressed
 
@@ -60,6 +61,10 @@ __all__ = [
 
 # The largest ground set [t] admitted to exhaustive enumeration.
 MAX_GROUND = 8
+
+# Graphs per ``lagrangians`` call of a sweep, and per task of the process
+# pool: about one lockstep of ``lagrangian.LOCKSTEP_ROWS`` rows on [8].
+CHUNK_GRAPHS = 64
 
 
 @dataclass(frozen=True)
@@ -209,9 +214,9 @@ def _check_ground(t: int) -> None:
         )
 
 
-def _solve_task(task: tuple[Hypergraph, OptOptions]) -> OptResult:
-    g, opt = task
-    return lagrangian(g, opt)
+def _solve_chunk(task: tuple[Sequence[Hypergraph], OptOptions]) -> list[OptResult]:
+    graphs, opt = task
+    return lagrangians(graphs, opt)
 
 
 def _pool_size(requested: int, tasks: int) -> int:
@@ -242,12 +247,22 @@ def _map_lagrangian(
 ) -> list[tuple[Hypergraph, OptResult]]:
     """(g, result) for each graph, solved with opts.opt under the run's
     seed, opts.seed, not one derived from the graph's index: a result
-    depends only on the graph and the options."""
+    depends only on the graph and the options.
+
+    The graphs go to ``lagrangians`` in consecutive chunks, which runs
+    the starts of a chunk's graphs in lockstep. A chunk holds
+    CHUNK_GRAPHS graphs, or an even share of them per worker when that
+    is fewer, so that every worker of the pool has a chunk; the pool
+    takes the chunks in order. A result does not depend on the chunk its
+    graph falls in, so every chunking gives the same bytes.
+    """
     opt = replace(opts.opt, seed=opts.seed)
-    tasks = [(g, opt) for g in graphs]
+    share = -(-len(graphs) // _pool_size(opts.parallelism, len(graphs)))
+    size = max(1, min(CHUNK_GRAPHS, share))
+    tasks = [(graphs[i : i + size], opt) for i in range(0, len(graphs), size)]
     workers = _pool_size(opts.parallelism, len(tasks))
     if workers == 1:
-        results = [_solve_task(task) for task in tasks]
+        chunks = [_solve_chunk(task) for task in tasks]
     else:
         # Imported here so that a serial run never loads the pool's
         # modules (multiprocessing, subprocess).
@@ -255,8 +270,8 @@ def _map_lagrangian(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so merged reports stay deterministic
-            results = list(pool.map(_solve_task, tasks))
-    return list(zip(graphs, results))
+            chunks = list(pool.map(_solve_chunk, tasks))
+    return list(zip(graphs, [res for chunk in chunks for res in chunk]))
 
 
 def _structured_only(solved: Iterable[tuple[Hypergraph, OptResult]]) -> int:

@@ -240,6 +240,15 @@ class TestGraphConstructors:
         assert g11.n == 6
         assert set(g11.edge_list()) == set(complete_graph(5, 3).edge_list()) | {(1, 2, 6)}
 
+    def test_colex_graph_lists_the_unranked_sets(self):
+        # The sets are listed from the last one, not unranked one by one.
+        for r in range(1, 6):
+            for m in range(1, 130):
+                listed = sorted(core._colex_upto(colex_unrank(r, m - 1)), key=colex_key)
+                assert listed == [colex_unrank(r, k) for k in range(m)], (r, m)
+                if r >= 2:
+                    assert colex_graph(r, m).edge_list() == listed, (r, m)
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_colex_graph_completes(self, r):
         for t in range(r, 13):

@@ -117,6 +117,12 @@ def stub_lagrangian(g, opts=None):
     )
 
 
+def stub_lagrangians(graphs, opts=None):
+    """``stub_lagrangian`` of each graph: the stand-in for the sweeps'
+    many-graph solve."""
+    return [stub_lagrangian(g, opts) for g in graphs]
+
+
 def _report_json(case) -> str:
     verifier, args, overrides = case
     return verifier(*args, replace(OPTS, **overrides)).to_json()
@@ -129,7 +135,7 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(STUB_CASES))
 def test_stub_report_matches_golden(name, monkeypatch):
-    monkeypatch.setattr(theorems, "lagrangian", stub_lagrangian)
+    monkeypatch.setattr(theorems, "lagrangians", stub_lagrangians)
     assert _report_json(STUB_CASES[name]) == (GOLDEN / f"{name}.json").read_text()
 
 
@@ -150,7 +156,7 @@ def _cli_run(argv) -> tuple[int, str]:
 def test_cli_matches_golden(name, monkeypatch):
     monkeypatch.delenv("LAGRANGIA_SEED", raising=False)
     if name.startswith("cli-stub-"):
-        monkeypatch.setattr(theorems, "lagrangian", stub_lagrangian)
+        monkeypatch.setattr(theorems, "lagrangians", stub_lagrangians)
     code, argv = CLI_CASES[name]
     assert _cli_run(argv) == (code, (GOLDEN / name).read_text())
 
@@ -230,7 +236,7 @@ if __name__ == "__main__":
     for name, (_, argv) in sorted(CLI_CASES.items()):
         if not name.startswith("cli-stub-"):
             _rewrite(name, _cli_run(argv)[1])
-    theorems.lagrangian = stub_lagrangian
+    theorems.lagrangians = stub_lagrangians
     for name, case in sorted(STUB_CASES.items()):
         _rewrite(f"{name}.json", _report_json(case))
     for name, (_, argv) in sorted(CLI_CASES.items()):

@@ -163,7 +163,9 @@ def test_reports_count_structured_only_instances(verifier, args, monkeypatch):
             structured_only=tags[-1],
         )
 
-    monkeypatch.setattr(theorems, "lagrangian", tagging)
+    monkeypatch.setattr(
+        theorems, "lagrangians", lambda graphs, opts=None: [tagging(g, opts) for g in graphs]
+    )
     extras = verifier(*args, theorems.VerifyOptions(parallelism=1)).extras
     counted = extras["structured_only"]
     counted += extras.get("diagnostic_omega_below_4", {}).get("structured_only", 0)

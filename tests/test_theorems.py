@@ -399,13 +399,13 @@ def test_verifiers_never_read_opt_seed(monkeypatch):
     # in place of opt.seed: two options that differ only in opt.seed
     # give the same report, byte for byte.
     seeds = []
-    real = theorems._solve_task
+    real = theorems._solve_chunk
 
     def spy(task):
         seeds.append(task[1].seed)
         return real(task)
 
-    monkeypatch.setattr(theorems, "_solve_task", spy)
+    monkeypatch.setattr(theorems, "_solve_chunk", spy)
     run = replace(FAST, seed=7)
     other = replace(run, opt=replace(run.opt, seed=12345))
     for check in (verify_theorem1, verify_pz18):
@@ -423,15 +423,16 @@ def test_a_graph_solves_alike_in_every_verifier(monkeypatch):
     # sweep: a graph on [6] that both pz18 and lemmaeq solve gets the
     # same record and the same weight bytes in each.
     solved = {}
-    real = theorems._solve_task
+    real = theorems._solve_chunk
 
     def spy(task):
-        res = real(task)
-        record = (res.to_record(), res.weighting.tobytes())
-        solved.setdefault(task[0].edges, []).append(record)
-        return res
+        results = real(task)
+        for g, res in zip(task[0], results):
+            record = (res.to_record(), res.weighting.tobytes())
+            solved.setdefault(g.edges, []).append(record)
+        return results
 
-    monkeypatch.setattr(theorems, "_solve_task", spy)
+    monkeypatch.setattr(theorems, "_solve_chunk", spy)
     run = replace(FAST, seed=3)
     pz18 = verify_pz18(6, run)
     in_pz18 = set(solved)
