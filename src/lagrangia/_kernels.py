@@ -31,16 +31,18 @@ rows takes the first K rows of the tiling, a view memoized per K.
 Callers that take many derivatives of one graph build one ``Form`` and
 pass it.
 
-``Batch(forms, counts)`` lays out a batch of several graphs on one n:
-its rows are grouped by graph, counts[j] rows of forms[j], in order.
-Each graph adds its own tiled prefix, each row's gathers shifted by its
-row offset in the batch times n and its bins by that offset times n^d;
+``Batch(forms, counts)`` lays out a batch of several graphs of one r
+on one n: its rows are grouped by graph, counts[j] rows of forms[j], in
+order. Each row takes its graph's one-row plan, its gathers shifted by
+its offset in the batch times n and its bins by that offset times n^d;
 bins still belong to one row each, so every row is bit-identical to a
-one-row call of its graph's form. The plan of a layout is memoized per
-counts, and a layout whose rows are all of one graph takes that graph's
-prefix view, without a copy. ``take(rows)`` is the layout of some rows
-of a batch (a ``Form`` is its own); a caller that drops rows takes the
-layout of the rows it keeps.
+one-row call of its graph's form. A batch refuses forms of another n or
+r. It plans each derivative order once, and a layout whose
+rows are all of one graph takes that graph's prefix view, without a
+copy. ``take(rows)`` is the layout of some rows of a batch (a ``Form``
+is its own, and so is a batch that keeps every row); a caller that
+drops rows takes the layout of the rows it keeps, and a layout's plans
+go when its batch does.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -152,17 +154,21 @@ class Form:
         """The plan of the derivative of the given order for the rows of X."""
         return self.prefix(order, X.shape[0] if X.ndim == 2 else 1)
 
+    def row_plan(self, order: int) -> Plan:
+        """The one-row plan of the derivative of the given order."""
+        if order not in self._plans:
+            self._plans[order] = _plan(self.edges, self.n, order)
+        return self._plans[order]
+
     def prefix(self, order: int, k: int) -> Plan:
         """The plan of the derivative of the given order for k rows: the
         first k rows of the tiling."""
         if (order, k) not in self._prefixes:
-            if order not in self._plans:
-                self._plans[order] = _plan(self.edges, self.n, order)
             if order not in self._tiled or k > self._tiled[order][0].shape[0]:
                 # Tile for k rows: row i's gathers shift by i * n and its
                 # bins by i * n^order. The prefixes of the old tiling are
                 # prefixes of the new one.
-                bins, gathers = self._plans[order]
+                bins, gathers = self.row_plan(order)
                 at = np.arange(k)[:, None]
                 self._tiled[order] = at * self.n**order + bins, [at * self.n + ix for ix in gathers]
             bins, gathers = self._tiled[order]
@@ -187,48 +193,54 @@ class Batch:
     whose rows are grouped by graph: counts[j] rows of forms[j], in order.
 
     ``grad``, ``hess`` and ``values`` take such a batch, each row
-    bit-identical to a one-row call of its graph's form. The plan of a
-    derivative order is memoized per counts and shared with every layout
-    that ``take`` derives, so a layout met again is not planned again.
+    bit-identical to a one-row call of its graph's form. Every form has
+    the same n and r: a row's gathers and bins are laid out in them. A
+    batch plans each derivative order on its first use, once; a layout
+    that ``take`` derives is a batch of its own.
     """
 
-    def __init__(
-        self, forms: list[Form], counts: list[int], plans: dict | None = None
-    ) -> None:
-        self.forms = forms
-        self.counts = tuple(counts)
+    def __init__(self, forms: list[Form], counts: list[int]) -> None:
         self.n = forms[0].n
         self.r = forms[0].r
-        # By (order, counts): the layout's plan.
-        self._plans: dict[tuple[int, tuple[int, ...]], Plan] = {} if plans is None else plans
+        if any(form.n != self.n or form.r != self.r for form in forms):
+            raise ValueError("the forms of a batch share n and r")
+        self.forms = forms
+        self.counts = tuple(counts)
+        # By derivative order: this layout's plan.
+        self._plans: dict[int, Plan] = {}
 
     def take(self, rows: np.ndarray) -> Batch:
         """The layout of the given rows of this batch, in increasing order."""
+        if len(rows) == sum(self.counts):
+            return self
         owners = np.repeat(np.arange(len(self.forms)), self.counts)[rows]
-        counts = np.bincount(owners, minlength=len(self.forms)).tolist()
-        return Batch(self.forms, counts, self._plans)
+        return Batch(self.forms, np.bincount(owners, minlength=len(self.forms)).tolist())
 
     def plan(self, order: int, X: np.ndarray | None = None) -> Plan:
         """The plan of the derivative of the given order for this layout;
         X, a batch in it, is not read."""
-        key = order, self.counts
-        if key not in self._plans:
+        if order not in self._plans:
             parts = [(form, k) for form, k in zip(self.forms, self.counts) if k]
             if len(parts) == 1:
                 # One graph holds every row: its prefix, a view.
                 form, k = parts[0]
-                self._plans[key] = form.prefix(order, k)
+                self._plans[order] = form.prefix(order, k)
             else:
-                # Each graph's prefix, shifted by the rows before it.
-                plans = [form.prefix(order, k) for form, k in parts]
-                ahead = np.cumsum([0] + [k for _, k in parts[:-1]])
-                shift = np.repeat(ahead, [bins.shape[0] for bins, _ in plans])
-                bins = np.concatenate([bins for bins, _ in plans]) + shift * self.n**order
-                gathers = [
-                    np.concatenate(ix) + shift * self.n for ix in zip(*(g for _, g in plans))
-                ]
-                self._plans[key] = bins, gathers
-        return self._plans[key]
+                # Row i: its graph's one-row plan, shifted by i. No graph
+                # keeps a tiling of its own for a batch it shares.
+                plans = [form.row_plan(order) for form, _ in parts]
+                ks = [k for _, k in parts]
+                slots = np.repeat([bins.shape[0] for bins, _ in plans], ks)
+                row = np.repeat(np.arange(slots.shape[0]), slots)
+                bins = np.concatenate([np.tile(b, k) for (b, _), k in zip(plans, ks)])
+                bins += row * self.n**order
+                gathers = []
+                for col in zip(*(g for _, g in plans)):
+                    ix = np.concatenate([np.tile(c, k) for c, k in zip(col, ks)])
+                    ix += row * self.n
+                    gathers.append(ix)
+                self._plans[order] = bins, gathers
+        return self._plans[order]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """The gradient at every row of X."""

@@ -29,7 +29,7 @@ result says which in ``structured_only``. The full start set, and the
 only one on any other graph, is uniform, uniform on every maximum
 clique, the corners, and seeded Dirichlet draws.
 
-The starts of several graphs on one n run in lockstep
+The starts of several graphs of one r on one n run in lockstep
 (``_ascend_graphs``; ``_ascend_rows`` is its one-graph case), in one
 loop: each pass runs one growth chunk, one KKT check of the rows that
 stopped in it and one face finish, whose drop rounds are one Newton
@@ -111,10 +111,12 @@ NEWTON_TOL = 1e-14
 CURVATURE_TOL = 1e-9
 
 # The most start rows of one lockstep across graphs (``lagrangians``):
-# 64 left-compressed graphs on [8], whose corner sets hold 6 rows each.
-# A batch of a few rows is mostly numpy call overhead; every row that
-# stops re-plans the batch, at a cost that grows with its rows.
-LOCKSTEP_ROWS = 384
+# 16 left-compressed 3-graphs on [8], whose corner sets hold 6 distinct
+# rows each (uniform and u_3, ..., u_8, where u_8 is uniform). A batch of
+# a few rows is mostly numpy call overhead; every row that stops re-plans
+# the batch, at a cost in time and transient memory that grows with its
+# rows.
+LOCKSTEP_ROWS = 96
 
 
 @dataclass(frozen=True)
@@ -455,23 +457,25 @@ def _face_newton(
     out: list[tuple[np.ndarray, float, int] | None] = [None] * R
     keep = np.flatnonzero(((Z > 0.0) | ~faces).all(axis=1))
     Y = Z[keep]
-    new_values = form.take(keep).values(Y)
-    higher = new_values >= values[keep]
+    layout = form.take(keep)
+    new_values = layout.values(Y)
+    higher = np.flatnonzero(new_values >= values[keep])
     keep, Y, new_values = keep[higher], Y[higher], new_values[higher]
     if not keep.shape[0]:
         return out
+    layout = layout.take(higher)
     face = faces[keep]
-    gap = form.take(keep).grad(Y)
+    gap = layout.grad(Y)
     gap -= form.r * new_values[:, None]
     # |gap| on the face, the gap itself off it where x has weight.
     gap = np.where(face, np.abs(gap), gap)
-    stationary = ~((gap > KKT_TOL) & (face | (X[keep] > 0.0))).any(axis=1)
+    stationary = np.flatnonzero(~((gap > KKT_TOL) & (face | (X[keep] > 0.0))).any(axis=1))
     keep, Y, new_values = keep[stationary], Y[stationary], new_values[stationary]
     if not keep.shape[0]:
         return out
     k = faces[keep].sum(axis=1)[:, None, None]
     tangent = np.where(both[keep], np.eye(n) - 1.0 / k, 0.0)
-    hess = form.take(keep).hess(Y)
+    hess = layout.take(stationary).hess(Y)
     concave = ~(np.linalg.eigvalsh(tangent @ hess @ tangent).max(axis=1) > CURVATURE_TOL)
     for i, y, value in zip(keep[concave], Y[concave], new_values[concave]):
         out[i] = y, float(value), int(steps[i])
@@ -523,13 +527,22 @@ def _ascend_rows(g: Hypergraph, starts: np.ndarray, opts: OptOptions) -> OptResu
     does ``minimize_support`` its drop start; ``ascend_multistart`` and
     ``uniform_weighting`` build valid ones.
     """
-    return _ascend_graphs([(g, starts)], opts)[0]
+    return _ascend_graphs([(g, _distinct(starts))], opts)[0]
+
+
+def _distinct(starts: np.ndarray) -> np.ndarray:
+    """The starts without the rows bit-identical to an earlier one, in
+    order: such a row would end where the earlier one does."""
+    unique: dict[bytes, np.ndarray] = {}
+    for x0 in np.asarray(starts, dtype=np.float64):
+        unique.setdefault(x0.tobytes(), x0)
+    return np.array(list(unique.values()))
 
 
 def _ascend_graphs(
     jobs: Sequence[tuple[Hypergraph, np.ndarray]], opts: OptOptions
 ) -> list[OptResult]:
-    """For each (g, starts) job, all graphs on one n, the best ``ascend``
+    """For each (g, starts) job, all graphs of one r on one n, the best ``ascend``
     result over its starts; every start of every job runs in one
     lockstep.
 
@@ -547,30 +560,23 @@ def _ascend_graphs(
     are decaying and on no face. Each transfer shrinks the support, so a
     row takes at most n of them. Any other stopped row keeps its
     gain-stop point and its residual. Every row ends where a separate
-    ``ascend`` from its start on its graph ends, bit for bit. A start
-    bit-identical to an earlier one of the same graph would end where
-    that one does, so it runs once; starts of different graphs never
+    ``ascend`` from its start on its graph ends, bit for bit. Each job's
+    starts are distinct (``_distinct``); starts of different graphs never
     merge. ``_ascent_result`` keeps each graph's best row and certifies
     only it, with the graph's form.
     """
     graphs = [g for g, _ in jobs]
-    blocks = []
-    for _, starts in jobs:
-        unique: dict[bytes, np.ndarray] = {}
-        for x0 in np.asarray(starts, dtype=np.float64):
-            unique.setdefault(x0.tobytes(), x0)
-        blocks.append(list(unique.values()))
-    counts = [len(block) for block in blocks]
+    counts = [len(starts) for _, starts in jobs]
     # Graph j holds the rows up to ends[j].
     ends = list(accumulate(counts))
-    X = np.array([x0 for block in blocks for x0 in block])
+    X = np.concatenate([starts for _, starts in jobs])
     forms = [_kernels.Form(g.edge_array(), g.n) for g in graphs]
-    batch = forms[0] if len(forms) == 1 else _kernels.Batch(forms, counts)
+    # The layout of the live rows.
+    form = forms[0] if len(forms) == 1 else _kernels.Batch(forms, counts)
     iters = np.zeros(X.shape[0], dtype=np.int64)
     live = np.arange(X.shape[0])
     while live.shape[0]:
         caps = [min(FACE_CHUNK, opts.max_iters - d) for d in iters[live].tolist()]
-        form = batch.take(live)
         Y, values, its, worst = _kernels.ascent_rows(X[live], form, caps, GAIN_TOL)
         drops = worst[worst < -MONOTONE_SLACK]
         if drops.shape[0]:
@@ -604,6 +610,7 @@ def _ascend_graphs(
                     X[k] = _pair_transfer(X[k], forms[j], pair)
                     keep[i] = True
         live = live[keep]
+        form = form.take(np.flatnonzero(keep))
     iterations = iters.tolist()
     return [
         _ascent_result(g, form, X[end - k : end], iterations[end - k : end])
@@ -873,41 +880,36 @@ def lagrangians(graphs: Sequence[Hypergraph], opts: OptOptions | None = None) ->
     """``lagrangian`` of each graph, in order, bit for bit.
 
     Closed forms apply per graph. The first start sets of the other
-    graphs (``ascend_multistart``) run in lockstep: the graphs on one n,
-    in order, join one ``_ascend_graphs`` batch while their starts fit in
-    LOCKSTEP_ROWS rows, and a graph whose starts alone do not fit runs
-    alone. Each row ends as it would in its graph's own batch, so the
-    grouping moves no byte. Escalation to the full start set, support
-    minimization and the weight sort then run per graph.
+    graphs (``ascend_multistart``), each without its repeated rows, run
+    in lockstep: the graphs of one r on one n, in order, join one
+    ``_ascend_graphs`` batch while their rows fit in LOCKSTEP_ROWS, and
+    a graph whose rows alone do not fit runs alone. Each row ends as it
+    would in its graph's own batch, so the grouping moves no byte.
+    Escalation to the full start set, support minimization and the
+    weight sort then run per graph, as each lockstep ends.
     """
     opts = opts or DEFAULT_OPTIONS
     out = [_closed_form(g) for g in graphs]
-    by_n: dict[int, list[tuple[int, np.ndarray]]] = {}
+    # By (r, n): the lockstep being filled, (index, starts) per graph.
+    pending: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+
+    def run(lockstep: list[tuple[int, np.ndarray]]) -> None:
+        solved = _ascend_graphs([(graphs[i], starts) for i, starts in lockstep], opts)
+        for (i, _), first in zip(lockstep, solved):
+            g = graphs[i]
+            res = minimize_support(g, _escalated(g, first, opts), opts)
+            out[i] = _sorted_weights(g, res) if is_left_compressed(g) else res
+
     for i, g in enumerate(graphs):
         if out[i] is None:
-            by_n.setdefault(g.n, []).append((i, _first_starts(g, opts)))
-    firsts: dict[int, OptResult] = {}
-    for group in by_n.values():
-        locksteps: list[list[tuple[int, np.ndarray]]] = []
-        rows = LOCKSTEP_ROWS
-        for i, starts in group:
-            if rows + len(starts) > LOCKSTEP_ROWS:
-                locksteps.append([])
-                rows = 0
-            locksteps[-1].append((i, starts))
-            rows += len(starts)
-        for lockstep in locksteps:
-            jobs = [(graphs[i], starts) for i, starts in lockstep]
-            # A lone graph runs ``_ascend_rows``, the one-graph case.
-            if len(jobs) == 1:
-                solved = [_ascend_rows(*jobs[0], opts)]
-            else:
-                solved = _ascend_graphs(jobs, opts)
-            firsts.update(zip([i for i, _ in lockstep], solved))
-    for i, first in sorted(firsts.items()):
-        g = graphs[i]
-        res = minimize_support(g, _escalated(g, first, opts), opts)
-        out[i] = _sorted_weights(g, res) if is_left_compressed(g) else res
+            starts = _distinct(_first_starts(g, opts))
+            lockstep = pending.setdefault((g.r, g.n), [])
+            if lockstep and sum(len(s) for _, s in lockstep) + len(starts) > LOCKSTEP_ROWS:
+                run(lockstep)
+                lockstep.clear()
+            lockstep.append((i, starts))
+    for lockstep in pending.values():
+        run(lockstep)
     return out
 
 

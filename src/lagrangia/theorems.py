@@ -62,10 +62,6 @@ __all__ = [
 # The largest ground set [t] admitted to exhaustive enumeration.
 MAX_GROUND = 8
 
-# Graphs per ``lagrangians`` call of a sweep, and per task of the process
-# pool: about one lockstep of ``lagrangian.LOCKSTEP_ROWS`` rows on [8].
-CHUNK_GRAPHS = 64
-
 
 @dataclass(frozen=True)
 class VerifyOptions:
@@ -249,18 +245,16 @@ def _map_lagrangian(
     seed, opts.seed, not one derived from the graph's index: a result
     depends only on the graph and the options.
 
-    The graphs go to ``lagrangians`` in consecutive chunks, which runs
-    the starts of a chunk's graphs in lockstep. A chunk holds
-    CHUNK_GRAPHS graphs, or an even share of them per worker when that
-    is fewer, so that every worker of the pool has a chunk; the pool
-    takes the chunks in order. A result does not depend on the chunk its
-    graph falls in, so every chunking gives the same bytes.
+    The graphs go to ``lagrangians``, which runs their starts in
+    lockstep batches of a bounded number of rows. A serial run hands it
+    every graph; a pool of w workers hands worker j the chunk of every
+    w-th graph from the j-th, so that neighbouring graphs, which cost
+    alike, spread over the workers. A result does not depend on the
+    batch its graph falls in, so every chunking gives the same bytes.
     """
     opt = replace(opts.opt, seed=opts.seed)
-    share = -(-len(graphs) // _pool_size(opts.parallelism, len(graphs)))
-    size = max(1, min(CHUNK_GRAPHS, share))
-    tasks = [(graphs[i : i + size], opt) for i in range(0, len(graphs), size)]
-    workers = _pool_size(opts.parallelism, len(tasks))
+    workers = _pool_size(opts.parallelism, len(graphs))
+    tasks = [(graphs[j::workers], opt) for j in range(workers)]
     if workers == 1:
         chunks = [_solve_chunk(task) for task in tasks]
     else:
@@ -269,9 +263,9 @@ def _map_lagrangian(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves input order, so merged reports stay deterministic
             chunks = list(pool.map(_solve_chunk, tasks))
-    return list(zip(graphs, [res for chunk in chunks for res in chunk]))
+    # Graph i is the (i // workers)-th of chunk i % workers.
+    return [(g, chunks[i % workers][i // workers]) for i, g in enumerate(graphs)]
 
 
 def _structured_only(solved: Iterable[tuple[Hypergraph, OptResult]]) -> int:

@@ -781,7 +781,7 @@ class TestFaceLocalNewton:
         # The left-compressed 3-graph on [7] whose growth transform stops
         # 1.17e-7 off stationarity: its rows run KKT checks, face attempts
         # with Newton steps, and the drop step of support minimization.
-        # Faces have no plans of their own: each ``_ascend_rows`` call
+        # Faces have no plans of their own: each ``_ascend_graphs`` call
         # builds one form, which plans the gradient on its first growth
         # chunk and the Hessian, at most once, on its first Newton batch;
         # every batch takes a prefix of their tilings.
@@ -792,7 +792,7 @@ class TestFaceLocalNewton:
         ])
         L = lagrangian_module
         scope: list[str] = []  # the spied calls running, innermost last
-        batches: list[Counter] = []  # per _ascend_rows call: (callee, caller) counts
+        batches: list[Counter] = []  # per _ascend_graphs call: (callee, caller) counts
         rounds: list[int] = []  # _face_newton calls of each _face_finish call
         sizes: list[set] = []  # the face sizes of each _face_newton batch
         newton_steps: list[int] = []  # of each accepted face attempt
@@ -803,9 +803,9 @@ class TestFaceLocalNewton:
             def wrapped(*args, **kwargs):
                 # A plan is counted by its derivative order.
                 callee = f"_plan/{args[2]}" if name == "_plan" else name
-                if name == "_ascend_rows":
+                if name == "_ascend_graphs":
                     batches.append(Counter())
-                elif "_ascend_rows" in scope:
+                elif "_ascend_graphs" in scope:
                     batches[-1][callee, scope[-1]] += 1
                 if name == "_face_finish":
                     rounds.append(0)
@@ -824,7 +824,7 @@ class TestFaceLocalNewton:
             monkeypatch.setattr(owner, name, wrapped)
 
         for owner, name in [
-            (L, "_ascend_rows"), (L, "_certified"), (L, "_kkt_rows"), (L, "_face_finish"),
+            (L, "_ascend_graphs"), (L, "_certified"), (L, "_kkt_rows"), (L, "_face_finish"),
             (L, "_face_newton"), (_kernels, "ascent_rows"), (_kernels, "_plan"),
         ]:
             spy(owner, name)
@@ -833,14 +833,14 @@ class TestFaceLocalNewton:
         # A call whose rows all stop stationary runs no face finish.
         ascend(complete_graph(5, 3), uniform_weighting(5))
         assert len(batches) > 2
-        assert any(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
-        assert not all(seen["_face_finish", "_ascend_rows"] for seen in batches), batches
+        assert any(seen["_face_finish", "_ascend_graphs"] for seen in batches), batches
+        assert not all(seen["_face_finish", "_ascend_graphs"] for seen in batches), batches
         for seen in batches:
-            growth = seen["ascent_rows", "_ascend_rows"]
+            growth = seen["ascent_rows", "_ascend_graphs"]
             # One gradient plan for the batch, built on the first growth
             # chunk and shared by every later chunk, KKT check, face
             # attempt and the certificate.
-            finish = 1 if seen["_face_finish", "_ascend_rows"] else 0
+            finish = 1 if seen["_face_finish", "_ascend_graphs"] else 0
             assert seen["_plan/1", "ascent_rows"] == 1, seen
             # One Hessian plan in a call that runs a face finish, on its
             # first Newton batch; none in any other.
@@ -851,18 +851,18 @@ class TestFaceLocalNewton:
             assert builds == 1 + finish, seen
             # One loop: each pass runs one growth chunk, at most one KKT
             # batch and at most one face finish batch.
-            assert seen["_face_finish", "_ascend_rows"] <= growth, seen
-            assert seen["_kkt_rows", "_ascend_rows"] <= growth, seen
+            assert seen["_face_finish", "_ascend_graphs"] <= growth, seen
+            assert seen["_kkt_rows", "_ascend_graphs"] <= growth, seen
         # At most one ``_face_newton`` batch per drop round, and some batch
         # holds faces of different sizes and more than one row.
         assert rounds and max(rounds) <= L.FACE_DROPS + 1, rounds
         assert any(len(s) > 1 for s in sizes), sizes
         # The KKT checks after each phase run as one batch; one
-        # ``_certified`` call per ``_ascend_rows`` call certifies the kept
+        # ``_certified`` call per ``_ascend_graphs`` call certifies the kept
         # row, with a one-row ``_kkt_rows``.
-        assert all(seen["_certified", "_ascend_rows"] == 1 for seen in batches), batches
+        assert all(seen["_certified", "_ascend_graphs"] == 1 for seen in batches), batches
         assert all(seen["_kkt_rows", "_certified"] == 1 for seen in batches), batches
-        assert sum(seen["_kkt_rows", "_ascend_rows"] for seen in batches) > 0, batches
+        assert sum(seen["_kkt_rows", "_ascend_graphs"] for seen in batches) > 0, batches
         assert sum(newton_steps) > 1
 
 

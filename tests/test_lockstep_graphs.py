@@ -3,7 +3,7 @@ give every graph the bytes of its own ``lagrangian``."""
 
 import sys
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -61,20 +61,42 @@ def test_batched_equals_per_graph_on_the_plateau(t):
         assert same_bytes(res, lagrangian(g, OptOptions(seed=t))), g.edge_list()
 
 
-def test_graphs_on_several_ground_sets_and_random_starts():
+def test_graphs_on_several_ground_sets_and_random_starts(monkeypatch):
     # Graphs that are not left-compressed run their full start sets, with
     # the Dirichlet draws, in the same lockstep as the corner sets of
-    # left-compressed graphs on the same n.
+    # left-compressed graphs of the same r on the same n; the 4-graphs on
+    # [6] run apart from the 3-graphs there.
     rng = np.random.default_rng(5)
     graphs = []
-    for n in (5, 6, 7, 6, 5, 7):
-        triples = [e for e in combinations(range(1, n + 1), 3) if rng.random() < 0.6]
-        graphs.append(Hypergraph.from_edges(3, n, triples))
+    for r, n in ((3, 5), (3, 6), (4, 6), (3, 7), (4, 6), (3, 6), (3, 5), (3, 7)):
+        sets = [e for e in combinations(range(1, n + 1), r) if rng.random() < 0.6]
+        graphs.append(Hypergraph.from_edges(r, n, sets))
     graphs += every_left_compressed(6)[10:30]
     assert any(not g.left_compressed for g in graphs)
+    assert not any(L._closed_form(g) for g in graphs[:8])
     opts = OptOptions(seed=9, random_starts=3)
-    for g, res in zip(graphs, lagrangians(graphs, opts)):
+    kinds = []
+    real = L._ascend_graphs
+
+    def spy(jobs, opts):
+        kinds.append({(g.r, g.n) for g, _ in jobs})
+        return real(jobs, opts)
+
+    monkeypatch.setattr(L, "_ascend_graphs", spy)
+    got = lagrangians(graphs, opts)
+    monkeypatch.undo()
+    assert all(len(kind) == 1 for kind in kinds) and {(4, 6)} in kinds, kinds
+    for g, res in zip(graphs, got):
         assert same_bytes(res, lagrangian(g, opts)), g.edge_list()
+
+
+def test_a_batch_refuses_forms_of_another_r_or_n():
+    three = _kernels.Form(every_left_compressed(6)[20].edge_array(), 6)
+    four = _kernels.Form(np.array([[0, 1, 2, 3], [1, 2, 3, 4]]), 6)
+    other_n = _kernels.Form(np.array([[0, 1, 2]]), 7)
+    for forms in ([three, four], [three, other_n]):
+        with pytest.raises(ValueError):
+            _kernels.Batch(forms, [1, 1])
 
 
 def test_lockstep_row_bound_splits_a_group(monkeypatch):
@@ -138,19 +160,21 @@ def test_starts_never_merge_across_graphs(monkeypatch):
         return real(X, form, max_iters, tol)
 
     monkeypatch.setattr(_kernels, "ascent_rows", spy)
-    L._ascend_graphs([(g, L._first_starts(g, OptOptions())) for g in graphs], OptOptions())
+    lagrangians(graphs)
     # u_3, u_4, u_5 and u_6, which is the uniform start: four rows a graph
     assert rows[0] == 4 * len(graphs)
 
 
 @pytest.mark.parametrize("verifier", [theorems.lemmaeq_dichotomy_audit, theorems.lemma_tal9_audit])
 def test_parallel_equals_serial_across_chunk_boundaries(verifier, monkeypatch):
-    # Chunks of 50 graphs: the boundary after graph 50 falls inside an
-    # m-group at t=7, and so does that of a serial run at the default size.
+    # Locksteps of 50 rows, ten graphs of five corner rows on [7]: their
+    # boundaries fall inside m-groups, and at parallelism 2 each worker
+    # takes every other graph.
     graphs = theorems._left_compressed(7, range(1, binomial(7, 3) + 1))
-    assert graphs[49].m == graphs[50].m
+    sizes = [len(list(group)) for _, group in groupby(g.m for g in graphs)]
+    assert max(sizes) > 10
     default = verifier(7, theorems.VerifyOptions(seed=2, parallelism=1)).to_json()
-    monkeypatch.setattr(theorems, "CHUNK_GRAPHS", 50)
+    monkeypatch.setattr(L, "LOCKSTEP_ROWS", 50)
     for parallelism in (1, 2):
         run = theorems.VerifyOptions(seed=2, parallelism=parallelism)
         assert verifier(7, run).to_json() == default
