@@ -26,23 +26,28 @@ same order, so every row is bit-identical to a one-row call.
 ``hess`` and ``values`` take a (K, n) batch or an (n,) vector. A
 derivative order is planned on its first use, so a caller that takes no
 Hessian builds no Hessian plan and one that takes no derivative builds
-none; the plan is tiled for the largest batch seen, and a batch of K
-rows takes the first K rows of the tiling, a view memoized per K.
+none; the plan is tiled for the largest batch seen (a longer batch
+tiles row 0 of the old tiling again, so each order is planned once),
+and a batch of K rows takes the first K rows of the tiling, a view
+memoized per K. That tiling is the only one: a ``Batch`` shifts it.
 Callers that take many derivatives of one graph build one ``Form`` and
 pass it.
 
 ``Batch(forms, counts)`` lays out a batch of several graphs of one r
 on one n: its rows are grouped by graph, counts[j] rows of forms[j], in
-order. Each row takes its graph's one-row plan, its gathers shifted by
-its offset in the batch times n and its bins by that offset times n^d;
-bins still belong to one row each, so every row is bit-identical to a
-one-row call of its graph's form. A batch refuses forms of another n or
-r. It plans each derivative order once, and a layout whose
-rows are all of one graph takes that graph's prefix view, without a
-copy. ``take(rows)`` is the layout of some rows of a batch (a ``Form``
-is its own, and so is a batch that keeps every row); a caller that
-drops rows takes the layout of the rows it keeps, and a layout's plans
-go when its batch does.
+order. Each graph's rows take that graph's tiling prefix,
+``forms[j].prefix(d, counts[j])``, shifted by the rows of the batch
+before them: its gathers by that many times n, its bins by that many
+times n^d. The shift makes new arrays and leaves the form's prefix as
+it was; bins still belong to one row each, so every row is
+bit-identical to a one-row call of its graph's form. A batch refuses
+forms of another n or r. It plans each derivative order once, and a
+layout whose rows are all of one graph takes that graph's prefix view,
+without a copy. ``take(rows)`` is the layout of some rows of a batch
+(a ``Form`` is its own, and so is a batch that keeps every row); a
+caller that drops rows takes the layout of the rows it keeps. A
+layout's plans go when its batch does, and the forms' tilings when the
+forms do.
 
 The ascent loop implements the growth transform (Baum-Eagon)
 x_i <- x_i * g_i / sum_j x_j g_j, monotone nondecreasing for
@@ -66,7 +71,7 @@ on one graph plans and tiles once.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -127,8 +132,9 @@ class Form:
     bit-identical to a one-row call, or an (n,) vector. A derivative
     order is planned on its first use and its plan tiled for the most
     rows seen; a batch of K rows takes the first K rows of the tiling,
-    memoized per K, and a longer batch tiles the plan again. An
-    edgeless form plans nothing: its derivatives are float zeros.
+    memoized per K, and a longer batch tiles row 0 of the old tiling
+    again. An edgeless form plans nothing: its derivatives are float
+    zeros.
     """
 
     def __init__(self, edges: np.ndarray, n: int) -> None:
@@ -139,9 +145,8 @@ class Form:
             # No slots to scatter: float zeros, decided once per form.
             self.grad = lambda X: np.zeros(X.shape)
             self.hess = lambda X: np.zeros(X.shape + X.shape[-1:])
-        # By derivative order: the one-row plan and its tiling; by
-        # (order, rows): the tiling's prefix, a view.
-        self._plans: dict[int, Plan] = {}
+        # By derivative order: the tiling; by (order, rows): its prefix,
+        # a view.
         self._tiled: dict[int, Plan] = {}
         self._prefixes: dict[tuple[int, int], Plan] = {}
 
@@ -154,24 +159,21 @@ class Form:
         """The plan of the derivative of the given order for the rows of X."""
         return self.prefix(order, X.shape[0] if X.ndim == 2 else 1)
 
-    def row_plan(self, order: int) -> Plan:
-        """The one-row plan of the derivative of the given order."""
-        if order not in self._plans:
-            self._plans[order] = _plan(self.edges, self.n, order)
-        return self._plans[order]
-
     def prefix(self, order: int, k: int) -> Plan:
         """The plan of the derivative of the given order for k rows: the
-        first k rows of the tiling."""
+        first k rows of the tiling, a view."""
         if (order, k) not in self._prefixes:
-            if order not in self._tiled or k > self._tiled[order][0].shape[0]:
-                # Tile for k rows: row i's gathers shift by i * n and its
-                # bins by i * n^order. The prefixes of the old tiling are
-                # prefixes of the new one.
-                bins, gathers = self.row_plan(order)
-                at = np.arange(k)[:, None]
-                self._tiled[order] = at * self.n**order + bins, [at * self.n + ix for ix in gathers]
+            if order not in self._tiled:
+                bins, gathers = _plan(self.edges, self.n, order)
+                self._tiled[order] = bins[None], [ix[None] for ix in gathers]
             bins, gathers = self._tiled[order]
+            if k > bins.shape[0]:
+                # Tile row 0, the one-row plan, for k rows: row i's gathers
+                # shift by i * n and its bins by i * n^order. The prefixes
+                # of the old tiling are prefixes of the new one.
+                at = np.arange(k)[:, None]
+                self._tiled[order] = at * self.n**order + bins[0], [at * self.n + ix[0] for ix in gathers]
+                bins, gathers = self._tiled[order]
             self._prefixes[order, k] = bins[:k].ravel(), [ix[:k].ravel() for ix in gathers]
         return self._prefixes[order, k]
 
@@ -194,9 +196,11 @@ class Batch:
 
     ``grad``, ``hess`` and ``values`` take such a batch, each row
     bit-identical to a one-row call of its graph's form. Every form has
-    the same n and r: a row's gathers and bins are laid out in them. A
-    batch plans each derivative order on its first use, once; a layout
-    that ``take`` derives is a batch of its own.
+    the same n and r: a row's gathers and bins are laid out in them.
+    Each graph's rows take its form's ``prefix``, shifted into new
+    arrays by the rows before them. A batch plans each derivative order
+    on its first use, once; a layout that ``take`` derives is a batch
+    of its own.
     """
 
     def __init__(self, forms: list[Form], counts: list[int]) -> None:
@@ -206,6 +210,9 @@ class Batch:
             raise ValueError("the forms of a batch share n and r")
         self.forms = forms
         self.counts = tuple(counts)
+        # The graphs that hold rows: (form, rows, first row).
+        starts = accumulate(self.counts, initial=0)
+        self._parts = [(f, k, at) for f, k, at in zip(forms, self.counts, starts) if k]
         # By derivative order: this layout's plan.
         self._plans: dict[int, Plan] = {}
 
@@ -220,25 +227,18 @@ class Batch:
         """The plan of the derivative of the given order for this layout;
         X, a batch in it, is not read."""
         if order not in self._plans:
-            parts = [(form, k) for form, k in zip(self.forms, self.counts) if k]
-            if len(parts) == 1:
+            if len(self._parts) == 1:
                 # One graph holds every row: its prefix, a view.
-                form, k = parts[0]
+                form, k, _ = self._parts[0]
                 self._plans[order] = form.prefix(order, k)
             else:
-                # Row i: its graph's one-row plan, shifted by i. No graph
-                # keeps a tiling of its own for a batch it shares.
-                plans = [form.row_plan(order) for form, _ in parts]
-                ks = [k for _, k in parts]
-                slots = np.repeat([bins.shape[0] for bins, _ in plans], ks)
-                row = np.repeat(np.arange(slots.shape[0]), slots)
-                bins = np.concatenate([np.tile(b, k) for (b, _), k in zip(plans, ks)])
-                bins += row * self.n**order
-                gathers = []
-                for col in zip(*(g for _, g in plans)):
-                    ix = np.concatenate([np.tile(c, k) for c, k in zip(col, ks)])
-                    ix += row * self.n
-                    gathers.append(ix)
+                # Each graph's rows take its prefix, shifted by the rows
+                # before them into new arrays: a prefix is its form's view.
+                shifted = []
+                for form, k, at in self._parts:
+                    bins, gathers = form.prefix(order, k)
+                    shifted.append([bins + at * self.n**order] + [ix + at * self.n for ix in gathers])
+                bins, *gathers = [np.concatenate(col) for col in zip(*shifted)]
                 self._plans[order] = bins, gathers
         return self._plans[order]
 
@@ -252,12 +252,7 @@ class Batch:
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """``eval_poly`` of every row of X under its graph's edges."""
-        ends = np.cumsum(self.counts).tolist()
-        parts = [
-            form.values(X[end - k : end])
-            for form, k, end in zip(self.forms, self.counts, ends)
-            if k
-        ]
+        parts = [form.values(X[at : at + k]) for form, k, at in self._parts]
         return np.concatenate(parts) if parts else np.zeros(0)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "TheoremReport",
     "WitnessResult",
     "theorem1_range",
+    "plateau_range",
     "verify_colex_plateau",
     "verify_theorem1",
     "verify_pz18",
@@ -61,6 +62,12 @@ __all__ = [
 
 # The largest ground set [t] admitted to exhaustive enumeration.
 MAX_GROUND = 8
+# The most edges, summed over the range, that ``verify_colex_plateau``
+# builds before its first solve. t = 27 holds 827,750 (301 graphs: 11.4 s
+# and a 177 MB peak RSS serially on a 2-core VM); t = 28 holds 1,006,525
+# and is refused, as is t = 64 with 76,922,098, about 6.5 GB of graphs at
+# the 88 B an edge that tracemalloc reads for colex(3, 40000).
+MAX_PLATEAU_EDGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -304,8 +311,16 @@ def theorem1_range(t: int) -> ParamRange:
 
 def verify_colex_plateau(t: int, opts: VerifyOptions = DEFAULT_VERIFY) -> TheoremReport:
     """Check that colex graphs keep the complete-graph Lagrangian value
-    while the edge count climbs across the plateau range."""
+    while the edge count climbs across the plateau range. A range of more
+    than MAX_PLATEAU_EDGES edges in all is refused before any graph is
+    built."""
     rng = plateau_range(t)
+    edges = (rng.m_low + rng.m_high) * (rng.m_high - rng.m_low + 1) // 2
+    if edges > MAX_PLATEAU_EDGES:
+        raise ValueError(
+            f"colex plateau of [{t}] holds {edges} edges, over the plateau guard "
+            f"(max_plateau_edges={MAX_PLATEAU_EDGES})"
+        )
     target = complete_lagrangian(t - 1, 3)
     tf = float(target)
     solved = _map_lagrangian([colex_graph(3, m) for m in rng.m_values()], opts)

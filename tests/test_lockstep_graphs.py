@@ -180,25 +180,104 @@ def test_parallel_equals_serial_across_chunk_boundaries(verifier, monkeypatch):
         assert verifier(7, run).to_json() == default
 
 
+def random_forms(rng, r, n, sizes):
+    """One form per edge count, each on its own random r-sets of [n]."""
+    edge_sets = np.array(list(combinations(range(n), r)))
+    picks = [np.sort(rng.choice(len(edge_sets), m, replace=False)) for m in sizes]
+    return [_kernels.Form(edge_sets[pick], n) for pick in picks]
+
+
+# (r, n, edge counts of random forms, or None for four left-compressed
+# 3-graphs on [6]; rows per graph; layouts taken; rows of one graph, and
+# that graph)
+LAYOUT_CASES = [
+    (3, 6, None, [3, 1, 4, 2], [range(10), [0, 2, 4, 5, 9], [4, 5, 6]], [6, 7], 2),
+    (2, 5, [4, 6, 3, 7], [2, 0, 3, 1], [range(6), [0, 2, 3, 5], [2, 3, 4]], [3, 4], 2),
+    (4, 6, [5, 9, 3, 7], [0, 2, 0, 3], [range(5), [1, 2, 4], [2, 3]], [2, 4], 3),
+]
+
+
 def test_batch_layout_matches_each_graph_form():
     # Rows grouped by graph, then a subset of them: every derivative and
     # value is bit for bit that of the row under its own graph's form.
-    rng = np.random.default_rng(3)
-    graphs = every_left_compressed(6)[20:24]
-    forms = [_kernels.Form(g.edge_array(), 6) for g in graphs]
-    counts = [3, 1, 4, 2]
-    X = rng.dirichlet(np.ones(6), size=sum(counts))
-    owner = np.repeat(np.arange(4), counts)
+    # Graphs of no rows may sit between the others.
+    for r, n, sizes, counts, layouts, alone, j in LAYOUT_CASES:
+        rng = np.random.default_rng(3)
+        if sizes is None:
+            forms = [_kernels.Form(g.edge_array(), n) for g in every_left_compressed(n)[20:24]]
+        else:
+            forms = random_forms(rng, r, n, sizes)
+        X = rng.dirichlet(np.ones(n), size=sum(counts))
+        owner = np.repeat(np.arange(len(forms)), counts)
+        batch = _kernels.Batch(forms, counts)
+        for rows in map(np.array, layouts):
+            layout = batch.take(rows)
+            Y = X[rows]
+            grads, hessians, values = layout.grad(Y), layout.hess(Y), layout.values(Y)
+            for i, k in enumerate(rows):
+                form = forms[owner[k]]
+                assert grads[i].tobytes() == form.grad(Y[i]).tobytes()
+                assert hessians[i].tobytes() == form.hess(Y[i]).tobytes()
+                assert values[i] == form.values(Y[i])
+        # Rows of one graph only take that graph's plan, not a copy.
+        one = batch.take(np.array(alone))
+        assert one.plan(1)[0] is forms[j].prefix(1, len(alone))[0]
+
+
+def tiled(form, order, rows):
+    """The reference plan of ``rows`` rows of ``form`` in a batch:
+    its one-row ``_plan``, shifted by each row's index."""
+    bins, gathers = _kernels._plan(form.edges, form.n, order)
+    n = form.n
+    return (
+        np.concatenate([bins + i * n**order for i in rows]),
+        [np.concatenate([ix + i * n for i in rows]) for ix in gathers],
+    )
+
+
+def same_plan(a, b):
+    return np.array_equal(a[0], b[0]) and len(a[1]) == len(b[1]) and all(
+        np.array_equal(x, y) for x, y in zip(a[1], b[1])
+    )
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_plan_is_each_forms_prefix_shifted(r, order, seed):
+    # A batch's plan, and that of every layout it takes, is each graph's
+    # one-row plan laid out row by row: row i shifted by i * n on the
+    # gathers and i * n^order on the bins. Zero-count graphs sit between
+    # the others; some forms are tiled beforehand for more rows than the
+    # batch gives them, some for fewer. No form's tiling moves.
+    rng = np.random.default_rng([r, order, seed])
+    n = 7
+    forms = random_forms(rng, r, n, rng.integers(1, 12, size=6))
+    counts = [3, 0, 2, 4, 0, 1] if seed % 2 else [0, 5, 0, 1, 2, 3]
+    for j, form in enumerate(forms):
+        if counts[j] and j % 2:  # more rows than the batch gives it
+            form.prefix(order, counts[j] + 3)
+        elif counts[j] > 1:  # fewer
+            form.prefix(order, counts[j] - 1)
+    owner = np.repeat(np.arange(len(forms)), counts)
     batch = _kernels.Batch(forms, counts)
-    for rows in (np.arange(10), np.array([0, 2, 4, 5, 9]), np.array([4, 5, 6])):
-        layout = batch.take(rows)
-        Y = X[rows]
-        grads, hessians, values = layout.grad(Y), layout.hess(Y), layout.values(Y)
-        for i, k in enumerate(rows):
-            form = forms[owner[k]]
-            assert grads[i].tobytes() == form.grad(Y[i]).tobytes()
-            assert hessians[i].tobytes() == form.hess(Y[i]).tobytes()
-            assert values[i] == form.values(Y[i])
-    # Rows of one graph only take that graph's plan, not a copy.
-    alone = batch.take(np.array([6, 7]))
-    assert alone.plan(1)[0] is forms[2].prefix(1, 2)[0]
+    K = owner.shape[0]
+    layouts = [np.arange(K)] + [np.flatnonzero(rng.random(K) < 0.5) for _ in range(6)]
+    for rows in layouts:
+        if not rows.shape[0]:
+            continue
+        got = batch.take(rows).plan(order)
+        # Row i of the layout is row rows[i] of the batch, of graph owner[rows[i]].
+        parts = [
+            tiled(forms[j], order, np.flatnonzero(owner[rows] == j))
+            for j in range(len(forms))
+            if (owner[rows] == j).any()
+        ]
+        want = (
+            np.concatenate([bins for bins, _ in parts]),
+            [np.concatenate(col) for col in zip(*(g for _, g in parts))],
+        )
+        assert same_plan(got, want), rows
+    for form, k in zip(forms, counts):
+        for rows in range(1, max(k, 1) + 4):
+            assert same_plan(form.prefix(order, rows), tiled(form, order, range(rows)))

@@ -5,6 +5,8 @@ left-compressed class) so the restriction notes baked into the verifiers
 get tested against raw brute force at least once.
 """
 
+import ast
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -32,7 +34,8 @@ from lagrangia.theorems import (
     verify_theorem1,
     verify_theorem2,
 )
-from lagrangia import theorems
+import lagrangia
+from lagrangia import cli, theorems
 from lagrangia.theorems import _clique_free_universe, _pool_size
 
 FAST = VerifyOptions(opt=OptOptions(random_starts=2))
@@ -380,6 +383,42 @@ def test_enumeration_guard():
             check(9)
     # plateau never enumerates, so large t stays fine
     assert verify_colex_plateau(9, FAST).verdict == "pass"
+
+
+def test_colex_plateau_guard_refuses_before_any_graph(monkeypatch, capsys):
+    # [64] would build 1,892 graphs of 76,922,098 edges in all before the
+    # first solve; the guard refuses the range from its edge count alone.
+    def refuse(*_, **__):
+        raise AssertionError("built a graph")
+
+    monkeypatch.setattr(theorems, "colex_graph", refuse)
+    for t in (28, 64, 10**6):
+        with pytest.raises(ValueError, match="plateau guard"):
+            verify_colex_plateau(t)
+    assert cli.main(["verify", "colex-plateau", "--t", "64"]) == 3
+    assert capsys.readouterr().err == (
+        "usage error: colex plateau of [64] holds 76922098 edges, over the plateau guard "
+        "(max_plateau_edges=1000000)\n"
+    )
+    # [24] (437,668 edges) and [27] (827,750) stay within it.
+    for t, edges in ((24, 437_668), (27, 827_750), (28, 1_006_525)):
+        assert sum(theorems.plateau_range(t).m_values()) == edges
+        assert (edges <= theorems.MAX_PLATEAU_EDGES) == (t < 28)
+
+
+def test_theorems_exports_what_the_package_takes_from_it():
+    # Every name ``lagrangia`` imports from ``theorems`` and re-exports is
+    # public there too.
+    tree = ast.parse(inspect.getsource(lagrangia))
+    taken = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "theorems"
+        for alias in node.names
+    }
+    reexported = taken & set(lagrangia.__all__)
+    assert "plateau_range" in reexported
+    assert reexported <= set(theorems.__all__), reexported - set(theorems.__all__)
 
 
 def test_reports_are_byte_identical_across_runs():
