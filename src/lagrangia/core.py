@@ -171,6 +171,11 @@ class Hypergraph:
     an edge. It is decided at most once per graph, and a graph built as
     a down-set of dominance order (:meth:`_down_set`, used by the
     enumeration of left-compressed graphs) knows it without a scan.
+
+    Every construction checks that each edge mask has r bits inside
+    [n], one edge at a time, except :meth:`_down_set`: its edges are
+    drawn from a universe of masks the caller has already checked, so
+    one subset test against that universe stands in for the loop.
     """
 
     r: int
@@ -178,6 +183,10 @@ class Hypergraph:
     edges: frozenset[int]
 
     def __post_init__(self):
+        self._check_header()
+        self._check_edges()
+
+    def _check_header(self):
         # Facts about the graph are cached on it, so its edges must not
         # change afterwards; a frozenset also cannot hold an edge twice.
         if not isinstance(self.edges, frozenset):
@@ -186,8 +195,9 @@ class Hypergraph:
             raise ValueError("uniformity r must be >= 2")
         if self.n < self.r:
             raise ValueError(f"need n >= r, got n={self.n}, r={self.r}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"at most {MAX_VERTICES} vertices supported, got n={self.n}")
+        _check_vertex_count(self.n)
+
+    def _check_edges(self):
         full = (1 << self.n) - 1
         for mask in self.edges:
             if mask.bit_count() != self.r:
@@ -207,12 +217,20 @@ class Hypergraph:
         return cls(r, n, frozenset(masks))
 
     @classmethod
-    def _down_set(cls, r: int, n: int, edges: frozenset[int]) -> "Hypergraph":
+    def _down_set(cls, r: int, n: int, edges: frozenset[int], universe: frozenset[int]) -> "Hypergraph":
         """A graph whose edges the caller built as a down-set of dominance
-        order, so it is left-compressed without a scan. The edges are
-        checked as for any graph."""
-        g = cls(r, n, edges)
-        g.__dict__["left_compressed"] = True
+        order, so it is left-compressed without a scan.
+
+        ``universe`` holds only masks of r-subsets of [n], checked by the
+        caller. The header (type of ``edges``, r, n) is checked as for
+        any graph; the edges are checked by one subset test against
+        ``universe``, and only when it fails one edge at a time, so a bad
+        edge raises what ``Hypergraph(r, n, edges)`` raises."""
+        g = cls.__new__(cls)
+        g.__dict__.update(r=r, n=n, edges=edges, left_compressed=True)
+        g._check_header()
+        if not edges <= universe:
+            g._check_edges()
         return g
 
     @cached_property
@@ -256,10 +274,14 @@ class Hypergraph:
         return Hypergraph(self.r, n, self.edges)
 
 
-def _check_size(n: int, m: int) -> None:
-    """Refuse, before building it, a graph beyond MAX_VERTICES or MAX_EDGES."""
+def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise ValueError(f"at most {MAX_VERTICES} vertices supported, got n={n}")
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse, before building it, a graph beyond MAX_VERTICES or MAX_EDGES."""
+    _check_vertex_count(n)
     if m > MAX_EDGES:
         raise ValueError(f"at most {MAX_EDGES} edges supported, got m={m}")
 

@@ -44,6 +44,7 @@ from .core import (
     _COVERS,
     Edge,
     Hypergraph,
+    _check_vertex_count,
     colex_key,
     edge_mask,
     mask_to_edge,
@@ -338,6 +339,8 @@ def _down_set_poset(
         raise ValueError("uniformity r must be >= 2")
     if t < r:
         raise ValueError(f"need t >= r, got t={t}, r={r}")
+    # Before the universe: C(t, r) grows fast past the size a graph can have.
+    _check_vertex_count(t)
     if universe is not None:
         elements = sorted({tuple(sorted(e)) for e in universe}, key=colex_key)
         for e in elements:
@@ -361,7 +364,9 @@ def enumerate_left_compressed(
     restricted to families inside it (still left-compressed as graphs).
     Every graph comes back already known left-compressed, so
     :func:`is_left_compressed` and :func:`contains_clique` run no scan
-    on it.
+    on it. The universe's masks are checked as r-subsets of [t] once
+    per call, so each graph's edges are checked by one subset test
+    against them, not one edge at a time.
 
     For the full universe and m past the halfway point, enumeration
     runs on complements: reflection v -> t+1-v reverses dominance, so
@@ -370,17 +375,18 @@ def enumerate_left_compressed(
     """
     elements, preds = _down_set_poset(t, r, m, universe)
     total = len(elements)
+    masks = list(map(edge_mask, elements))
+    full = frozenset(masks)
 
     if universe is None and m > total // 2:
         # Complement path: enumerate the small side, reflect back.
-        full = frozenset(map(edge_mask, elements))
         refl = [edge_mask(_reflect(e, t)) for e in elements]
         for path in _ideals(preds, total - m, refl):
-            yield Hypergraph._down_set(r, t, full.difference(path))
+            yield Hypergraph._down_set(r, t, full.difference(path), full)
         return
 
-    for path in _ideals(preds, m, list(map(edge_mask, elements))):
-        yield Hypergraph._down_set(r, t, frozenset(path))
+    for path in _ideals(preds, m, masks):
+        yield Hypergraph._down_set(r, t, frozenset(path), full)
 
 
 def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | None = None) -> int:

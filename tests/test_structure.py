@@ -382,6 +382,75 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_left_compressed(5, 3, -1))
 
+    def test_refuses_too_many_vertices_before_the_universe(self, monkeypatch):
+        def no_universe(t, r):
+            raise AssertionError("built the universe")
+
+        monkeypatch.setattr(structure, "_colex_universe", no_universe)
+        message = f"at most {core.MAX_VERTICES} vertices supported, got n=65"
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_left_compressed(65, 3, 1))
+        with pytest.raises(ValueError, match=message):
+            count_left_compressed(65, 3, 1)
+
+    def test_enumerated_graphs_equal_checked_graphs(self, monkeypatch):
+        # Each graph is checked by one subset test against the universe,
+        # so none runs the per-edge check, yet each equals the graph the
+        # per-edge check builds from its edges. r = 2, 3 and 4 on both
+        # sides of the reflection, and a restricted universe.
+        cases = [(t, r, None) for t, r in [(6, 2), (6, 3), (6, 4)]]
+        cases.append((6, 3, BELOW_346))
+        listed, counted = [], 0
+
+        def no_edge_loop(self):
+            raise AssertionError("an enumerated graph ran the per-edge check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Hypergraph, "_check_edges", no_edge_loop)
+            for t, r, universe in cases:
+                total = binomial(t, r) if universe is None else len(universe)
+                for m in range(total + 1):
+                    listed += enumerate_left_compressed(t, r, m, universe=universe)
+                    counted += count_left_compressed(t, r, m, universe=universe)
+        assert len(listed) == counted
+        for g in listed:
+            assert g == Hypergraph(g.r, g.n, g.edges)
+            assert g.left_compressed is True
+
+    @pytest.mark.parametrize(
+        "r, n, bad",
+        [
+            (3, 6, (1, 2)),
+            (3, 6, (1, 2, 3, 4)),
+            (3, 6, (1, 2, 7)),
+            (2, 5, (6, 9)),
+            (4, 6, (3, 4, 5, 64)),
+        ],
+    )
+    def test_down_set_rejects_a_bad_edge_as_hypergraph_does(self, r, n, bad):
+        universe = frozenset(edge_mask(c) for c in combinations(range(1, n + 1), r))
+        edges = frozenset(sorted(universe)[:3]) | {edge_mask(bad)}
+        with pytest.raises(ValueError) as want:
+            Hypergraph(r, n, edges)
+        with pytest.raises(ValueError) as got:
+            Hypergraph._down_set(r, n, edges, universe)
+        assert str(got.value) == str(want.value)
+        assert str(mask_to_edge(edge_mask(bad))) in str(got.value)
+
+    def test_down_set_checks_the_header_and_edges_outside_the_universe(self):
+        universe = frozenset(edge_mask(c) for c in BELOW_346)
+        # A valid r-set outside the universe passes the per-edge check.
+        outside = frozenset({edge_mask((1, 2, 3)), edge_mask((4, 5, 6))})
+        assert Hypergraph._down_set(3, 6, outside, universe) == Hypergraph(3, 6, outside)
+        with pytest.raises(TypeError, match="frozenset"):
+            Hypergraph._down_set(3, 6, set(outside), universe)
+        with pytest.raises(ValueError, match="r must be >= 2"):
+            Hypergraph._down_set(1, 6, frozenset(), universe)
+        with pytest.raises(ValueError, match="need n >= r"):
+            Hypergraph._down_set(3, 2, frozenset(), universe)
+        with pytest.raises(ValueError, match="got n=65"):
+            Hypergraph._down_set(3, 65, frozenset(), universe)
+
     def test_count_matches_stream(self, monkeypatch):
         # Full universe on both sides of the halfway point (the stream
         # reflects past it, the count does not build graphs at all), and
