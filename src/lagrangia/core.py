@@ -174,8 +174,8 @@ class Hypergraph:
 
     Every construction checks that each edge mask has r bits inside
     [n], one edge at a time, except :meth:`_down_set`: its edges are
-    drawn from a universe of masks the caller has already checked, so
-    one subset test against that universe stands in for the loop.
+    drawn from a universe of r-subsets of [n] that the enumeration has
+    checked once per call, so it checks nothing per graph.
     """
 
     r: int
@@ -183,10 +183,6 @@ class Hypergraph:
     edges: frozenset[int]
 
     def __post_init__(self):
-        self._check_header()
-        self._check_edges()
-
-    def _check_header(self):
         # Facts about the graph are cached on it, so its edges must not
         # change afterwards; a frozenset also cannot hold an edge twice.
         if not isinstance(self.edges, frozenset):
@@ -196,8 +192,6 @@ class Hypergraph:
         if self.n < self.r:
             raise ValueError(f"need n >= r, got n={self.n}, r={self.r}")
         _check_vertex_count(self.n)
-
-    def _check_edges(self):
         full = (1 << self.n) - 1
         for mask in self.edges:
             if mask.bit_count() != self.r:
@@ -217,20 +211,14 @@ class Hypergraph:
         return cls(r, n, frozenset(masks))
 
     @classmethod
-    def _down_set(cls, r: int, n: int, edges: frozenset[int], universe: frozenset[int]) -> "Hypergraph":
+    def _down_set(cls, r: int, n: int, edges: frozenset[int]) -> "Hypergraph":
         """A graph whose edges the caller built as a down-set of dominance
         order, so it is left-compressed without a scan.
 
-        ``universe`` holds only masks of r-subsets of [n], checked by the
-        caller. The header (type of ``edges``, r, n) is checked as for
-        any graph; the edges are checked by one subset test against
-        ``universe``, and only when it fails one edge at a time, so a bad
-        edge raises what ``Hypergraph(r, n, edges)`` raises."""
+        Nothing is checked: the caller has checked r and n, and drew the
+        edge masks from a universe it checked as r-subsets of [n]."""
         g = cls.__new__(cls)
         g.__dict__.update(r=r, n=n, edges=edges, left_compressed=True)
-        g._check_header()
-        if not edges <= universe:
-            g._check_edges()
         return g
 
     @cached_property

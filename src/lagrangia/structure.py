@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterator, Sequence
 
 from .core import (
@@ -342,9 +343,11 @@ def _down_set_poset(
     # Before the universe: C(t, r) grows fast past the size a graph can have.
     _check_vertex_count(t)
     if universe is not None:
-        elements = sorted({tuple(sorted(e)) for e in universe}, key=colex_key)
+        # Plain ints, r distinct ones in [t]: this is the only check the
+        # enumerated graphs' edges get.
+        elements = sorted({tuple(sorted(map(index, e))) for e in universe}, key=colex_key)
         for e in elements:
-            if len(e) != r or e[0] < 1 or e[-1] > t:
+            if len(e) != r or len(set(e)) != r or e[0] < 1 or e[-1] > t:
                 raise ValueError(f"universe member {e} is not an r-subset of [{t}]")
     else:
         elements = _colex_universe(t, r)
@@ -364,9 +367,9 @@ def enumerate_left_compressed(
     restricted to families inside it (still left-compressed as graphs).
     Every graph comes back already known left-compressed, so
     :func:`is_left_compressed` and :func:`contains_clique` run no scan
-    on it. The universe's masks are checked as r-subsets of [t] once
-    per call, so each graph's edges are checked by one subset test
-    against them, not one edge at a time.
+    on it. The universe is checked as r-subsets of [t] once per call,
+    and each graph's edges are drawn from it, so no graph's edges are
+    checked one at a time.
 
     For the full universe and m past the halfway point, enumeration
     runs on complements: reflection v -> t+1-v reverses dominance, so
@@ -375,18 +378,17 @@ def enumerate_left_compressed(
     """
     elements, preds = _down_set_poset(t, r, m, universe)
     total = len(elements)
-    masks = list(map(edge_mask, elements))
-    full = frozenset(masks)
 
     if universe is None and m > total // 2:
         # Complement path: enumerate the small side, reflect back.
+        full = frozenset(map(edge_mask, elements))
         refl = [edge_mask(_reflect(e, t)) for e in elements]
         for path in _ideals(preds, total - m, refl):
-            yield Hypergraph._down_set(r, t, full.difference(path), full)
+            yield Hypergraph._down_set(r, t, full.difference(path))
         return
 
-    for path in _ideals(preds, m, masks):
-        yield Hypergraph._down_set(r, t, frozenset(path), full)
+    for path in _ideals(preds, m, list(map(edge_mask, elements))):
+        yield Hypergraph._down_set(r, t, frozenset(path))
 
 
 def count_left_compressed(t: int, r: int, m: int, *, universe: Sequence[Edge] | None = None) -> int:

@@ -2,8 +2,10 @@
 
 import pickle
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from lagrangia import core, structure
@@ -282,18 +284,28 @@ class TestEnumerate:
             assert set(got) == set(brute_enumerate(t, r, m))
             assert all(g.m == m and g.n == t and g.r == r for g in graphs)
 
-    def test_every_output_is_left_compressed(self):
+    def test_every_output_is_left_compressed(self, monkeypatch):
         # Enumerated graphs carry the fact, so the scan runs on a graph
         # rebuilt from the same edges. Every m, so m past the halfway
         # point takes the complement path; a restricted universe takes
-        # the direct path for every m.
+        # the direct path for every m. No enumerated graph runs the
+        # per-edge check, yet each equals the graph that check passes.
+        def no_edge_check(self):
+            raise AssertionError("an enumerated graph ran the per-edge check")
+
         cases = [(t, r, None) for t, r in [(6, 3), (7, 3), (6, 4), (8, 2)]]
         cases.append((6, 3, BELOW_346))
         for t, r, universe in cases:
             total = binomial(t, r) if universe is None else len(universe)
             for m in range(total + 1):
-                for g in enumerate_left_compressed(t, r, m, universe=universe):
-                    assert is_left_compressed(Hypergraph(g.r, g.n, g.edges))
+                with monkeypatch.context() as patch:
+                    patch.setattr(Hypergraph, "__post_init__", no_edge_check)
+                    graphs = list(enumerate_left_compressed(t, r, m, universe=universe))
+                for g in graphs:
+                    checked = Hypergraph(g.r, g.n, g.edges)
+                    assert g == checked
+                    assert g.left_compressed is True
+                    assert is_left_compressed(checked)
                     assert g.m == m
                     assert g.n == t
                     for j in range(2, t + 1):
@@ -375,12 +387,31 @@ class TestEnumerate:
     def test_rejects_bad_universe(self):
         with pytest.raises(ValueError, match="closed downward"):
             list(enumerate_left_compressed(5, 3, 1, universe=[(2, 3, 4), (1, 2, 3)]))
+        # Enumerated graphs check no edge of their own, so a member that
+        # is no r-set of [t] must be refused with the universe.
+        for bad in [(1, 1, 2), (1, 2, 3, 4), (1, 2), (0, 1, 2), (1, 2, 6)]:
+            message = rf"universe member {re.escape(str(bad))} is not an r-subset of \[5\]"
+            with pytest.raises(ValueError, match=message):
+                next(enumerate_left_compressed(5, 3, 1, universe=[bad]))
+            with pytest.raises(ValueError, match=message):
+                count_left_compressed(5, 3, 1, universe=[bad])
+        with pytest.raises(TypeError):
+            next(enumerate_left_compressed(5, 3, 1, universe=[(1, 2, 3.0)]))
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             list(enumerate_left_compressed(5, 3, 11))
         with pytest.raises(ValueError):
             list(enumerate_left_compressed(5, 3, -1))
+
+    def test_universe_vertices_become_ints(self):
+        # numpy rows give numpy vertices, whose masks overflow at vertex 64.
+        rows = np.array([(1, 2, v) for v in range(3, 65)])
+        plain = [tuple(map(int, row)) for row in rows]
+        for m in (1, len(rows)):
+            got = list(enumerate_left_compressed(64, 3, m, universe=rows))
+            assert got == list(enumerate_left_compressed(64, 3, m, universe=plain))
+            assert all(type(mask) is int for g in got for mask in g.edges)
 
     def test_refuses_too_many_vertices_before_the_universe(self, monkeypatch):
         def no_universe(t, r):
@@ -392,64 +423,6 @@ class TestEnumerate:
             next(enumerate_left_compressed(65, 3, 1))
         with pytest.raises(ValueError, match=message):
             count_left_compressed(65, 3, 1)
-
-    def test_enumerated_graphs_equal_checked_graphs(self, monkeypatch):
-        # Each graph is checked by one subset test against the universe,
-        # so none runs the per-edge check, yet each equals the graph the
-        # per-edge check builds from its edges. r = 2, 3 and 4 on both
-        # sides of the reflection, and a restricted universe.
-        cases = [(t, r, None) for t, r in [(6, 2), (6, 3), (6, 4)]]
-        cases.append((6, 3, BELOW_346))
-        listed, counted = [], 0
-
-        def no_edge_loop(self):
-            raise AssertionError("an enumerated graph ran the per-edge check")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Hypergraph, "_check_edges", no_edge_loop)
-            for t, r, universe in cases:
-                total = binomial(t, r) if universe is None else len(universe)
-                for m in range(total + 1):
-                    listed += enumerate_left_compressed(t, r, m, universe=universe)
-                    counted += count_left_compressed(t, r, m, universe=universe)
-        assert len(listed) == counted
-        for g in listed:
-            assert g == Hypergraph(g.r, g.n, g.edges)
-            assert g.left_compressed is True
-
-    @pytest.mark.parametrize(
-        "r, n, bad",
-        [
-            (3, 6, (1, 2)),
-            (3, 6, (1, 2, 3, 4)),
-            (3, 6, (1, 2, 7)),
-            (2, 5, (6, 9)),
-            (4, 6, (3, 4, 5, 64)),
-        ],
-    )
-    def test_down_set_rejects_a_bad_edge_as_hypergraph_does(self, r, n, bad):
-        universe = frozenset(edge_mask(c) for c in combinations(range(1, n + 1), r))
-        edges = frozenset(sorted(universe)[:3]) | {edge_mask(bad)}
-        with pytest.raises(ValueError) as want:
-            Hypergraph(r, n, edges)
-        with pytest.raises(ValueError) as got:
-            Hypergraph._down_set(r, n, edges, universe)
-        assert str(got.value) == str(want.value)
-        assert str(mask_to_edge(edge_mask(bad))) in str(got.value)
-
-    def test_down_set_checks_the_header_and_edges_outside_the_universe(self):
-        universe = frozenset(edge_mask(c) for c in BELOW_346)
-        # A valid r-set outside the universe passes the per-edge check.
-        outside = frozenset({edge_mask((1, 2, 3)), edge_mask((4, 5, 6))})
-        assert Hypergraph._down_set(3, 6, outside, universe) == Hypergraph(3, 6, outside)
-        with pytest.raises(TypeError, match="frozenset"):
-            Hypergraph._down_set(3, 6, set(outside), universe)
-        with pytest.raises(ValueError, match="r must be >= 2"):
-            Hypergraph._down_set(1, 6, frozenset(), universe)
-        with pytest.raises(ValueError, match="need n >= r"):
-            Hypergraph._down_set(3, 2, frozenset(), universe)
-        with pytest.raises(ValueError, match="got n=65"):
-            Hypergraph._down_set(3, 65, frozenset(), universe)
 
     def test_count_matches_stream(self, monkeypatch):
         # Full universe on both sides of the halfway point (the stream
