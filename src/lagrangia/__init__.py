@@ -4,144 +4,20 @@ The package computes Lagrangians (maxima of edge-product polynomials
 over the probability simplex), builds and analyzes colex graphs and
 left-compressed families, and ships desk-scale verifiers for a family
 of extremal claims connecting clique numbers to Lagrangian values.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it; the package exports the union of those lists. The function
+``lagrangian`` shadows its submodule as an attribute, so that module's
+list is read under a private name, deleted once the package's list is
+built.
 """
 
 from ._version import VERSION as __version__
-from .core import (
-    EdgeListFormatError,
-    Hypergraph,
-    LinkSet,
-    binomial,
-    colex_graph,
-    colex_rank,
-    colex_unrank,
-    complete_graph,
-    difference_link,
-    format_edge_list,
-    load_edge_list,
-    pair_link,
-    parse_edge_list,
-    save_edge_list,
-    vertex_link,
-)
-from .lagrangian import (
-    CertificateReport,
-    OptOptions,
-    OptResult,
-    ascend,
-    ascend_multistart,
-    as_weighting,
-    certify,
-    complete_lagrangian,
-    evaluate,
-    evaluate_exact,
-    family_value,
-    lagrangian,
-    lagrangians,
-    link_value,
-    minimize_support,
-    motzkin_straus,
-    uniform_weighting,
-)
-from .structure import (
-    CompressionTrace,
-    clique_number,
-    compress,
-    contains_clique,
-    count_left_compressed,
-    dominance_le,
-    enumerate_left_compressed,
-    is_left_compressed,
-    maximum_cliques,
-)
-from .theorems import (
-    DEFAULT_VERIFY,
-    ParamRange,
-    TheoremReport,
-    VerifyOptions,
-    WitnessResult,
-    bp_bound,
-    bp_check,
-    corollary_threshold,
-    counterexample_witness,
-    lemma_tal9_audit,
-    lemmaeq_dichotomy_audit,
-    plateau_range,
-    proposition_k4_check,
-    theorem1_range,
-    theorem2_bound,
-    theorem43_check,
-    verify_colex_plateau,
-    verify_corollary,
-    verify_pz18,
-    verify_theorem1,
-    verify_theorem2,
-    witness_report,
-)
+from .core import *
+from .lagrangian import *
+from .lagrangian import __all__ as _lagrangian_all
+from .structure import *
+from .theorems import *
 
-__all__ = [
-    "__version__",
-    "EdgeListFormatError",
-    "Hypergraph",
-    "LinkSet",
-    "binomial",
-    "colex_graph",
-    "colex_rank",
-    "colex_unrank",
-    "complete_graph",
-    "difference_link",
-    "format_edge_list",
-    "load_edge_list",
-    "pair_link",
-    "parse_edge_list",
-    "save_edge_list",
-    "vertex_link",
-    "CertificateReport",
-    "OptOptions",
-    "OptResult",
-    "ascend",
-    "ascend_multistart",
-    "as_weighting",
-    "certify",
-    "complete_lagrangian",
-    "evaluate",
-    "evaluate_exact",
-    "family_value",
-    "lagrangian",
-    "lagrangians",
-    "link_value",
-    "minimize_support",
-    "motzkin_straus",
-    "uniform_weighting",
-    "CompressionTrace",
-    "clique_number",
-    "compress",
-    "contains_clique",
-    "count_left_compressed",
-    "dominance_le",
-    "enumerate_left_compressed",
-    "is_left_compressed",
-    "maximum_cliques",
-    "DEFAULT_VERIFY",
-    "ParamRange",
-    "TheoremReport",
-    "VerifyOptions",
-    "WitnessResult",
-    "bp_bound",
-    "bp_check",
-    "corollary_threshold",
-    "counterexample_witness",
-    "lemma_tal9_audit",
-    "lemmaeq_dichotomy_audit",
-    "plateau_range",
-    "proposition_k4_check",
-    "theorem1_range",
-    "theorem2_bound",
-    "theorem43_check",
-    "verify_colex_plateau",
-    "verify_corollary",
-    "verify_pz18",
-    "verify_theorem1",
-    "verify_theorem2",
-    "witness_report",
-]
+__all__ = ["__version__", *core.__all__, *_lagrangian_all, *structure.__all__, *theorems.__all__]
+del _lagrangian_all

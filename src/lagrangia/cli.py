@@ -9,11 +9,10 @@ structured output.
 Each command hands its result to one writer, which prints the record,
 under the run's version, seed and tolerances, as JSON with --format
 json and the text form otherwise, to standard output or the --output
-file.  verify writes its report as text, JSON or CSV, and enumerate
-streams its listing, to the same place.  One handler maps every
-exception, raised while parsing the flags or while running, to its
-exit code; an internal error also names the innermost frame it was
-raised in.
+file.  verify writes its report as text, JSON or CSV to the same
+place.  One handler maps every exception, raised while parsing the
+flags or while running, to its exit code; an internal error also names
+the innermost frame it was raised in.
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
 import sys
-import textwrap
 import traceback
 from dataclasses import dataclass
 
@@ -43,7 +40,7 @@ from .core import (
     format_edge_list,
     load_edge_list,
 )
-from .lagrangian import OptOptions, certify, lagrangian
+from .lagrangian import certify, lagrangian
 from .structure import (
     clique_number,
     compress,
@@ -115,9 +112,9 @@ class RunConfig:
         # Written so that NaN fails too: it compares false with anything.
         if not all(0 < tol < math.inf for tol in (self.verify.tol, self.verify.margin)):
             raise CliUsageError("tolerances must be finite and positive")
-        if not 0 <= self.verify.opt.random_starts <= MAX_RANDOM_STARTS:
+        if not 0 <= self.verify.random_starts <= MAX_RANDOM_STARTS:
             raise CliUsageError(f"random starts must be in [0, {MAX_RANDOM_STARTS}]")
-        if self.verify.opt.max_iters < 0:
+        if self.verify.max_iters < 0:
             raise CliUsageError("max iterations must be at least 0")
         if self.verify.parallelism < 1:
             raise CliUsageError("parallelism must be at least 1")
@@ -129,47 +126,50 @@ class RunConfig:
             )
 
 
+# verify id -> (verifier, the flags it takes in the verifier's order)
 _VERIFIERS = {
-    "colex-plateau": lambda a, o: verify_colex_plateau(a["t"], o),
-    "theorem1": lambda a, o: verify_theorem1(a["t"], o),
-    "pz18": lambda a, o: verify_pz18(a["t"], o),
-    "tal9": lambda a, o: lemma_tal9_audit(a["t"], o),
-    "theorem2": lambda a, o: verify_theorem2(a["t"], o),
-    "corollary": lambda a, o: verify_corollary(a["t"], o),
-    "k4": lambda a, o: proposition_k4_check(a["t"], o),
-    "bp": lambda a, o: bp_check(a["t"], a["p"], o),
-    "theorem43": lambda a, o: theorem43_check(a["t"], a["a"], o),
-    "lemmaeq": lambda a, o: lemmaeq_dichotomy_audit(a["t"], o),
-    "witness": lambda a, o: witness_report(a["r"], a["t"], o),
+    "colex-plateau": (verify_colex_plateau, ("t",)),
+    "theorem1": (verify_theorem1, ("t",)),
+    "pz18": (verify_pz18, ("t",)),
+    "tal9": (lemma_tal9_audit, ("t",)),
+    "theorem2": (verify_theorem2, ("t",)),
+    "corollary": (verify_corollary, ("t",)),
+    "k4": (proposition_k4_check, ("t",)),
+    "bp": (bp_check, ("t", "p")),
+    "theorem43": (theorem43_check, ("t", "a")),
+    "lemmaeq": (lemmaeq_dichotomy_audit, ("t",)),
+    "witness": (witness_report, ("r", "t")),
 }
+# the verify flags that may be left out, with their values then
+_VERIFY_DEFAULTS = {"p": 4, "r": 3}
 
 
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-7)
-    common.add_argument("--margin", type=float, default=1e-6)
+    common.add_argument("--tol", type=float, default=DEFAULT_VERIFY.tol)
+    common.add_argument("--margin", type=float, default=DEFAULT_VERIFY.margin)
     common.add_argument(
         "--seed",
         type=int,
-        default=0,
-        help="seed of the random starts (default: 0; LAGRANGIA_SEED overrides"
-        " it); a verifier solves every instance with this seed, not one"
-        " derived from the instance's index",
+        default=DEFAULT_VERIFY.seed,
+        help="seed of the random starts (default: %(default)s; LAGRANGIA_SEED"
+        " overrides it); a verifier solves every instance with this seed,"
+        " not one derived from the instance's index",
     )
     common.add_argument(
         "--random-starts",
         type=int,
-        default=8,
-        help="Dirichlet starts per graph (default: 8); they run only on a graph"
-        " that is not left-compressed, or when the corner starts of a"
-        " left-compressed one end off stationarity",
+        default=DEFAULT_VERIFY.random_starts,
+        help="Dirichlet starts per graph (default: %(default)s); they run only"
+        " on a graph that is not left-compressed, or when the corner starts"
+        " of a left-compressed one end off stationarity",
     )
     common.add_argument(
         "--max-iters",
         type=int,
-        default=20000,
-        help="growth steps per start (default: 20000); the Newton steps of a"
-        " face finish come on top",
+        default=DEFAULT_VERIFY.max_iters,
+        help="growth steps per start (default: %(default)s); the Newton steps"
+        " of a face finish come on top",
     )
     common.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -214,9 +214,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("theorem_id", choices=sorted(_VERIFIERS))
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--r", type=int, default=3)
+    for name in ("a", "p", "r"):
+        takers = [i for i, (_, names) in _VERIFIERS.items() if name in names]
+        p.add_argument(f"--{name}", type=int, help="taken by " + ", ".join(takers))
 
     return parser
 
@@ -236,17 +236,13 @@ def parse_args(argv=None) -> RunConfig:
     seed = _env_seed()
     if seed is None:
         seed = ns.seed
-    opt = OptOptions(
-        max_iters=ns.max_iters,
-        random_starts=ns.random_starts,
-        seed=seed,
-    )
     verify = VerifyOptions(
         tol=ns.tol,
         margin=ns.margin,
         seed=seed,
         parallelism=ns.parallelism,
-        opt=opt,
+        max_iters=ns.max_iters,
+        random_starts=ns.random_starts,
     )
     # violation tables are the one CSV surface
     if ns.format == "csv" and ns.command != "verify":
@@ -279,15 +275,11 @@ def _output(config: RunConfig):
             yield fh.write
 
 
-def _json_dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(config: RunConfig, record: dict, text: str) -> None:
     """Write one result: ``record`` under the run's metadata as JSON with
     --format json, ``text`` otherwise."""
     if config.fmt == "json":
-        text = _json_dump({**_meta(config), **record})
+        text = json.dumps({**_meta(config), **record}, sort_keys=True, indent=2) + "\n"
     with _output(config) as write:
         write(text)
 
@@ -391,9 +383,6 @@ def _cmd_colex(config: RunConfig) -> int:
     return EXIT_PASS
 
 
-_GRAPHS_MARK = "\0graphs"
-
-
 def _cmd_enumerate(config: RunConfig) -> int:
     params = config.params
     t, r, m = params["t"], params["r"], params["m"]
@@ -402,26 +391,17 @@ def _cmd_enumerate(config: RunConfig) -> int:
         count = count_left_compressed(t, r, m)
         _emit(config, {"t": t, "r": r, "m": m, "count": count}, f"{count}\n")
         return EXIT_PASS
-    graphs = enumerate_left_compressed(t, r, m)
-    # Taking the first graph checks (t, r, m) before the output is opened;
-    # every valid m has at least one graph, the colex initial segment.
-    graphs = itertools.chain([next(graphs)], graphs)
-    if config.fmt == "json":
-        # The record as _emit writes it, with the graph list written one
-        # graph at a time in the place of a marker.
-        record = {"t": t, "r": r, "m": m, "count": count_left_compressed(t, r, m)}
-        marked = _json_dump({**_meta(config), **record, "graphs": _GRAPHS_MARK})
-        head, tail = marked.split(json.dumps(_GRAPHS_MARK))
-        with _output(config) as write:
-            write(head + "[\n")
-            for i, g in enumerate(graphs):
-                edges = json.dumps([list(e) for e in g.edge_list()], indent=2)
-                write((",\n" if i else "") + textwrap.indent(edges, "    "))
-            write("\n  ]" + tail)
-    else:
-        with _output(config) as write:
-            for i, g in enumerate(graphs):
-                write(("\n" if i else "") + format_edge_list(g))
+    # The guard bounds the listing: at most 364 graphs, for t = 8, r = 4,
+    # m = 35.
+    graphs = list(enumerate_left_compressed(t, r, m))
+    record = {
+        "t": t,
+        "r": r,
+        "m": m,
+        "count": len(graphs),
+        "graphs": [[list(e) for e in g.edge_list()] for g in graphs],
+    }
+    _emit(config, record, "\n".join(format_edge_list(g) for g in graphs))
     return EXIT_PASS
 
 
@@ -450,9 +430,14 @@ def _violations_csv(report) -> str:
 def _cmd_verify(config: RunConfig) -> int:
     params = config.params
     theorem_id = params["theorem_id"]
-    if theorem_id == "theorem43" and params["a"] is None:
-        raise CliUsageError("verify theorem43 requires --a")
-    report = _VERIFIERS[theorem_id](params, config.verify)
+    verifier, names = _VERIFIERS[theorem_id]
+    for name in ("a", "p", "r"):
+        if name not in names and params[name] is not None:
+            raise CliUsageError(f"verify {theorem_id} does not take --{name}")
+    args = [params[n] if params[n] is not None else _VERIFY_DEFAULTS.get(n) for n in names]
+    if None in args:
+        raise CliUsageError(f"verify {theorem_id} requires --{names[args.index(None)]}")
+    report = verifier(*args, config.verify)
     if config.fmt == "json":
         text = report.to_json()
     elif config.fmt == "csv":

@@ -16,6 +16,24 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+__all__ = [
+    "EdgeListFormatError",
+    "Hypergraph",
+    "LinkSet",
+    "binomial",
+    "colex_graph",
+    "colex_rank",
+    "colex_unrank",
+    "complete_graph",
+    "difference_link",
+    "format_edge_list",
+    "load_edge_list",
+    "pair_link",
+    "parse_edge_list",
+    "save_edge_list",
+    "vertex_link",
+]
+
 MAX_VERTICES = 64
 # The most edges ``complete_graph`` and ``colex_graph`` build: every
 # 3-graph on MAX_VERTICES vertices (C(64, 3) = 41,664 edges) fits.

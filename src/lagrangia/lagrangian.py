@@ -84,6 +84,26 @@ from .core import (
 )
 from .structure import clique_number, is_left_compressed, maximum_cliques
 
+__all__ = [
+    "CertificateReport",
+    "OptOptions",
+    "OptResult",
+    "ascend",
+    "ascend_multistart",
+    "as_weighting",
+    "certify",
+    "complete_lagrangian",
+    "evaluate",
+    "evaluate_exact",
+    "family_value",
+    "lagrangian",
+    "lagrangians",
+    "link_value",
+    "minimize_support",
+    "motzkin_straus",
+    "uniform_weighting",
+]
+
 FEAS_TOL = 1e-12  # absolute slack on the simplex sum constraint
 MONOTONE_SLACK = 1e-14  # tolerated per-iteration objective decrease
 
@@ -1020,7 +1040,7 @@ class CertificateReport:
         }
 
 
-def certify(g: Hypergraph, res: OptResult, tol: float = 1e-8) -> CertificateReport:
+def certify(g: Hypergraph, res: OptResult, tol: float = KKT_TOL) -> CertificateReport:
     """Check a result's weighting against the optimality conditions."""
     x = as_weighting(res.weighting, g.n)[: g.n]
     value = float(_kernels.eval_poly(x, g.edge_array()))

@@ -52,6 +52,19 @@ from .core import (
 )
 
 
+__all__ = [
+    "CompressionTrace",
+    "clique_number",
+    "compress",
+    "contains_clique",
+    "count_left_compressed",
+    "dominance_le",
+    "enumerate_left_compressed",
+    "is_left_compressed",
+    "maximum_cliques",
+]
+
+
 def dominance_le(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when sorted r-set a is coordinatewise <= sorted r-set b."""
     if len(a) != len(b):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Callable, Iterable, Sequence
@@ -76,21 +76,28 @@ class VerifyOptions:
 
     tol bounds |observed - target| for equality-style claims; margin is
     the slack demanded before a strict inequality counts as confirmed;
-    seed is the optimizer seed of every instance; parallelism fans
-    instances out over processes when greater than one (capped at the
-    cpu count and the number of instances). opt holds the optimizer's
-    other knobs: verifiers never read ``opt.seed``, because
-    ``_map_lagrangian`` solves every instance with seed in its place,
-    not with a seed derived from the instance's index, so a result
-    depends only on its graph and these options. The ground-set guard
-    of the exhaustive verifiers is the constant MAX_GROUND.
+    seed is the optimizer seed of every instance, not one derived from
+    the instance's index, so a result depends only on its graph and
+    these options; parallelism fans instances out over processes when
+    greater than one (capped at the cpu count and the number of
+    instances); max_iters and random_starts are the optimizer's, as in
+    OptOptions. The ground-set guard of the exhaustive verifiers is the
+    constant MAX_GROUND.
     """
 
     tol: float = 1e-7
     margin: float = 1e-6
     seed: int = 0
     parallelism: int = 1
-    opt: OptOptions = DEFAULT_OPTIONS
+    max_iters: int = DEFAULT_OPTIONS.max_iters
+    random_starts: int = DEFAULT_OPTIONS.random_starts
+
+    @property
+    def opt(self) -> OptOptions:
+        """The optimizer options every instance is solved with."""
+        return OptOptions(
+            max_iters=self.max_iters, random_starts=self.random_starts, seed=self.seed
+        )
 
 
 DEFAULT_VERIFY = VerifyOptions()
@@ -248,9 +255,9 @@ def _left_compressed(
 def _map_lagrangian(
     graphs: Sequence[Hypergraph], opts: VerifyOptions
 ) -> list[tuple[Hypergraph, OptResult]]:
-    """(g, result) for each graph, solved with opts.opt under the run's
-    seed, opts.seed, not one derived from the graph's index: a result
-    depends only on the graph and the options.
+    """(g, result) for each graph, solved with opts.opt, whose seed is
+    the run's, not one derived from the graph's index: a result depends
+    only on the graph and the options.
 
     The graphs go to ``lagrangians``, which runs their starts in
     lockstep batches of a bounded number of rows. A serial run hands it
@@ -259,9 +266,8 @@ def _map_lagrangian(
     alike, spread over the workers. A result does not depend on the
     batch its graph falls in, so every chunking gives the same bytes.
     """
-    opt = replace(opts.opt, seed=opts.seed)
     workers = _pool_size(opts.parallelism, len(graphs))
-    tasks = [(graphs[j::workers], opt) for j in range(workers)]
+    tasks = [(graphs[j::workers], opts.opt) for j in range(workers)]
     if workers == 1:
         chunks = [_solve_chunk(task) for task in tasks]
     else:

@@ -1,6 +1,5 @@
 """CLI behavior: dispatch, exit codes, formats, seed plumbing."""
 
-import io
 import json
 import os
 import subprocess
@@ -145,26 +144,6 @@ def test_enumerate_output_matches_full_listing(capsys, t, r, m):
     assert out == json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
-def test_enumerate_writes_each_graph_as_it_comes(monkeypatch):
-    # Before the generator yields graph k + 1, graph k is already written.
-    real = cli_module.enumerate_left_compressed
-    buf = io.StringIO()
-    written = []
-
-    def watched(*args):
-        for g in real(*args):
-            written.append(len(buf.getvalue()))
-            yield g
-
-    monkeypatch.setattr(cli_module, "enumerate_left_compressed", watched)
-    monkeypatch.setattr(sys, "stdout", buf)
-    for fmt in ("text", "json"):
-        written.clear()
-        assert main(["enumerate", "6", "3", "7", "--format", fmt]) == EXIT_PASS
-        assert len(written) == 5
-        assert all(a < b for a, b in zip(written, written[1:]))
-
-
 def test_enumerate_count_only(capsys):
     code, out, _ = run_main(capsys, "enumerate", "5", "3", "4", "--count-only")
     assert code == EXIT_PASS and out == "2\n"
@@ -221,6 +200,21 @@ def test_verify_theorem43_requires_a(capsys):
     code, _, err = run_main(capsys, "verify", "theorem43", "--t", "6")
     assert code == EXIT_USAGE
     assert "--a" in err
+
+
+def test_verify_refuses_flags_its_claim_does_not_take(capsys, monkeypatch):
+    # Every verify id refuses each of --a, --p and --r that it does not
+    # pass to its verifier, naming the flag, before anything is solved.
+    def refuse(*_, **__):
+        raise RuntimeError("solved")
+
+    monkeypatch.setattr(theorems, "lagrangians", refuse)
+    takes = {"bp": {"p"}, "theorem43": {"a"}, "witness": {"r"}}
+    for theorem_id in cli_module._VERIFIERS:
+        for flag in {"a", "p", "r"} - takes.get(theorem_id, set()):
+            code, out, err = run_main(capsys, "verify", theorem_id, "--t", "5", f"--{flag}", "2")
+            assert code == EXIT_USAGE and out == "", (theorem_id, flag)
+            assert err == f"usage error: verify {theorem_id} does not take --{flag}\n"
 
 
 def test_verify_unknown_id(capsys):

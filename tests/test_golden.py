@@ -32,13 +32,11 @@ import numpy as np
 import pytest
 
 from lagrangia import cli, theorems
-from lagrangia.lagrangian import DEFAULT_OPTIONS, OptResult
+from lagrangia.lagrangian import OptResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
-OPTS = theorems.VerifyOptions(
-    seed=0, parallelism=1, opt=replace(DEFAULT_OPTIONS, random_starts=2)
-)
+OPTS = theorems.VerifyOptions(seed=0, parallelism=1, random_starts=2)
 
 # name -> (verifier, positional arguments, VerifyOptions overrides)
 CASES = {
